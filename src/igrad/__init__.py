@@ -1,23 +1,13 @@
 """Gradient-alignment training for CNNs, CAM saliency, and interpretability metrics."""
 
-from .tensor import (
-    BackwardOptions,
-    GradMode,
-    Tape,
-    Tensor,
-    backward,
-    detach,
-    forward_primitive,
-)
+from .tensor import GradMode, Tape, Tensor, backward, detach
 from .gradcheck import finite_diff_gradient
 
 __all__ = [
-    "BackwardOptions",
     "GradMode",
     "Tape",
     "Tensor",
     "backward",
     "detach",
     "finite_diff_gradient",
-    "forward_primitive",
 ]

@@ -44,23 +44,6 @@ class InterpLossResult:
     guided_grads: Tensor | None    # guided counterpart, always detached
 
 
-def cross_entropy(probabilities, target: int) -> float:
-    """-log p[target] for one probability row (the mathematical contract)."""
-    p = probabilities.data if isinstance(probabilities, Tensor) else np.asarray(probabilities)
-    p = p.reshape(-1)
-    if not 0 <= target < p.size:
-        raise ValueError(f"target {target} out of range for {p.size} classes")
-    if p.min() < 0 or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("probabilities must be nonnegative and sum to 1")
-    return float(-np.log(p[target]))
-
-
-def cross_entropy_from_logits(logits, target: int) -> float:
-    """Stable log-softmax form used internally by the training path."""
-    row = Tensor(np.asarray(logits, dtype=np.float64).reshape(1, -1))
-    return T.cross_entropy_logits(row, [target]).item()
-
-
 def _forward_ce(model, x_batch, targets):
     """Watch inputs, run the model, return (mean CE, forward result, watched x)."""
     tape = Tape()
@@ -83,38 +66,31 @@ def _flat_axes(shape):
     return tuple(range(1, len(shape)))
 
 
+# the norm each similarity divides by, as the batched form guards it
+_GUARDED_NORMS = {
+    ErrorFnKind.COSINE: lambda a: np.sqrt(np.sum(a * a)),
+    ErrorFnKind.HIST_INTERSECT: lambda a: np.sum(np.abs(a)),
+}
+
+
 def error_fn(kind: ErrorFnKind, d: Tensor, d_ref: Tensor) -> Tensor:
     """Error between two gradient images; differentiable w.r.t. the first.
 
     MAE and MSE are mean element-wise distances; cosine and histogram
     intersection are similarities with a negative sign. The reference is
-    detached by the caller.
+    detached by the caller. This is the one-example case of
+    `_per_example_errors`, except that a norm the batched form would mask
+    out is an error here.
     """
     if d.shape != d_ref.shape:
         raise ValueError(f"error_fn: shapes differ {d.shape} vs {d_ref.shape}")
-    m = d.size
-    if m == 0:
+    if d.size == 0:
         raise ValueError("error_fn: empty tensors")
-    if kind is ErrorFnKind.MAE:
-        return T.scale(T.reduce_sum(T.absolute(T.sub(d, d_ref))), 1.0 / m)
-    if kind is ErrorFnKind.MSE:
-        diff = T.sub(d, d_ref)
-        return T.scale(T.reduce_sum(T.mul(diff, diff)), 1.0 / m)
-    if kind is ErrorFnKind.COSINE:
-        sq_a = T.reduce_sum(T.mul(d, d))
-        sq_b = T.reduce_sum(T.mul(d_ref, d_ref))
-        if sq_a.item() == 0.0 or sq_b.item() == 0.0:
-            raise ValueError("error_fn: zero-norm input for cosine")
-        inner = T.reduce_sum(T.mul(d, d_ref))
-        return T.neg(T.div(inner, T.sqrt(T.mul(sq_a, sq_b))))
-    if kind is ErrorFnKind.HIST_INTERSECT:
-        l1_a = T.reduce_sum(T.absolute(d))
-        l1_b = T.reduce_sum(T.absolute(d_ref))
-        if l1_a.item() == 0.0 or l1_b.item() == 0.0:
-            raise ValueError("error_fn: zero-norm input for histogram intersection")
-        overlap = T.reduce_sum(T.minimum(T.absolute(d), T.absolute(d_ref)))
-        return T.neg(T.div(overlap, T.mul(l1_a, l1_b)))
-    raise ValueError(f"unknown error function {kind!r}")
+    norm = _GUARDED_NORMS.get(kind)
+    if norm is not None and min(norm(d.data), norm(d_ref.data)) < NORM_GUARD:
+        raise ValueError(f"error_fn: zero-norm input for {kind.name.lower()}")
+    errs = _per_example_errors(kind, T.reshape(d, (1, -1)), T.reshape(d_ref, (1, -1)))
+    return T.reshape(errs, ())
 
 
 def _per_example_errors(kind: ErrorFnKind, d: Tensor, d_ref: Tensor) -> Tensor:

@@ -8,8 +8,6 @@ normalized just before every forward pass. Scores are softmax probabilities.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,34 +154,6 @@ def _eval_image(model, split, i, method, layer, class_policy, curve_cfg):
     return rec
 
 
-def eval_threads() -> int:
-    return max(1, int(os.environ.get("IGRAD_THREADS", "1")))
-
-
-def _collect_records(model, split, method, layer, class_policy, curve_cfg, threads):
-    indices = range(len(split))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(
-                pool.map(
-                    lambda i: _eval_image(
-                        model, split, i, method, layer, class_policy, curve_cfg
-                    ),
-                    indices,
-                )
-            )
-    return [
-        _eval_image(model, split, i, method, layer, class_policy, curve_cfg)
-        for i in indices
-    ]
-
-
-def faithfulness(model, dataset, method, class_policy="predicted", layer="last_conv"):
-    """(AD, AG, AI) percentages over the split for one saliency method."""
-    recs = _collect_records(model, dataset, method, layer, class_policy, None, 1)
-    return _aggregate(recs)[:3]
-
-
 def _aggregate(recs):
     n = len(recs)
     ad = 100.0 / n * sum(max(0.0, r.p_original - r.p_masked) / r.p_original for r in recs)
@@ -203,15 +173,16 @@ def faithfulness_report(
     layer="last_conv",
     class_policy="predicted",
     curve_cfg: CurveConfig | None = None,
-    threads: int | None = None,
     keep_per_image=False,
 ) -> MetricsReport:
+    """AD/AG/AI percentages over the split for one saliency method, plus the
+    mean insertion/deletion AUCs when `curve_cfg` is given."""
     if len(dataset) == 0:
         raise ValueError("dataset must be nonempty")
-    threads = eval_threads() if threads is None else threads
-    recs = _collect_records(
-        model, dataset, method, layer, class_policy, curve_cfg, min(threads, len(dataset))
-    )
+    recs = [
+        _eval_image(model, dataset, i, method, layer, class_policy, curve_cfg)
+        for i in range(len(dataset))
+    ]
     ad, ag, ai, ins, dele = _aggregate(recs)
     return MetricsReport(
         method=method.name,

@@ -118,42 +118,25 @@ class AxiomCam:
 
 class ScoreCam:
     """Gradient-free weights: per channel, the probability change between the
-    input masked by the channel's normalized upsampled map and a baseline
-    image (black by default). One forward pass per channel; the baseline
-    probability is computed once per model and cached."""
+    input masked by the channel's normalized upsampled map and a black
+    image. All K masked inputs are scored in one forward; the black
+    baseline is computed on every call."""
 
     name = "scorecam"
-
-    def __init__(self, baseline: np.ndarray | None = None, chunk: int = 16):
-        self.baseline = baseline
-        self.chunk = chunk
-        self._baseline_probs: dict[int, np.ndarray] = {}
-
-    def _baseline_for(self, model, shape, prep):
-        key = id(model)
-        if key not in self._baseline_probs:
-            xb = np.zeros(shape) if self.baseline is None else self.baseline
-            if xb.shape != tuple(shape):
-                raise ValueError(f"baseline shape {xb.shape} != input {tuple(shape)}")
-            self._baseline_probs[key] = model.forward(prep(xb)[None]).probs.data[0]
-        return self._baseline_probs[key]
 
     def weights_and_maps(self, model, x_raw, c, layer, prep=_identity):
         _check_target(model, c)
         layer = model.resolve_layer(layer)
-        base = self._baseline_for(model, x_raw.shape, prep)[c]
-        # map extraction is not one of the per-channel scoring passes
+        # map extraction and the baseline are not among the K scoring passes
+        black = prep(np.zeros(x_raw.shape))[None]
+        base = model.forward(black, count=False).probs.data[0, c]
         fwd = model.forward(prep(x_raw)[None], count=False)
         amap = fwd.feature_maps[layer].data[0]
         k = amap.shape[0]
         hw = x_raw.shape[1:]
         masks = np.stack([minmax_norm(bilinear_upsample(amap[i], hw)) for i in range(k)])
         masked = x_raw[None, :, :, :] * masks[:, None, :, :]
-        scores = np.empty(k)
-        for start in range(0, k, self.chunk):
-            stop = min(start + self.chunk, k)
-            batch = np.stack([prep(masked[i]) for i in range(start, stop)])
-            scores[start:stop] = model.forward(batch).probs.data[:, c]
+        scores = model.forward(np.stack([prep(m) for m in masked])).probs.data[:, c]
         return scores - base, amap
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import data, metrics, nn, saliency
-from .losses import ErrorFnKind, _forward_ce
+from .losses import ErrorFnKind, _forward_ce, _per_example_errors
 from .tensor import GradMode, backward
 from .train import TrainConfig, evaluate_accuracy, fit
 
@@ -23,7 +23,7 @@ DESK_LAMBDA = 1.0  # chosen by pilot sweep over {1e-3 .. 1}; see README
 
 def mean_cosine_alignment(model, dataset, batch_size=64) -> float:
     """Mean over examples of cos(standard grad, guided grad) of the batch CE
-    loss w.r.t. the input; zero-norm examples contribute 0."""
+    loss w.r.t. the input; examples with a norm under NORM_GUARD contribute 0."""
     vals = []
     n = len(dataset)
     for start in range(0, n, batch_size):
@@ -32,13 +32,7 @@ def mean_cosine_alignment(model, dataset, batch_size=64) -> float:
         ce, _, xw = _forward_ce(model, x, t)
         (d_std,) = backward(ce, [xw])
         (d_gui,) = backward(ce, [xw], mode=GradMode.GUIDED)
-        a = d_std.data.reshape(len(idx), -1)
-        b = d_gui.data.reshape(len(idx), -1)
-        na = np.linalg.norm(a, axis=1)
-        nb = np.linalg.norm(b, axis=1)
-        cos = np.zeros(len(idx))
-        ok = (na > 1e-12) & (nb > 1e-12)
-        cos[ok] = np.sum(a[ok] * b[ok], axis=1) / (na[ok] * nb[ok])
+        cos = -_per_example_errors(ErrorFnKind.COSINE, d_std, d_gui).data
         vals.extend(cos.tolist())
     return float(np.mean(vals))
 
@@ -94,14 +88,13 @@ def _one_run(seed, lam, error_kind, epochs, train_set, test_set) -> RunResult:
         seed=seed,
     )
     fit(model, train_set, test_set, cfg)
-    ad, _, _ = metrics.faithfulness(model, test_set, saliency.GradCam())
     return RunResult(
         seed=seed,
         lam=lam,
         train_acc=evaluate_accuracy(model, train_set),
         test_acc=evaluate_accuracy(model, test_set),
         heldout_cosine=mean_cosine_alignment(model, test_set),
-        gradcam_ad=ad,
+        gradcam_ad=metrics.faithfulness_report(model, test_set, saliency.GradCam()).ad,
         seconds=time.perf_counter() - t0,
     )
 

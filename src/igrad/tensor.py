@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,20 +16,6 @@ import numpy as np
 class GradMode(enum.Enum):
     STANDARD = "standard"
     GUIDED = "guided"
-
-
-@dataclass(frozen=True)
-class BackwardOptions:
-    """How a backward pass propagates: ReLU rule and re-differentiability."""
-
-    mode: GradMode = GradMode.STANDARD
-    create_graph: bool = False
-
-    def __post_init__(self):
-        if self.mode is GradMode.GUIDED and self.create_graph:
-            raise ValueError(
-                "guided backward is always detached; create_graph=True is not allowed"
-            )
 
 
 class Node:
@@ -74,18 +59,6 @@ class Tape:
         finally:
             self._recording = prev
 
-    def replay(self) -> bool:
-        """Recompute every recorded op from its stored inputs; True iff all
-        stored outputs are reproduced bit-exactly."""
-        for node in self.nodes:
-            if node.op == "leaf":
-                continue
-            spec = _REGISTRY[node.op]
-            redone = spec.forward([t.data for t in node.inputs], node.attrs)
-            if not np.array_equal(redone, node.out.data):
-                return False
-        return True
-
 
 class Tensor:
     """N-d array of float64 in row-major order, optionally on a tape."""
@@ -113,52 +86,18 @@ class Tensor:
             raise ValueError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return detach(self)
-
     def __repr__(self):
         tag = "" if self.node is None else f", tape@{self.node.idx}"
         return f"Tensor(shape={self.shape}{tag})"
 
-    # arithmetic sugar; python scalars go through the cheaper scale/shift path
+    # arithmetic sugar; python scalars go through the cheaper scale path
     def __add__(self, other):
         return add(self, _as_tensor(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, float(other))
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def abs(self):
-        return absolute(self)
 
 
 def _as_tensor(x) -> Tensor:
@@ -373,28 +312,6 @@ def _abs_spec():
     return fwd, bwd
 
 
-@_op("log")
-def _log_spec():
-    def fwd(xs, attrs):
-        return np.log(xs[0])
-
-    def bwd(node, g, mode):
-        return [div(g, node.inputs[0])]
-
-    return fwd, bwd
-
-
-@_op("exp")
-def _exp_spec():
-    def fwd(xs, attrs):
-        return np.exp(xs[0])
-
-    def bwd(node, g, mode):
-        return [mul(g, node.out)]
-
-    return fwd, bwd
-
-
 @_op("sqrt")
 def _sqrt_spec():
     def fwd(xs, attrs):
@@ -415,31 +332,6 @@ def _reshape_spec():
 
     def bwd(node, g, mode):
         return [reshape(g, node.inputs[0].shape)]
-
-    return fwd, bwd
-
-
-@_op("pad")
-def _pad_spec():
-    def fwd(xs, attrs):
-        return np.pad(xs[0], attrs["pads"], mode="constant")
-
-    def bwd(node, g, mode):
-        return [crop(g, node.attrs["pads"])]
-
-    return fwd, bwd
-
-
-@_op("crop")
-def _crop_spec():
-    def fwd(xs, attrs):
-        sl = tuple(
-            slice(b, xs[0].shape[i] - a) for i, (b, a) in enumerate(attrs["pads"])
-        )
-        return np.ascontiguousarray(xs[0][sl])
-
-    def bwd(node, g, mode):
-        return [pad(g, node.attrs["pads"])]
 
     return fwd, bwd
 
@@ -810,28 +702,12 @@ def absolute(a):
     return _apply("abs", [a])
 
 
-def log(a):
-    return _apply("log", [a])
-
-
-def exp(a):
-    return _apply("exp", [a])
-
-
 def sqrt(a):
     return _apply("sqrt", [a])
 
 
 def reshape(a, shape):
     return _apply("reshape", [a], {"shape": tuple(shape)})
-
-
-def pad(a, pads):
-    return _apply("pad", [a], {"pads": tuple(tuple(p) for p in pads)})
-
-
-def crop(a, pads):
-    return _apply("crop", [a], {"pads": tuple(tuple(p) for p in pads)})
 
 
 def broadcast_to(a, shape):
@@ -919,50 +795,6 @@ def cross_entropy_logits(logits, targets):
     return _apply("cross_entropy_logits", [logits], {"targets": t})
 
 
-_PUBLIC_KINDS = {
-    "add", "sub", "mul", "div", "neg", "matmul", "conv2d", "linear", "relu",
-    "maxpool2d", "global_avg_pool", "softmax", "log", "exp", "abs", "minimum",
-    "sum", "mean", "reshape", "pad", "scale",
-}
-
-
-def forward_primitive(op_kind: str, inputs, attrs=None) -> Tensor:
-    """Uniform entry point over the public op vocabulary.
-
-    `global_avg_pool` and `mean` expand to sum/scale compositions; everything
-    else dispatches to one recorded primitive.
-    """
-    attrs = dict(attrs or {})
-    if op_kind not in _PUBLIC_KINDS:
-        raise ValueError(f"unknown op_kind {op_kind!r}")
-    if op_kind == "global_avg_pool":
-        return global_avg_pool(inputs[0])
-    if op_kind == "mean":
-        return mean(inputs[0], axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False))
-    if op_kind == "sum":
-        return reduce_sum(inputs[0], axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False))
-    if op_kind == "scale":
-        return scale(inputs[0], attrs["factor"])
-    if op_kind == "reshape":
-        return reshape(inputs[0], attrs["shape"])
-    if op_kind == "pad":
-        return pad(inputs[0], attrs["pads"])
-    if op_kind == "matmul":
-        return matmul(inputs[0], inputs[1], ta=attrs.get("ta", False), tb=attrs.get("tb", False))
-    if op_kind == "conv2d":
-        return conv2d(
-            inputs[0], inputs[1], inputs[2] if len(inputs) == 3 else None,
-            stride=attrs.get("stride", 1), padding=attrs.get("padding", 0),
-        )
-    if op_kind == "linear":
-        return linear(inputs[0], inputs[1], inputs[2] if len(inputs) == 3 else None)
-    if op_kind == "maxpool2d":
-        return maxpool2d(inputs[0], kernel=attrs.get("kernel", 2), stride=attrs.get("stride"))
-    if op_kind == "softmax":
-        return softmax(inputs[0], axis=attrs.get("axis", -1))
-    return _apply(op_kind, list(inputs), None)
-
-
 # --------------------------------------------------------------------------
 # backward
 # --------------------------------------------------------------------------
@@ -970,19 +802,19 @@ def forward_primitive(op_kind: str, inputs, attrs=None) -> Tensor:
 def backward(
     output: Tensor,
     wrt,
-    opts: BackwardOptions | None = None,
     *,
     mode: GradMode = GradMode.STANDARD,
     create_graph: bool = False,
-    _relu_grad_sink: list | None = None,
 ):
     """Reverse-mode gradients of a scalar output w.r.t. each tensor in wrt.
 
     With create_graph the returned gradients carry tape nodes and can be
     differentiated again; guided mode always returns detached tensors.
     """
-    if opts is None:
-        opts = BackwardOptions(mode=mode, create_graph=create_graph)
+    if mode is GradMode.GUIDED and create_graph:
+        raise ValueError(
+            "guided backward is always detached; create_graph=True is not allowed"
+        )
     if output.data.size != 1:
         raise ValueError(f"backward: output must be scalar, got shape {output.shape}")
     if output.node is None:
@@ -1004,9 +836,7 @@ def backward(
             node = tape.nodes[idx]
             if node.op == "leaf":
                 continue
-            grads = _REGISTRY[node.op].backward(node, g, opts.mode)
-            if node.op == "relu" and _relu_grad_sink is not None:
-                _relu_grad_sink.append(grads[0].data)
+            grads = _REGISTRY[node.op].backward(node, g, mode)
             for t_in, gi in zip(node.inputs, grads):
                 if gi is None or t_in.node is None:
                     continue
@@ -1014,7 +844,7 @@ def backward(
                 prev = adjoint.get(j)
                 adjoint[j] = gi if prev is None else add(prev, gi)
 
-    if opts.create_graph:
+    if create_graph:
         sweep()
     else:
         with tape.paused():

@@ -24,7 +24,7 @@ from igrad.losses import (
     _forward_ce,
     _per_example_errors,
 )
-from igrad.metrics import CurveConfig, causal_curves, faithfulness, gaussian_blur
+from igrad.metrics import CurveConfig, causal_curves, faithfulness_report, gaussian_blur
 from igrad.saliency import GradCam, ScoreCam, cam_weights, compose_saliency, saliency_for
 from igrad.study import effect_study
 from igrad.tensor import GradMode, Tape, Tensor, backward
@@ -188,7 +188,7 @@ def test_criterion_6_cam_equivalence_and_scorecam_passes():
         worst = max(worst, float(np.max(np.abs(grad_map.normalized - cam_map.normalized))))
 
     method = ScoreCam()
-    cam_weights(method, model, x, 0, "last_conv")  # warm the baseline cache
+    cam_weights(method, model, x, 0, "last_conv")  # no state carries over
     model.forward_count = 0
     cam_weights(method, model, x, 0, "last_conv")
     k_passes = model.forward_count
@@ -206,7 +206,8 @@ def test_criterion_7_metrics_oracle():
     split = data.synthetic_shapes(10, hw=8, seed=21)
     model = nn.build_model(nn.tinycnn((3, 8, 8), 4, (4, 6)), seed=0)
     method = GradCam()
-    got_ad, got_ag, got_ai = faithfulness(model, split, method, "predicted")
+    rep = faithfulness_report(model, split, method, class_policy="predicted")
+    got_ad, got_ag, got_ai = rep.ad, rep.ag, rep.ai
 
     # independent straight-line re-implementation
     drops, gains, incs = [], [], []

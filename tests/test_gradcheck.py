@@ -81,3 +81,34 @@ def test_corruption_hook_breaks_relu():
     assert report["relu"] > 1.0
     # restored afterwards
     assert run_op_suite(seeds=3, ops=["relu"])["relu"] <= 1.0
+
+
+def test_checked_ops_are_the_ops_the_system_runs(monkeypatch):
+    # every registered op is recorded by some training step or CAM
+    # evaluation, and every one of those is in the gradcheck suite
+    from igrad import data, metrics, nn, saliency, train
+    from igrad.losses import ErrorFnKind
+
+    seen = set()
+    apply = T._apply
+
+    def recording(kind, inputs, attrs=None):
+        seen.add(kind)
+        return apply(kind, inputs, attrs)
+
+    monkeypatch.setattr(T, "_apply", recording)
+    split = data.synthetic_shapes(4, hw=8, seed=3)
+    x, t = split.batch(np.arange(len(split)))
+    tiny = nn.tinycnn((3, 8, 8), split.num_classes, (4, 6))
+    for spec in (tiny, nn.miniresnet((3, 8, 8), split.num_classes, 4)):
+        for kind in ErrorFnKind:
+            model = nn.build_model(spec, 0)
+            velocity = [np.zeros_like(p.data) for p in model.params]
+            train.train_step(model, x, t, train.TrainConfig(lam=1.0, error_kind=kind), 0.01, velocity)
+    model = nn.build_model(tiny, 0)
+    for name in saliency._METHODS:
+        metrics.faithfulness_report(
+            model, split, saliency.make_method(name), curve_cfg=metrics.default_curve_config(8)
+        )
+    assert seen == set(T._REGISTRY)
+    assert seen <= set(CHECKED_OPS)

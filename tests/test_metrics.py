@@ -10,7 +10,6 @@ from igrad.metrics import (
     ImageRecord,
     causal_curves,
     default_curve_config,
-    faithfulness,
     faithfulness_report,
     gaussian_blur,
     masked_image,
@@ -84,7 +83,8 @@ class TestFaithfulnessOracle:
         # independent straight-line re-implementation, no shared code
         model, split = trained_model_and_split()
         method = GradCam()
-        got_ad, got_ag, got_ai = faithfulness(model, split, method, "predicted")
+        rep = faithfulness_report(model, split, method, class_policy="predicted")
+        got_ad, got_ag, got_ai = rep.ad, rep.ag, rep.ai
 
         n = len(split)
         drops, gains, incs = [], [], []
@@ -107,8 +107,8 @@ class TestFaithfulnessOracle:
 
     def test_ground_truth_policy(self):
         model, split = trained_model_and_split()
-        ad_p, _, _ = faithfulness(model, split, GradCam(), "predicted")
-        ad_g, _, _ = faithfulness(model, split, GradCam(), "ground_truth")
+        ad_p = faithfulness_report(model, split, GradCam(), class_policy="predicted").ad
+        ad_g = faithfulness_report(model, split, GradCam(), class_policy="ground_truth").ad
         assert np.isfinite([ad_p, ad_g]).all()
 
 
@@ -270,9 +270,3 @@ class TestReport:
         assert fields[0] == "gradcam"
         assert fields[1] == "predicted"
         assert float(fields[3]) == rep.ad
-
-    def test_parallel_matches_serial(self):
-        model, split = trained_model_and_split()
-        serial = faithfulness_report(model, split, GradCam(), threads=1)
-        parallel = faithfulness_report(model, split, GradCam(), threads=4)
-        assert (serial.ad, serial.ag, serial.ai) == (parallel.ad, parallel.ag, parallel.ai)

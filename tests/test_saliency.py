@@ -22,7 +22,7 @@ from igrad.saliency import (
     saliency_for,
     _logit_and_activation_grad,
 )
-from igrad.tensor import GradMode
+from igrad.tensor import GradMode, Tensor
 
 
 @pytest.fixture
@@ -171,7 +171,7 @@ class TestScoreCam:
     def test_exactly_k_forward_passes_per_image(self, model16, x16):
         method = ScoreCam()
         k = 16  # last_conv channels
-        cam_weights(method, model16, x16, 0, "last_conv")  # warms baseline cache
+        cam_weights(method, model16, x16, 0, "last_conv")  # no state carries over
         model16.forward_count = 0
         cam_weights(method, model16, x16, 0, "last_conv")
         assert model16.forward_count == k  # one scoring pass per channel
@@ -189,7 +189,11 @@ class TestScoreCam:
             forward_count = 0
 
             def forward(self, x, tape=None, **kwargs):
-                return model16.forward(x, tape, inject={"last_conv": amap[None]})
+                # the injected map replaces every image's own, so each image
+                # in a batch scores exactly as the first one does
+                out = model16.forward(x[:1], tape, inject={"last_conv": amap[None]})
+                out.probs = Tensor(np.repeat(out.probs.data, len(x), axis=0))
+                return out
 
             def resolve_layer(self, name):
                 return model16.resolve_layer(name)
@@ -197,10 +201,15 @@ class TestScoreCam:
         alpha = cam_weights(method, Inject(), x16, 0, "last_conv")
         assert alpha[3] == 0.0
 
-    def test_bad_baseline_shape(self, model16, x16):
-        method = ScoreCam(baseline=np.zeros((3, 8, 8)))
-        with pytest.raises(ValueError, match="baseline"):
-            cam_weights(method, model16, x16, 0, "last_conv")
+    def test_reused_after_parameter_change_matches_fresh(self, model16, x16):
+        # the black-image baseline must follow the parameters, not the object
+        method = ScoreCam()
+        cam_weights(method, model16, x16, 0, "last_conv")
+        for p in model16.params:
+            p.data *= 1.5
+        reused = cam_weights(method, model16, x16, 0, "last_conv")
+        fresh = cam_weights(ScoreCam(), model16, x16, 0, "last_conv")
+        np.testing.assert_array_equal(reused, fresh)
 
 
 class TestAblationCam:
