@@ -169,7 +169,7 @@ def _case_inputs(kind, rng):
         return [x], lambda xs: T.maxpool2d(xs[0], kernel=2, stride=2)
     if kind in ("pool_scatter", "pool_gather"):
         # both are linear in their input for argmax indices held constant
-        _, idx = T._pool_argmax(rng.normal(size=(2, 2, 6, 6)), 2, 2)
+        idx = T._pool_argmax(rng.normal(size=(2, 2, 6, 6)), 2, 2)
         if kind == "pool_scatter":
             return [rng.normal(size=(2, 2, 3, 3))], lambda xs: T.pool_scatter(xs[0], idx, (6, 6))
         return [rng.normal(size=(2, 2, 6, 6))], lambda xs: T.pool_gather(xs[0], idx, (3, 3))
@@ -181,6 +181,8 @@ def _case_inputs(kind, rng):
     raise ValueError(f"no gradcheck case for {kind!r}")
 
 
+# registry ops plus the composite helpers mean, global_avg_pool, neg (a scale)
+# and maxpool2d (a pool_gather at argmax indices)
 CHECKED_OPS = [
     "add", "sub", "mul", "div", "neg", "scale", "minimum", "relu", "abs",
     "sqrt", "reshape", "broadcast_to", "sum", "mean", "global_avg_pool",

@@ -86,27 +86,20 @@ def gaussian_blur(x: np.ndarray, kernel: int = 5, sigma: float = 2.0) -> np.ndar
     return out
 
 
-def _prob_of(model, x_norm_batch, c) -> np.ndarray:
-    return model.forward(x_norm_batch).probs.data[:, c]
-
-
-def causal_curves(model, x_raw, smap, cfg: CurveConfig, c, prep) -> tuple[float, float]:
+def causal_curves(model, x_raw, smap, cfg: CurveConfig, c, prep, p_orig) -> tuple[float, float]:
     """Insertion and deletion AUCs (x100) for one image.
 
     Pixels are ranked by decreasing saliency, ties to the lowest linear
     index. Insertion reveals original pixels over a blurred copy; deletion
     replaces them with the fill value. Each step's score is the probability
-    ratio against the original image; AUC is the trapezoid over the revealed
-    fraction in [0,1].
+    ratio against `p_orig`, the original image's nonzero class-c
+    probability; AUC is the trapezoid over the revealed fraction in [0,1].
     """
     c_img, h, w = x_raw.shape
     total = h * w
     if cfg.steps * cfg.pixels_per_step < total:
         raise ValueError("steps * pixels_per_step must cover the image")
     order = np.argsort(-smap.normalized.reshape(-1), kind="stable")
-    p_orig = float(_prob_of(model, prep(x_raw)[None], c)[0])
-    if p_orig == 0.0:
-        raise ValueError("original-class probability is zero")
 
     counts = [0]
     done = 0
@@ -125,7 +118,7 @@ def causal_curves(model, x_raw, smap, cfg: CurveConfig, c, prep) -> tuple[float,
             img[:, sel] = flat_src[:, sel]
             states[s] = img
         batch = np.stack([prep(st.reshape(c_img, h, w)) for st in states])
-        ratios = _prob_of(model, batch, c) / p_orig
+        ratios = model.forward(batch).probs.data[:, c] / p_orig
         return float(np.trapezoid(ratios, fractions) * 100.0)
 
     blurred = gaussian_blur(x_raw, cfg.blur_kernel, cfg.blur_sigma)
@@ -149,7 +142,7 @@ def _eval_image(model, split, i, method, layer, class_policy, curve_cfg):
     rec = ImageRecord(i, c, p, o)
     if curve_cfg is not None:
         rec.insertion, rec.deletion = causal_curves(
-            model, x_raw, smap, curve_cfg, c, split.normalize
+            model, x_raw, smap, curve_cfg, c, split.normalize, p
         )
     return rec
 

@@ -7,6 +7,7 @@ activation is ReLU so the guided backward rule applies throughout.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -158,16 +159,16 @@ class Model:
             return f"block{n_blocks}_pool" if last.pool else f"block{n_blocks}"
         return name
 
-    def forward(
-        self, x, tape: Tape | None = None, ablate=None, inject=None, count=True
-    ) -> ForwardResult:
+    def forward(self, x, tape: Tape | None = None, inject=None, count=True) -> ForwardResult:
         """Run the network on a (N,C,H,W) batch.
 
         With a tape, parameters are watched as leaves so the result is
-        differentiable; `ablate=(layer, channel)` zeroes one feature-map
-        channel right after the named map is produced; `inject={layer: arr}`
-        substitutes a map wholesale (used by activation-space oracles).
-        `count=False` leaves forward_count alone (map-extraction probes).
+        differentiable. `inject={layer: arr}` substitutes a map wholesale
+        right after it is produced; the rest of the network runs on arr's
+        rows, so one input image with a (K,C,h,w) map yields K outputs
+        (Ablation-CAM's K channel-zeroed maps, activation-space oracles).
+        forward_count counts input images, so such a call counts 1;
+        `count=False` leaves it alone (map-extraction probes).
         """
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=np.float64))
@@ -175,8 +176,6 @@ class Model:
             raise ValueError(
                 f"forward: input {x.shape} does not match spec {self.spec.input_shape}"
             )
-        if ablate is not None:
-            ablate = (self.resolve_layer(ablate[0]), ablate[1])
         if inject is not None:
             inject = {self.resolve_layer(k): v for k, v in inject.items()}
         if count:
@@ -196,10 +195,6 @@ class Model:
         def expose(name: str, t: Tensor) -> Tensor:
             if inject is not None and name in inject:
                 t = Tensor(np.asarray(inject[name], dtype=np.float64))
-            if ablate is not None and ablate[0] == name:
-                mask = np.ones((1, t.shape[1], 1, 1))
-                mask[0, ablate[1], 0, 0] = 0.0
-                t = T.mul(t, T.broadcast_to(Tensor(mask, _copy=False), t.shape))
             maps[name] = t
             return t
 
@@ -253,17 +248,26 @@ def build_model(spec: ArchitectureSpec, seed: int) -> Model:
 
 
 def save_checkpoint(model: Model, path):
+    """Write to a temp file in the same directory, then rename it over path,
+    so a failed write leaves any previous checkpoint intact."""
     name = model.spec.name.encode("utf-8")
     count = model.num_params
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(name)))
-        f.write(name)
-        f.write(struct.pack("<Q", model.seed))
-        f.write(struct.pack("<Q", count))
-        for p in model.params:
-            f.write(p.data.astype("<f8").tobytes())
+    tmp = os.fspath(path) + ".tmp"
+    f = open(tmp, "wb")
+    try:
+        with f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(struct.pack("<I", len(name)))
+            f.write(name)
+            f.write(struct.pack("<Q", model.seed))
+            f.write(struct.pack("<Q", count))
+            for p in model.params:
+                f.write(p.data.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path, spec: ArchitectureSpec | None = None) -> Model:

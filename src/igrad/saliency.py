@@ -34,7 +34,9 @@ def minmax_norm(a: np.ndarray) -> np.ndarray:
 
 
 def bilinear_upsample(a: np.ndarray, out_hw) -> np.ndarray:
-    """Corner-aligned bilinear interpolation of a 2-D map."""
+    """Corner-aligned bilinear interpolation of a 2-D map, rows then columns,
+    each in the lerp form a0 + (a1 - a0)*f, which is exact between equal
+    neighbours: a constant map stays constant."""
     h, w = a.shape
     hh, ww = out_hw
     ys = np.linspace(0.0, h - 1.0, hh) if hh > 1 else np.zeros(1)
@@ -45,12 +47,8 @@ def bilinear_upsample(a: np.ndarray, out_hw) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
-    return (
-        a[np.ix_(y0, x0)] * (1 - fy) * (1 - fx)
-        + a[np.ix_(y1, x0)] * fy * (1 - fx)
-        + a[np.ix_(y0, x1)] * (1 - fy) * fx
-        + a[np.ix_(y1, x1)] * fy * fx
-    )
+    rows = a[y0] + (a[y1] - a[y0]) * fy
+    return rows[:, x0] + (rows[:, x1] - rows[:, x0]) * fx
 
 
 def _identity(x):
@@ -141,7 +139,9 @@ class ScoreCam:
 
 
 class AblationCam:
-    """Weights are the relative logit drop when one channel is zeroed."""
+    """Weights are the relative logit drop when one channel is zeroed. The K
+    maps, each with one channel zeroed, are injected into one forward of the
+    image, so an image costs two forwards; a zero logit gives all-zero weights."""
 
     name = "ablationcam"
 
@@ -149,16 +149,16 @@ class AblationCam:
         _check_target(model, c)
         layer = model.resolve_layer(layer)
         xn = prep(x_raw)[None]
-        fwd = model.forward(Tensor(xn))
+        fwd = model.forward(xn)
         amap = fwd.feature_maps[layer].data[0]
         y_c = fwd.logits.data[0, c]
         k = amap.shape[0]
-        alpha = np.zeros(k)
-        if y_c != 0.0:
-            for i in range(k):
-                y_abl = model.forward(Tensor(xn), ablate=(layer, i)).logits.data[0, c]
-                alpha[i] = (y_c - y_abl) / y_c
-        return alpha, amap
+        if y_c == 0.0:
+            return np.zeros(k), amap
+        ablated = np.repeat(amap[None], k, axis=0)
+        ablated[np.arange(k), np.arange(k)] = 0.0
+        y_abl = model.forward(xn, inject={layer: ablated}).logits.data[:, c]
+        return (y_c - y_abl) / y_c, amap
 
 
 _METHODS = {

@@ -16,7 +16,7 @@ import numpy as np
 from . import data, metrics, nn, saliency
 from .losses import ErrorFnKind, _forward_ce, _per_example_errors
 from .tensor import GradMode, backward
-from .train import TrainConfig, evaluate_accuracy, fit
+from .train import TrainConfig, fit
 
 DESK_LAMBDA = 1.0  # chosen by pilot sweep over {1e-3 .. 1}; see README
 
@@ -87,12 +87,12 @@ def _one_run(seed, lam, error_kind, epochs, train_set, test_set) -> RunResult:
         error_kind=error_kind,
         seed=seed,
     )
-    fit(model, train_set, test_set, cfg)
+    last = fit(model, train_set, test_set, cfg).records[-1]
     return RunResult(
         seed=seed,
         lam=lam,
-        train_acc=evaluate_accuracy(model, train_set),
-        test_acc=evaluate_accuracy(model, test_set),
+        train_acc=last.train_acc,
+        test_acc=last.test_acc,
         heldout_cosine=mean_cosine_alignment(model, test_set),
         gradcam_ad=metrics.faithfulness_report(model, test_set, saliency.GradCam()).ad,
         seconds=time.perf_counter() - t0,

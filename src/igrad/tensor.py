@@ -245,17 +245,6 @@ def _div_spec():
     return fwd, bwd
 
 
-@_op("neg")
-def _neg_spec():
-    def fwd(xs, attrs):
-        return -xs[0]
-
-    def bwd(node, g, mode):
-        return [neg(g)]
-
-    return fwd, bwd
-
-
 @_op("scale")
 def _scale_spec():
     def fwd(xs, attrs):
@@ -550,6 +539,7 @@ def _conv2d_kernel_grad_spec():
 # ---- pooling (argmax indices are constants under differentiation) ----
 
 def _pool_argmax(x, kernel, stride):
+    """Flat h*w index of each window's maximum, shaped like the pooled map."""
     n, c, hh, ww = x.shape
     ho, wo = _conv_geometry("maxpool2d", (hh, ww), (kernel, kernel), stride, 0)
     windows = np.empty((n, c, ho, wo, kernel * kernel))
@@ -565,23 +555,7 @@ def _pool_argmax(x, kernel, stride):
     rows = np.arange(ho)[:, None] * stride * ww
     cols = np.arange(wo)[None, :] * stride
     base = rows + cols
-    flat = base[None, None, :, :] + offsets[pick]
-    out = np.take_along_axis(windows, pick[..., None], axis=-1)[..., 0]
-    return out, flat
-
-
-@_op("maxpool2d")
-def _maxpool_spec():
-    def fwd(xs, attrs):
-        out, _ = _pool_argmax(xs[0], attrs["kernel"], attrs["stride"])
-        return out
-
-    def bwd(node, g, mode):
-        x = node.inputs[0]
-        _, idx = _pool_argmax(x.data, node.attrs["kernel"], node.attrs["stride"])
-        return [pool_scatter(g, idx, in_hw=x.shape[2:])]
-
-    return fwd, bwd
+    return base[None, None, :, :] + offsets[pick]
 
 
 @_op("pool_scatter")
@@ -683,7 +657,7 @@ def div(a, b):
 
 
 def neg(a):
-    return _apply("neg", [a])
+    return scale(a, -1.0)
 
 
 def scale(a, factor: float):
@@ -761,9 +735,11 @@ def conv2d_kernel_grad(x, g, stride, padding, k_hw):
 
 
 def maxpool2d(x, kernel=2, stride=None):
+    """Window maxima as a pool_gather at argmax indices taken once, here."""
     if stride is None:
         stride = kernel
-    return _apply("maxpool2d", [x], {"kernel": int(kernel), "stride": int(stride)})
+    idx = _pool_argmax(x.data, int(kernel), int(stride))
+    return pool_gather(x, idx, out_hw=idx.shape[2:])
 
 
 def pool_scatter(g, indices, in_hw):

@@ -239,10 +239,10 @@ def test_criterion_7_metrics_oracle():
     x = split.images[0].pixels
     smap = saliency_for(model, x, 0, "last_conv", GradCam(), prep=split.normalize)
     captured.clear()
-    causal_curves(model, x, smap, CurveConfig(8, 8, 5, 2.0), 0, split.normalize)
-    model.forward = real_forward
-    ins_batch, del_batch = captured[1], captured[2]
     p = real_forward(split.normalize(x)[None]).probs.data[0, 0]
+    causal_curves(model, x, smap, CurveConfig(8, 8, 5, 2.0), 0, split.normalize, p)
+    model.forward = real_forward
+    ins_batch, del_batch = captured[0], captured[1]
     p_final = real_forward(ins_batch[-1:]).probs.data[0, 0]
     endpoint_ok = (
         np.array_equal(ins_batch[-1], split.normalize(x))

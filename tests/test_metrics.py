@@ -142,8 +142,9 @@ class TestCausalCurves:
         smap = FakeSmap(rng.uniform(0, 1, size=(4, 4)))
         cfg = CurveConfig(pixels_per_step=4, steps=4, blur_kernel=3, blur_sigma=1.0)
 
+        p_orig = model.forward(x[None]).probs.data[0, 0]
         # reproduce the final insertion state by hand: every pixel restored
-        ins, dele = causal_curves(model, x, smap, cfg, 0, prep=lambda v: v)
+        ins, dele = causal_curves(model, x, smap, cfg, 0, prep=lambda v: v, p_orig=p_orig)
         assert np.isfinite([ins, dele]).all()
 
         # endpoint check via a capturing wrapper
@@ -154,10 +155,10 @@ class TestCausalCurves:
                 captured.append(np.asarray(xb))
                 return super().forward(xb, **kw)
 
-        causal_curves(Capture(), x, smap, cfg, 0, prep=lambda v: v)
-        ins_batch = captured[1]  # [0]=original probe, [1]=insertion steps
+        causal_curves(Capture(), x, smap, cfg, 0, prep=lambda v: v, p_orig=p_orig)
+        ins_batch = captured[0]  # [0]=insertion steps, [1]=deletion steps
         np.testing.assert_array_equal(ins_batch[-1], x)
-        del_batch = captured[2]
+        del_batch = captured[1]
         np.testing.assert_array_equal(del_batch[-1], np.zeros_like(x))
         p_orig = OnePixelModel().forward(x[None]).probs.data[0, 0]
         p_last = OnePixelModel().forward(ins_batch[-1:][:]).probs.data[0, 0]
@@ -171,7 +172,8 @@ class TestCausalCurves:
         sal = np.zeros((4, 4))
         sal[0, 0] = 1.0  # the only pixel the model reads comes first
         cfg = CurveConfig(pixels_per_step=2, steps=8, blur_kernel=3, blur_sigma=1.0)
-        ins, dele = causal_curves(model, x, FakeSmap(sal), cfg, 0, prep=lambda v: v)
+        p_orig = model.forward(x[None]).probs.data[0, 0]
+        ins, dele = causal_curves(model, x, FakeSmap(sal), cfg, 0, lambda v: v, p_orig)
 
         def prob(img):
             return 1.0 / (1.0 + np.exp(-model.gain * img[0, 0, 0]))
@@ -201,8 +203,9 @@ class TestCausalCurves:
 
         smap = saliency_for(model, x, 0, "last_conv", GradCam(), prep=split.normalize)
         cfg = default_curve_config(8)
-        a = causal_curves(model, x, smap, cfg, 0, split.normalize)
-        b = causal_curves(model, x, smap, cfg, 0, split.normalize)
+        p = model.forward(split.normalize(x)[None]).probs.data[0, 0]
+        a = causal_curves(model, x, smap, cfg, 0, split.normalize, p)
+        b = causal_curves(model, x, smap, cfg, 0, split.normalize, p)
         assert a == b
 
     def test_coverage_validation(self):
@@ -214,6 +217,7 @@ class TestCausalCurves:
                 CurveConfig(pixels_per_step=2, steps=2),
                 0,
                 lambda v: v,
+                0.5,
             )
 
     def test_tie_ranking_lowest_linear_index(self):
@@ -227,8 +231,8 @@ class TestCausalCurves:
 
         x = np.arange(16, dtype=np.float64).reshape(1, 4, 4) / 16 + 0.1
         cfg = CurveConfig(pixels_per_step=4, steps=4, blur_kernel=3, blur_sigma=1.0)
-        causal_curves(Capture(), x, FakeSmap(np.ones((4, 4))), cfg, 0, lambda v: v)
-        dele = captured[2]
+        causal_curves(Capture(), x, FakeSmap(np.ones((4, 4))), cfg, 0, lambda v: v, 0.5)
+        dele = captured[1]
         # after the first deletion step the first four pixels are zeroed
         np.testing.assert_array_equal(dele[1].reshape(-1)[:4], 0.0)
         assert (dele[1].reshape(-1)[4:] != 0).all()

@@ -128,6 +128,26 @@ class TestCheckpoint:
         for a, b in zip(m.params, loaded.params):
             np.testing.assert_array_equal(a.data, b.data)
 
+    def test_failed_write_keeps_previous_checkpoint(self, spec16, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(spec16, seed=9), path)
+        before = path.read_bytes()
+
+        m = build_model(spec16, seed=10)
+
+        class Unwritable:
+            size = m.params[-1].data.size
+
+            def astype(self, dtype):
+                raise OSError("disk full")
+
+        monkeypatch.setattr(m.params[-1], "data", Unwritable())  # after the header and most params
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(m, path)
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).seed == 9
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
     def test_truncated_payload_names_params(self, spec16, tmp_path):
         m = build_model(spec16, 0)
         path = tmp_path / "t.ckpt"

@@ -22,7 +22,7 @@ from igrad.saliency import (
     saliency_for,
     _logit_and_activation_grad,
 )
-from igrad.tensor import GradMode, Tensor
+from igrad.tensor import GradMode
 
 
 @pytest.fixture
@@ -51,6 +51,13 @@ class TestHelpers:
     def test_bilinear_identity(self):
         a = np.random.default_rng(3).normal(size=(5, 7))
         np.testing.assert_allclose(bilinear_upsample(a, (5, 7)), a, atol=1e-12)
+
+    def test_constant_map_normalizes_to_zeros(self):
+        # interpolating equal neighbours must not ripple, or min-max
+        # normalization stretches the ripple to [0, 1]
+        smap = compose_saliency([1.0], np.full((1, 8, 8), 0.7), (16, 16))
+        np.testing.assert_array_equal(smap.upsampled, 0.7)
+        np.testing.assert_array_equal(smap.normalized, 0.0)
 
     def test_bilinear_corners_align(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -188,12 +195,13 @@ class TestScoreCam:
             spec = model16.spec
             forward_count = 0
 
-            def forward(self, x, tape=None, **kwargs):
-                # the injected map replaces every image's own, so each image
-                # in a batch scores exactly as the first one does
-                out = model16.forward(x[:1], tape, inject={"last_conv": amap[None]})
-                out.probs = Tensor(np.repeat(out.probs.data, len(x), axis=0))
-                return out
+            def forward(self, x, tape=None, count=True):
+                # the constant map enters only the uncounted map extraction
+                # of the real image; the baseline and the K scoring passes
+                # run the real model on the masked inputs
+                if not count and np.array_equal(x, x16[None]):
+                    return model16.forward(x, tape, inject={"last_conv": amap[None]}, count=False)
+                return model16.forward(x, tape, count=count)
 
             def resolve_layer(self, name):
                 return model16.resolve_layer(name)
@@ -214,12 +222,25 @@ class TestScoreCam:
 
 class TestAblationCam:
     def test_matches_manual_ablation(self, model16, x16):
+        # oracle: zero channel k of the extracted map, one 1-image forward each
         c = 2
         alpha = cam_weights(AblationCam(), model16, x16, c, "last_conv")
-        y = model16.forward(x16[None]).logits.data[0, c]
+        fwd = model16.forward(x16[None])
+        y = fwd.logits.data[0, c]
+        amap = fwd.feature_maps["last_conv"].data
         for k in (0, 5, 11):
-            y_abl = model16.forward(x16[None], ablate=("last_conv", k)).logits.data[0, c]
+            ablated = amap.copy()
+            ablated[0, k] = 0.0
+            y_abl = model16.forward(x16[None], inject={"last_conv": ablated}).logits.data[0, c]
             assert alpha[k] == pytest.approx((y - y_abl) / y, abs=1e-12)
+
+    def test_two_forwards_per_image(self, model16, x16, monkeypatch):
+        # one forward for the map and logit, one for all K ablated maps
+        calls = []
+        forward = model16.forward
+        monkeypatch.setattr(model16, "forward", lambda *a, **kw: calls.append(1) or forward(*a, **kw))
+        cam_weights(AblationCam(), model16, x16, 2, "last_conv")
+        assert len(calls) == 2
 
 
 class TestInputGradientMap:

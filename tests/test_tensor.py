@@ -199,6 +199,22 @@ class TestOpSemantics:
         (g,) = backward(T.reduce_sum(T.maxpool2d(x, 2, 2)), [x])
         np.testing.assert_array_equal(g.data, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
+    def test_pool_argmax_once_per_pool_per_train_step(self, monkeypatch):
+        # the indices are taken at forward time and reused by every backward,
+        # including the create_graph and guided passes of a lambda-1 step
+        from igrad import data, losses, nn, train
+
+        calls = []
+        argmax = T._pool_argmax
+        monkeypatch.setattr(T, "_pool_argmax", lambda *a: calls.append(1) or argmax(*a))
+        split = data.synthetic_shapes(8, hw=8, seed=3)
+        x, t = split.batch(np.arange(len(split)))
+        model = nn.build_model(nn.tinycnn((3, 8, 8), split.num_classes, (4, 6)), 0)
+        velocity = [np.zeros_like(p.data) for p in model.params]
+        cfg = train.TrainConfig(lam=1.0, error_kind=losses.ErrorFnKind.COSINE)
+        train.train_step(model, x, t, cfg, 0.01, velocity)
+        assert len(calls) == 2  # tinycnn has two pooling layers
+
     def test_scalar_broadcast(self):
         tape = Tape()
         s = watched(tape, 2.0)
