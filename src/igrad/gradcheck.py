@@ -135,10 +135,11 @@ def _case_inputs(kind, rng):
     if kind == "global_avg_pool":
         return [rng.normal(size=(2, 3, 4, 4))], lambda xs: T.global_avg_pool(xs[0])
     if kind == "matmul":
-        ta, tb = rng.integers(0, 2, size=2).astype(bool)
+        # the variants linear's backward records
+        ta, tb = [(False, False), (False, True), (True, False)][rng.integers(0, 3)]
         a = rng.normal(size=(3, 4) if not ta else (4, 3))
         b = rng.normal(size=(4, 2) if not tb else (2, 4))
-        return [a, b], lambda xs: T.matmul(xs[0], xs[1], ta=bool(ta), tb=bool(tb))
+        return [a, b], lambda xs: T.matmul(xs[0], xs[1], ta=ta, tb=tb)
     if kind == "linear":
         return [
             rng.normal(size=(3, 5)),
@@ -146,33 +147,32 @@ def _case_inputs(kind, rng):
             rng.normal(size=(2,)),
         ], lambda xs: T.linear(xs[0], xs[1], xs[2])
     if kind == "conv2d":
-        stride = int(rng.integers(1, 3))
         return [
             rng.normal(size=(2, 2, 5, 5)),
             rng.normal(size=(3, 2, 3, 3)),
             rng.normal(size=(3,)),
-        ], lambda xs: T.conv2d(xs[0], xs[1], xs[2], stride=stride, padding=1)
+        ], lambda xs: T.conv2d(xs[0], xs[1], xs[2], padding=1)
     if kind == "conv2d_input_grad":
         return [
             rng.normal(size=(2, 3, 4, 4)),
             rng.normal(size=(3, 2, 2, 2)),
-        ], lambda xs: T.conv2d_input_grad(xs[0], xs[1], stride=1, padding=0, in_hw=(5, 5))
+        ], lambda xs: T.conv2d_input_grad(xs[0], xs[1], padding=0)
     if kind == "conv2d_kernel_grad":
         return [
             rng.normal(size=(2, 2, 5, 5)),
             rng.normal(size=(2, 3, 4, 4)),
-        ], lambda xs: T.conv2d_kernel_grad(xs[0], xs[1], stride=1, padding=0, k_hw=(2, 2))
+        ], lambda xs: T.conv2d_kernel_grad(xs[0], xs[1], padding=0)
     if kind == "maxpool2d":
         x = rng.normal(size=(2, 2, 6, 6))
         # keep window maxima unambiguous so FD does not cross an argmax switch
         x += np.linspace(0, 0.5, x.size).reshape(x.shape)
-        return [x], lambda xs: T.maxpool2d(xs[0], kernel=2, stride=2)
+        return [x], lambda xs: T.maxpool2d(xs[0], kernel=2)
     if kind in ("pool_scatter", "pool_gather"):
         # both are linear in their input for argmax indices held constant
-        idx = T._pool_argmax(rng.normal(size=(2, 2, 6, 6)), 2, 2)
+        idx = T._pool_argmax(rng.normal(size=(2, 2, 6, 6)), 2)
         if kind == "pool_scatter":
             return [rng.normal(size=(2, 2, 3, 3))], lambda xs: T.pool_scatter(xs[0], idx, (6, 6))
-        return [rng.normal(size=(2, 2, 6, 6))], lambda xs: T.pool_gather(xs[0], idx, (3, 3))
+        return [rng.normal(size=(2, 2, 6, 6))], lambda xs: T.pool_gather(xs[0], idx)
     if kind == "softmax":
         return [rng.normal(size=(3, 4))], lambda xs: T.softmax(xs[0], axis=1)
     if kind == "cross_entropy_logits":
@@ -248,8 +248,8 @@ def _tiny_net_params(rng):
 def _tiny_net_loss(x, params, targets):
     """conv-relu-pool-linear cross-entropy on a 1x1x6x6 input batch."""
     w1, b1, w2, b2 = params
-    h = T.relu(T.conv2d(x, w1, b1, stride=1, padding=0))
-    h = T.maxpool2d(h, kernel=2, stride=2)  # (n,2,2,2)
+    h = T.relu(T.conv2d(x, w1, b1))
+    h = T.maxpool2d(h, kernel=2)  # (n,2,2,2)
     h = T.reshape(h, (x.shape[0], 2 * 4))
     logits = T.linear(h, w2, b2)
     return T.mean(T.cross_entropy_logits(logits, targets))
@@ -318,8 +318,8 @@ def run_guided_suite(nets=100) -> tuple[float, bool]:
 
     def positive_loss(tape):
         x = tape.watch(Tensor(x0))
-        h = T.relu(T.conv2d(x, tape.watch(w1), stride=1, padding=0))
-        h = T.maxpool2d(h, 2, 2)
+        h = T.relu(T.conv2d(x, tape.watch(w1)))
+        h = T.maxpool2d(h, 2)
         logits = T.linear(T.reshape(h, (1, 8)), tape.watch(w2))
         return T.reduce_sum(logits), x
 

@@ -119,16 +119,22 @@ def _per_example_errors(kind: ErrorFnKind, d: Tensor, d_ref: Tensor) -> Tensor:
         return T.neg(T.mul(T.div(inner, T.sqrt(prod)), mask))
 
     if kind is ErrorFnKind.HIST_INTERSECT:
-        l1_a = T.reduce_sum(T.absolute(d), axis=axes)
-        l1_b = T.reduce_sum(T.absolute(d_ref), axis=axes)
+        # overlap of the two L1-normalized histograms: -1 when equal, and
+        # invariant to a positive scale of either input
+        abs_a, abs_b = T.absolute(d), T.absolute(d_ref)
+        l1_a = T.reduce_sum(abs_a, axis=axes)
+        l1_b = T.reduce_sum(abs_b, axis=axes)
         keep = (l1_a.data >= NORM_GUARD) & (l1_b.data >= NORM_GUARD)
         mask = Tensor(keep.astype(np.float64), _copy=False)
         offset = Tensor(1.0 - keep.astype(np.float64), _copy=False)
-        prod = T.add(T.mul(T.mul(l1_a, l1_b), mask), offset)
-        overlap = T.reduce_sum(
-            T.minimum(T.absolute(d), T.absolute(d_ref)), axis=axes
-        )
-        return T.neg(T.mul(T.div(overlap, prod), mask))
+
+        def unit(v, l1):
+            # masked rows divide by 1
+            l1 = T.reshape(T.add(T.mul(l1, mask), offset), (d.shape[0],) + (1,) * len(axes))
+            return T.div(v, T.broadcast_to(l1, v.shape))
+
+        overlap = T.reduce_sum(T.minimum(unit(abs_a, l1_a), unit(abs_b, l1_b)), axis=axes)
+        return T.neg(T.mul(overlap, mask))
     raise ValueError(f"unknown error function {kind!r}")
 
 

@@ -2,7 +2,9 @@
 
 Two desk-scale ReLU families are provided: `tinycnn` (conv-relu-pool twice,
 GAP, linear) and `miniresnet` (stem plus two identity-skip blocks). Every
-activation is ReLU so the guided backward rule applies throughout.
+convolution slides one pixel at a time, every pool window is disjoint from
+the others, and every activation is ReLU, so the guided backward rule
+applies throughout.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ class CheckpointError(ValueError):
 class ConvBlock:
     out_channels: int
     kernel: int = 3
-    stride: int = 1
     padding: int = 1
     pool: int | None = None
     residual: bool = False
@@ -40,21 +41,20 @@ class ArchitectureSpec:
     input_shape: tuple[int, int, int]
     num_classes: int
     blocks: tuple[ConvBlock, ...]
-    activation: str = "relu"
 
 
 def tinycnn(input_shape=(3, 16, 16), num_classes=4, widths=(8, 16)) -> ArchitectureSpec:
     name = "tinycnn-{}x{}x{}-c{}-w{}".format(
         *input_shape, num_classes, ".".join(str(w) for w in widths)
     )
-    blocks = tuple(ConvBlock(w, kernel=3, stride=1, padding=1, pool=2) for w in widths)
+    blocks = tuple(ConvBlock(w, kernel=3, padding=1, pool=2) for w in widths)
     return ArchitectureSpec(name, tuple(input_shape), num_classes, blocks)
 
 
 def miniresnet(input_shape=(3, 16, 16), num_classes=4, width=12) -> ArchitectureSpec:
     name = "miniresnet-{}x{}x{}-c{}-w{}".format(*input_shape, num_classes, width)
     blocks = (
-        ConvBlock(width, kernel=3, stride=1, padding=1, pool=2),
+        ConvBlock(width, kernel=3, padding=1, pool=2),
         ConvBlock(width, residual=True),
         ConvBlock(width, residual=True),
     )
@@ -78,8 +78,6 @@ def spec_from_name(name: str) -> ArchitectureSpec:
 
 
 def _validate_spec(spec: ArchitectureSpec):
-    if spec.activation != "relu":
-        raise ValueError(f"activation must be relu, got {spec.activation!r}")
     c, h, w = spec.input_shape
     for i, blk in enumerate(spec.blocks):
         if blk.residual:
@@ -87,11 +85,11 @@ def _validate_spec(spec: ArchitectureSpec):
                 raise ValueError(
                     f"block {i}: residual needs matching channels ({c} -> {blk.out_channels})"
                 )
-            if blk.stride != 1 or 2 * blk.padding + 1 != blk.kernel:
+            if 2 * blk.padding + 1 != blk.kernel:
                 raise ValueError(f"block {i}: residual blocks must preserve spatial shape")
         else:
-            h = (h + 2 * blk.padding - blk.kernel) // blk.stride + 1
-            w = (w + 2 * blk.padding - blk.kernel) // blk.stride + 1
+            h += 2 * blk.padding - blk.kernel + 1
+            w += 2 * blk.padding - blk.kernel + 1
             c = blk.out_channels
         if h < 1 or w < 1:
             raise ValueError(f"block {i}: spatial extent collapsed to {h}x{w}")
@@ -202,17 +200,15 @@ class Model:
         last_act = None
         for i, blk in enumerate(self.spec.blocks, start=1):
             if blk.residual:
-                r = T.relu(T.conv2d(h, take(), take(), stride=1, padding=blk.padding))
-                r = T.conv2d(r, take(), take(), stride=1, padding=blk.padding)
+                r = T.relu(T.conv2d(h, take(), take(), padding=blk.padding))
+                r = T.conv2d(r, take(), take(), padding=blk.padding)
                 h = T.relu(T.add(r, h))
             else:
-                h = T.relu(
-                    T.conv2d(h, take(), take(), stride=blk.stride, padding=blk.padding)
-                )
+                h = T.relu(T.conv2d(h, take(), take(), padding=blk.padding))
             h = expose(f"block{i}", h)
             last_act = f"block{i}"
             if blk.pool:
-                h = expose(f"block{i}_pool", T.maxpool2d(h, blk.pool, blk.pool))
+                h = expose(f"block{i}_pool", T.maxpool2d(h, blk.pool))
 
         maps["last_conv"] = maps[last_act]
         maps["gap_input"] = h

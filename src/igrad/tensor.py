@@ -44,7 +44,7 @@ class Tape:
 
     def watch(self, t: "Tensor") -> "Tensor":
         """Return an alias of t registered as a differentiable leaf on this tape."""
-        out = Tensor(t.data, requires_grad=True, _copy=False)
+        out = Tensor(t.data, _copy=False)
         node = Node(self, "leaf", (), None, out, len(self.nodes))
         self.nodes.append(node)
         out.node = node
@@ -63,15 +63,14 @@ class Tape:
 class Tensor:
     """N-d array of float64 in row-major order, optionally on a tape."""
 
-    __slots__ = ("data", "node", "requires_grad")
+    __slots__ = ("data", "node")
 
-    def __init__(self, data, requires_grad=False, _copy=True):
+    def __init__(self, data, _copy=True):
         arr = np.asarray(data, dtype=np.float64)
         if _copy:
             arr = np.ascontiguousarray(arr).copy()
         self.data = arr
         self.node: Node | None = None
-        self.requires_grad = requires_grad
 
     @property
     def shape(self):
@@ -173,32 +172,21 @@ def _shape_err(kind, *extents):
     return ValueError(f"{kind}: incompatible shapes {' vs '.join(map(str, extents))}")
 
 
-def _reduce_to(g: Tensor, shape) -> Tensor:
-    """Sum a broadcast gradient back down to the shape of a size-1 operand."""
-    if g.shape == tuple(shape):
-        return g
-    return reshape(reduce_sum(g), shape)
+def _same_shape(kind, xs):
+    if xs[0].shape != xs[1].shape:
+        raise _shape_err(kind, xs[0].shape, xs[1].shape)
 
 
-def _binary_out_shape(kind, a, b):
-    if a.shape == b.shape:
-        return a.shape
-    if a.size == 1 or b.size == 1:
-        return b.shape if a.size == 1 else a.shape
-    raise _shape_err(kind, a.shape, b.shape)
-
-
-# ---- elementwise arithmetic ----
+# ---- elementwise arithmetic (operands of equal shape) ----
 
 @_op("add")
 def _add_spec():
     def fwd(xs, attrs):
-        _binary_out_shape("add", *[np.asarray(x) for x in xs])
+        _same_shape("add", xs)
         return xs[0] + xs[1]
 
     def bwd(node, g, mode):
-        a, b = node.inputs
-        return [_reduce_to(g, a.shape), _reduce_to(g, b.shape)]
+        return [g, g]
 
     return fwd, bwd
 
@@ -206,12 +194,11 @@ def _add_spec():
 @_op("sub")
 def _sub_spec():
     def fwd(xs, attrs):
-        _binary_out_shape("sub", *[np.asarray(x) for x in xs])
+        _same_shape("sub", xs)
         return xs[0] - xs[1]
 
     def bwd(node, g, mode):
-        a, b = node.inputs
-        return [_reduce_to(g, a.shape), _reduce_to(neg(g), b.shape)]
+        return [g, neg(g)]
 
     return fwd, bwd
 
@@ -219,12 +206,12 @@ def _sub_spec():
 @_op("mul")
 def _mul_spec():
     def fwd(xs, attrs):
-        _binary_out_shape("mul", *[np.asarray(x) for x in xs])
+        _same_shape("mul", xs)
         return xs[0] * xs[1]
 
     def bwd(node, g, mode):
         a, b = node.inputs
-        return [_reduce_to(mul(g, b), a.shape), _reduce_to(mul(g, a), b.shape)]
+        return [mul(g, b), mul(g, a)]
 
     return fwd, bwd
 
@@ -232,15 +219,12 @@ def _mul_spec():
 @_op("div")
 def _div_spec():
     def fwd(xs, attrs):
-        _binary_out_shape("div", *[np.asarray(x) for x in xs])
+        _same_shape("div", xs)
         return xs[0] / xs[1]
 
     def bwd(node, g, mode):
-        a, b = node.inputs
-        out = node.out
-        ga = _reduce_to(div(g, b), a.shape)
-        gb = _reduce_to(neg(div(mul(g, out), b)), b.shape)
-        return [ga, gb]
+        b = node.inputs[1]
+        return [div(g, b), neg(div(mul(g, node.out), b))]
 
     return fwd, bwd
 
@@ -259,7 +243,7 @@ def _scale_spec():
 @_op("minimum")
 def _minimum_spec():
     def fwd(xs, attrs):
-        _binary_out_shape("minimum", *[np.asarray(x) for x in xs])
+        _same_shape("minimum", xs)
         return np.minimum(xs[0], xs[1])
 
     def bwd(node, g, mode):
@@ -267,7 +251,7 @@ def _minimum_spec():
         # ties route to the first argument
         take_a = Tensor((a.data <= b.data).astype(np.float64), _copy=False)
         take_b = Tensor((b.data < a.data).astype(np.float64), _copy=False)
-        return [_reduce_to(mul(g, take_a), a.shape), _reduce_to(mul(g, take_b), b.shape)]
+        return [mul(g, take_a), mul(g, take_b)]
 
     return fwd, bwd
 
@@ -376,6 +360,8 @@ def _matmul_spec():
         if a.ndim != 2 or b.ndim != 2:
             raise _shape_err("matmul", a.shape, b.shape)
         ta, tb = attrs["ta"], attrs["tb"]
+        if ta and tb:
+            raise ValueError("matmul: transposing both operands is not supported")
         inner_a = a.shape[0] if ta else a.shape[1]
         inner_b = b.shape[1] if tb else b.shape[0]
         if inner_a != inner_b:
@@ -384,14 +370,11 @@ def _matmul_spec():
 
     def bwd(node, g, mode):
         a, b = node.inputs
-        ta, tb = node.attrs["ta"], node.attrs["tb"]
-        if not ta and not tb:
-            return [matmul(g, b, tb=True), matmul(a, g, ta=True)]
-        if ta and not tb:
+        if node.attrs["ta"]:
             return [matmul(b, g, tb=True), matmul(a, g)]
-        if not ta and tb:
+        if node.attrs["tb"]:
             return [matmul(g, b), matmul(g, a, ta=True)]
-        return [matmul(b, g, ta=True, tb=True), matmul(g, a, ta=True, tb=True)]
+        return [matmul(g, b, tb=True), matmul(a, g, ta=True)]
 
     return fwd, bwd
 
@@ -419,59 +402,47 @@ def _linear_spec():
     return fwd, bwd
 
 
-# ---- convolution family (mutually adjoint triple) ----
+# ---- convolution family (mutually adjoint triple; windows one pixel apart) ----
 
-def _conv_geometry(kind, in_hw, k_hw, stride, padding):
-    if stride < 1:
-        raise ValueError(f"{kind}: stride must be >= 1, got {stride}")
-    h = in_hw[0] + 2 * padding - k_hw[0]
-    w = in_hw[1] + 2 * padding - k_hw[1]
-    if h < 0 or w < 0:
-        raise ValueError(
-            f"{kind}: kernel {k_hw} larger than padded input "
-            f"{tuple(d + 2 * padding for d in in_hw)}"
-        )
-    return h // stride + 1, w // stride + 1
-
-
-def _conv2d_fwd(x, w, stride, padding):
-    n, ci, hh, ww = x.shape
-    co, ci2, kh, kw = w.shape
-    if ci != ci2:
+def _conv2d_fwd(x, w, padding):
+    co, ci, kh, kw = w.shape
+    if x.shape[1] != ci:
         raise _shape_err("conv2d", x.shape, w.shape)
-    ho, wo = _conv_geometry("conv2d", (hh, ww), (kh, kw), stride, padding)
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, _, hp, wp = xp.shape
+    ho, wo = hp - kh + 1, wp - kw + 1
+    if ho < 1 or wo < 1:
+        raise ValueError(f"conv2d: kernel {(kh, kw)} larger than padded input {(hp, wp)}")
     out = np.zeros((n, co, ho, wo))
     for i in range(kh):
         for j in range(kw):
-            patch = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+            patch = xp[:, :, i : i + ho, j : j + wo]
             out += np.einsum("ncij,oc->noij", patch, w[:, :, i, j], optimize=True)
     return out
 
 
-def _conv2d_input_grad_fwd(g, w, stride, padding, in_hw):
+def _conv2d_input_grad_fwd(g, w, padding):
     n, co, ho, wo = g.shape
     _, ci, kh, kw = w.shape
-    hh, ww = in_hw
-    gxp = np.zeros((n, ci, hh + 2 * padding, ww + 2 * padding))
+    gxp = np.zeros((n, ci, ho + kh - 1, wo + kw - 1))
     for i in range(kh):
         for j in range(kw):
             contrib = np.einsum("noij,oc->ncij", g, w[:, :, i, j], optimize=True)
-            gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += contrib
+            gxp[:, :, i : i + ho, j : j + wo] += contrib
     if padding:
         gxp = gxp[:, :, padding:-padding, padding:-padding]
     return np.ascontiguousarray(gxp)
 
 
-def _conv2d_kernel_grad_fwd(x, g, stride, padding, k_hw):
-    n, ci, hh, ww = x.shape
-    _, co, ho, wo = g.shape
-    kh, kw = k_hw
+def _conv2d_kernel_grad_fwd(x, g, padding):
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    _, ci, hp, wp = xp.shape
+    _, co, ho, wo = g.shape
+    kh, kw = hp - ho + 1, wp - wo + 1
     gw = np.zeros((co, ci, kh, kw))
     for i in range(kh):
         for j in range(kw):
-            patch = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+            patch = xp[:, :, i : i + ho, j : j + wo]
             gw[:, :, i, j] = np.einsum("ncij,noij->oc", patch, g, optimize=True)
     return gw
 
@@ -479,7 +450,7 @@ def _conv2d_kernel_grad_fwd(x, g, stride, padding, k_hw):
 @_op("conv2d")
 def _conv2d_spec():
     def fwd(xs, attrs):
-        out = _conv2d_fwd(xs[0], xs[1], attrs["stride"], attrs["padding"])
+        out = _conv2d_fwd(xs[0], xs[1], attrs["padding"])
         if len(xs) == 3:
             if xs[2].shape != (xs[1].shape[0],):
                 raise _shape_err("conv2d bias", xs[2].shape, (xs[1].shape[0],))
@@ -488,10 +459,8 @@ def _conv2d_spec():
 
     def bwd(node, g, mode):
         x, w = node.inputs[0], node.inputs[1]
-        s, p = node.attrs["stride"], node.attrs["padding"]
-        gx = conv2d_input_grad(g, w, stride=s, padding=p, in_hw=x.shape[2:])
-        gw = conv2d_kernel_grad(x, g, stride=s, padding=p, k_hw=w.shape[2:])
-        grads = [gx, gw]
+        p = node.attrs["padding"]
+        grads = [conv2d_input_grad(g, w, p), conv2d_kernel_grad(x, g, p)]
         if len(node.inputs) == 3:
             grads.append(reduce_sum(g, axis=(0, 2, 3)))
         return grads
@@ -502,18 +471,13 @@ def _conv2d_spec():
 @_op("conv2d_input_grad")
 def _conv2d_input_grad_spec():
     def fwd(xs, attrs):
-        return _conv2d_input_grad_fwd(
-            xs[0], xs[1], attrs["stride"], attrs["padding"], attrs["in_hw"]
-        )
+        return _conv2d_input_grad_fwd(xs[0], xs[1], attrs["padding"])
 
     def bwd(node, g, mode):
         # bilinear in (gout, w): adjoints swap back through conv2d / kernel-corr
         gout, w = node.inputs
-        s, p = node.attrs["stride"], node.attrs["padding"]
-        return [
-            conv2d(g, w, stride=s, padding=p),
-            conv2d_kernel_grad(g, gout, stride=s, padding=p, k_hw=w.shape[2:]),
-        ]
+        p = node.attrs["padding"]
+        return [conv2d(g, w, padding=p), conv2d_kernel_grad(g, gout, p)]
 
     return fwd, bwd
 
@@ -521,41 +485,35 @@ def _conv2d_input_grad_spec():
 @_op("conv2d_kernel_grad")
 def _conv2d_kernel_grad_spec():
     def fwd(xs, attrs):
-        return _conv2d_kernel_grad_fwd(
-            xs[0], xs[1], attrs["stride"], attrs["padding"], attrs["k_hw"]
-        )
+        return _conv2d_kernel_grad_fwd(xs[0], xs[1], attrs["padding"])
 
     def bwd(node, g, mode):
         x, gout = node.inputs
-        s, p = node.attrs["stride"], node.attrs["padding"]
-        return [
-            conv2d_input_grad(gout, g, stride=s, padding=p, in_hw=x.shape[2:]),
-            conv2d(x, g, stride=s, padding=p),
-        ]
+        p = node.attrs["padding"]
+        return [conv2d_input_grad(gout, g, p), conv2d(x, g, padding=p)]
 
     return fwd, bwd
 
 
-# ---- pooling (argmax indices are constants under differentiation) ----
+# ---- pooling (non-overlapping windows; argmax indices are constants
+# under differentiation) ----
 
-def _pool_argmax(x, kernel, stride):
+def _pool_argmax(x, kernel):
     """Flat h*w index of each window's maximum, shaped like the pooled map."""
     n, c, hh, ww = x.shape
-    ho, wo = _conv_geometry("maxpool2d", (hh, ww), (kernel, kernel), stride, 0)
+    ho, wo = hh // kernel, ww // kernel
+    if ho < 1 or wo < 1:
+        raise ValueError(f"maxpool2d: kernel {kernel} larger than input {(hh, ww)}")
     windows = np.empty((n, c, ho, wo, kernel * kernel))
     offsets = np.empty(kernel * kernel, dtype=np.int64)
     for i in range(kernel):
         for j in range(kernel):
             q = i * kernel + j
-            windows[:, :, :, :, q] = x[
-                :, :, i : i + stride * ho : stride, j : j + stride * wo : stride
-            ]
+            windows[:, :, :, :, q] = x[:, :, i : kernel * ho : kernel, j : kernel * wo : kernel]
             offsets[q] = i * ww + j
     pick = np.argmax(windows, axis=-1)  # first max = lowest linear index
-    rows = np.arange(ho)[:, None] * stride * ww
-    cols = np.arange(wo)[None, :] * stride
-    base = rows + cols
-    return base[None, None, :, :] + offsets[pick]
+    base = np.arange(ho)[:, None] * kernel * ww + np.arange(wo)[None, :] * kernel
+    return base + offsets[pick]
 
 
 @_op("pool_scatter")
@@ -565,14 +523,12 @@ def _pool_scatter_spec():
         idx = attrs["indices"]
         hh, ww = attrs["in_hw"]
         n, c = g.shape[0], g.shape[1]
-        out = np.zeros((n * c, hh * ww))
-        rows = np.arange(n * c)[:, None]
-        np.add.at(out, (rows, idx.reshape(n * c, -1)), g.reshape(n * c, -1))
+        out = np.zeros((n, c, hh * ww))
+        np.put_along_axis(out, idx.reshape(n, c, -1), g.reshape(n, c, -1), axis=2)
         return out.reshape(n, c, hh, ww)
 
     def bwd(node, g, mode):
-        a = node.attrs
-        return [pool_gather(g, a["indices"], out_hw=node.inputs[0].shape[2:])]
+        return [pool_gather(g, node.attrs["indices"])]
 
     return fwd, bwd
 
@@ -588,8 +544,7 @@ def _pool_gather_spec():
         return picked.reshape(idx.shape)
 
     def bwd(node, g, mode):
-        a = node.attrs
-        return [pool_scatter(g, a["indices"], in_hw=node.inputs[0].shape[2:])]
+        return [pool_scatter(g, node.attrs["indices"], in_hw=node.inputs[0].shape[2:])]
 
     return fwd, bwd
 
@@ -713,41 +668,31 @@ def linear(x, w, b=None):
     return _apply("linear", ins)
 
 
-def conv2d(x, w, b=None, stride=1, padding=0):
+def conv2d(x, w, b=None, padding=0):
     ins = [x, w] if b is None else [x, w, b]
-    return _apply("conv2d", ins, {"stride": int(stride), "padding": int(padding)})
+    return _apply("conv2d", ins, {"padding": int(padding)})
 
 
-def conv2d_input_grad(g, w, stride, padding, in_hw):
-    return _apply(
-        "conv2d_input_grad",
-        [g, w],
-        {"stride": stride, "padding": padding, "in_hw": tuple(in_hw)},
-    )
+def conv2d_input_grad(g, w, padding):
+    return _apply("conv2d_input_grad", [g, w], {"padding": padding})
 
 
-def conv2d_kernel_grad(x, g, stride, padding, k_hw):
-    return _apply(
-        "conv2d_kernel_grad",
-        [x, g],
-        {"stride": stride, "padding": padding, "k_hw": tuple(k_hw)},
-    )
+def conv2d_kernel_grad(x, g, padding):
+    return _apply("conv2d_kernel_grad", [x, g], {"padding": padding})
 
 
-def maxpool2d(x, kernel=2, stride=None):
-    """Window maxima as a pool_gather at argmax indices taken once, here."""
-    if stride is None:
-        stride = kernel
-    idx = _pool_argmax(x.data, int(kernel), int(stride))
-    return pool_gather(x, idx, out_hw=idx.shape[2:])
+def maxpool2d(x, kernel=2):
+    """Maxima of non-overlapping kernel x kernel windows, as a pool_gather at
+    argmax indices taken once, here."""
+    return pool_gather(x, _pool_argmax(x.data, int(kernel)))
 
 
 def pool_scatter(g, indices, in_hw):
     return _apply("pool_scatter", [g], {"indices": indices, "in_hw": tuple(in_hw)})
 
 
-def pool_gather(x, indices, out_hw):
-    return _apply("pool_gather", [x], {"indices": indices, "out_hw": tuple(out_hw)})
+def pool_gather(x, indices):
+    return _apply("pool_gather", [x], {"indices": indices})
 
 
 def global_avg_pool(x):
@@ -803,9 +748,12 @@ def backward(
 
     adjoint: dict[int, Tensor] = {output.node.idx: ones(output.shape)}
     start = output.node.idx
+    # inputs precede their node: once the sweep is down to the lowest wrt
+    # node, every wrt adjoint is complete and the nodes below feed none of them
+    stop = min((t.node.idx for t in wrt), default=start)
 
     def sweep():
-        for idx in range(start, -1, -1):
+        for idx in range(start, stop, -1):
             g = adjoint.get(idx)
             if g is None:
                 continue

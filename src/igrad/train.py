@@ -100,7 +100,9 @@ def train_step(model, x_batch, targets, cfg: TrainConfig, lr: float, velocity) -
     """One loss evaluation plus an SGD-with-momentum parameter update.
 
     Weight decay is added to the gradient before it enters the momentum
-    buffer; the returned breakdown is the pre-update loss.
+    buffer; the returned breakdown is the pre-update loss. A parameter left
+    non-finite by the update (which a non-finite gradient always does, since
+    lr > 0) raises DivergenceError naming it.
     """
     res = interpretable_loss(model, x_batch, targets, cfg.error_kind, cfg.lam)
     bd = res.breakdown
@@ -116,6 +118,9 @@ def train_step(model, x_batch, targets, cfg: TrainConfig, lr: float, velocity) -
             v += step
             step = v
         p.data -= lr * step
+    for p in model.params:
+        if not np.all(np.isfinite(p.data)):
+            raise DivergenceError(f"divergence: non-finite parameter {p.name}")
     return bd
 
 

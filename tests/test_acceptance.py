@@ -258,6 +258,7 @@ def test_criterion_7_metrics_oracle():
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_desk_scale_effect():
     t0 = time.perf_counter()
     summary = effect_study(seeds=(0, 1, 2), lam=1.0, epochs=30)

@@ -8,7 +8,7 @@ import pytest
 
 from igrad import data, nn
 from igrad.cli import main
-from igrad.config import ConfigError, load_config, validate_config
+from igrad.config import ConfigError, build_datasets, load_config, validate_config
 from igrad.saliency import input_gradient_map
 from igrad.tensor import GradMode
 
@@ -114,6 +114,14 @@ class TestCmdTrain:
             b.pop("seconds")
             assert a == b
 
+    def test_divergence_exit_3_names_the_parameter(self, tmp_path, capsys):
+        # the largest finite lr overflows the first update
+        path, _ = tiny_config(tmp_path, batch_size=2, base_lr=float(np.finfo(np.float64).max))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["train", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite parameter" in err and "(epoch 1, step 0)" in err
+
     def test_config_not_mutated(self, tmp_path):
         path, _ = tiny_config(tmp_path)
         before = path.read_bytes()
@@ -144,6 +152,20 @@ class TestCmdEval:
         assert main(["eval", str(path), str(ckpt), "--class-policy", "ground_truth"]) == 0
         rows = read_csv(tmp_path / "out" / "metrics.csv")
         assert all(r["class_policy"] == "ground_truth" for r in rows)
+
+    def test_zero_probability_fails_naming_the_image(self, trained, capsys):
+        # the policy: a zero ground-truth probability fails the whole eval,
+        # naming the image; no image is ever skipped
+        path, ckpt, _ = trained
+        model = nn.load_checkpoint(ckpt)
+        model.param_by_name("head.w").data[:] = 0.0
+        model.param_by_name("head.b").data[:] = -1e4  # exp(-1e4) underflows to 0
+        model.param_by_name("head.b").data[0] = 0.0
+        nn.save_checkpoint(model, ckpt)
+        _, test_set = build_datasets(load_config(path))
+        first = next(i for i, img in enumerate(test_set.images) if img.label != 0)
+        assert main(["eval", str(path), str(ckpt), "--class-policy", "ground_truth"]) == 2
+        assert f"image {first}:" in capsys.readouterr().err
 
     def test_architecture_mismatch_exit_2(self, trained, tmp_path):
         path, ckpt, base = trained

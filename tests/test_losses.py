@@ -89,6 +89,7 @@ class TestErrorFn:
         assert error_fn(ErrorFnKind.MAE, d, same).item() == 0.0
         assert error_fn(ErrorFnKind.MSE, d, same).item() == 0.0
         assert error_fn(ErrorFnKind.COSINE, d, same).item() == -1.0
+        assert error_fn(ErrorFnKind.HIST_INTERSECT, d, same).item() == pytest.approx(-1.0, abs=1e-12)
 
     def test_orthogonal_cosine_zero(self):
         a = Tensor([1.0, 0.0])
@@ -123,8 +124,9 @@ class TestErrorFn:
     @given(
         hnp.arrays(np.float64, 6, elements=st.floats(-5, 5)),
         hnp.arrays(np.float64, 6, elements=st.floats(-5, 5)),
+        st.floats(1e-3, 1e3),
     )
-    def test_symmetry_and_bounds(self, a, b):
+    def test_symmetry_and_bounds(self, a, b, s):
         da, db = Tensor(a), Tensor(b)
         guarded = {
             ErrorFnKind.COSINE: lambda v: np.sqrt(np.sum(v * v)),
@@ -144,6 +146,12 @@ class TestErrorFn:
                 assert -1.0 - 1e-12 <= e_ab <= 1.0 + 1e-12
             else:
                 assert e_ab <= 0.0
+            if kind in guarded:
+                # the similarities are -1 at equality and scale-invariant
+                assert error_fn(kind, da, da).item() == pytest.approx(-1.0, abs=1e-12)
+                if guarded[kind](s * b) >= NORM_GUARD:
+                    e_as = error_fn(kind, da, Tensor(s * b)).item()
+                    assert e_as == pytest.approx(e_ab, rel=1e-12, abs=1e-12)
 
     def test_differentiable_wrt_first_argument(self):
         rng = np.random.default_rng(3)

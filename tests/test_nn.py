@@ -44,11 +44,6 @@ class TestBuild:
         expected = (8 * 27 + 8) + (16 * 72 + 16) + (64 + 4)
         assert build_model(spec16, 0).num_params == expected == 1460
 
-    def test_non_relu_rejected(self):
-        spec = ArchitectureSpec("x", (3, 16, 16), 4, (ConvBlock(8),), activation="gelu")
-        with pytest.raises(ValueError, match="relu"):
-            build_model(spec, 0)
-
     def test_collapsed_shape_rejected(self):
         blocks = tuple(ConvBlock(4, kernel=3, padding=0, pool=2) for _ in range(3))
         spec = ArchitectureSpec("x", (3, 8, 8), 4, blocks)

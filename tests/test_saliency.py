@@ -143,6 +143,19 @@ class TestGradCam:
         )
         np.testing.assert_allclose(smap.normalized, cam.normalized, atol=1e-9)
 
+    def test_activation_gradient_stops_at_the_map(self, model16, x16, monkeypatch):
+        # the backward sweep ends at the feature map, so neither conv layer
+        # below it computes a kernel or an input gradient
+        from igrad import tensor as T
+
+        ran = []
+        apply = T._apply
+        monkeypatch.setattr(T, "_apply", lambda kind, *a: ran.append(kind) or apply(kind, *a))
+        GradCam().weights_and_maps(model16, x16, 1, "last_conv")
+        assert ran.count("conv2d") == 2
+        assert ran.count("conv2d_kernel_grad") == 0
+        assert ran.count("conv2d_input_grad") == 0
+
     def test_class_out_of_range(self, model16, x16):
         with pytest.raises(ValueError, match="class"):
             cam_weights(GradCam(), model16, x16, 99, "last_conv")

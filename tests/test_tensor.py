@@ -21,9 +21,7 @@ class TestForwardPrimitives:
 
     def test_conv2d_all_ones(self):
         # 2x2 ones kernel over 3x3 ones: every window sums to 4
-        out = T.conv2d(
-            Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 2, 2))), stride=1, padding=0
-        )
+        out = T.conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 2, 2))))
         assert out.shape == (1, 1, 2, 2)
         np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
 
@@ -32,16 +30,14 @@ class TestForwardPrimitives:
         np.testing.assert_array_equal(out.data, [[0.5, 0.5]])
 
     def test_shape_mismatch_names_op(self):
-        with pytest.raises(ValueError, match="add"):
-            T.add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
+        # elementwise operands must have equal shapes; size 1 does not broadcast
+        for other in ([1.0, 2.0, 3.0], [1.0]):
+            with pytest.raises(ValueError, match="add"):
+                T.add(Tensor([1.0, 2.0]), Tensor(other))
 
     def test_conv_kernel_too_large(self):
         with pytest.raises(ValueError, match="conv2d"):
             T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 4, 4))))
-
-    def test_conv_bad_stride(self):
-        with pytest.raises(ValueError, match="stride"):
-            T.conv2d(Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 2, 2))), stride=0)
 
     def test_records_only_with_node(self):
         tape = Tape()
@@ -190,13 +186,13 @@ class TestOpSemantics:
     def test_maxpool_scatters_to_argmax(self):
         tape = Tape()
         x = watched(tape, [[[[1.0, 2.0], [3.0, 4.0]]]])
-        (g,) = backward(T.reduce_sum(T.maxpool2d(x, 2, 2)), [x])
+        (g,) = backward(T.reduce_sum(T.maxpool2d(x, 2)), [x])
         np.testing.assert_array_equal(g.data, [[[[0.0, 0.0], [0.0, 1.0]]]])
 
     def test_maxpool_tie_lowest_index(self):
         tape = Tape()
         x = watched(tape, np.ones((1, 1, 2, 2)))
-        (g,) = backward(T.reduce_sum(T.maxpool2d(x, 2, 2)), [x])
+        (g,) = backward(T.reduce_sum(T.maxpool2d(x, 2)), [x])
         np.testing.assert_array_equal(g.data, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
     def test_pool_argmax_once_per_pool_per_train_step(self, monkeypatch):
@@ -214,13 +210,6 @@ class TestOpSemantics:
         cfg = train.TrainConfig(lam=1.0, error_kind=losses.ErrorFnKind.COSINE)
         train.train_step(model, x, t, cfg, 0.01, velocity)
         assert len(calls) == 2  # tinycnn has two pooling layers
-
-    def test_scalar_broadcast(self):
-        tape = Tape()
-        s = watched(tape, 2.0)
-        v = Tensor([1.0, 2.0, 3.0])
-        (g,) = backward(T.reduce_sum(T.mul(v, s)), [s])
-        assert g.item() == 6.0
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=20))
     def test_relu_matches_definition(self, vals):

@@ -1,6 +1,8 @@
 """Training loop: SGD semantics, schedule arithmetic, determinism, and the
 lam=0 bit-identity with plain cross-entropy training."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,18 @@ class TestTrainStep:
 
 
 class TestFit:
+    def test_overflowing_update_names_the_parameter(self):
+        # the step-0 loss is finite; the largest finite lr overflows the update
+        tr, te = tiny_sets()
+        m = tiny_model(tr)
+        cfg = TrainConfig(epochs=1, batch_size=8, base_lr=np.finfo(np.float64).max, lam=0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                fit(m, tr, te, cfg)
+        found = re.fullmatch(r"divergence: non-finite parameter (\S+) \(epoch 1, step 0\)", str(err.value))
+        assert found, str(err.value)
+        assert not np.all(np.isfinite(m.param_by_name(found.group(1)).data))
+
     def test_deterministic_runs(self):
         tr, te = tiny_sets()
         cfg = TrainConfig(epochs=2, batch_size=16, seed=3, lam=0.0)
