@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -121,11 +120,7 @@ def cmd_saliency(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    hook = (
-        gradcheck.corrupted_backward(args.corrupt) if args.corrupt else nullcontext()
-    )
-    with hook:
-        rep = gradcheck.run_all(seeds=args.seeds, nets=args.nets)
+    rep = gradcheck.run_all(seeds=args.seeds, nets=args.nets)
     width = max(len(k) for k in rep.op_errors)
     for kind, err in sorted(rep.op_errors.items()):
         flag = "ok" if err <= 1.0 else "FAIL"
@@ -163,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     gp = sub.add_parser("gradcheck", help="run the engine verification suites")
     gp.add_argument("--seeds", type=int, default=50)
     gp.add_argument("--nets", type=int, default=100)
-    gp.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)
     gp.set_defaults(fn=cmd_gradcheck)
     return p
 

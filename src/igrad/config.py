@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 
 from . import data, nn
@@ -90,6 +91,10 @@ def _check_type(value, field: Field, path: str):
     }[kind]
     if not ok(value):
         raise ConfigError(f"{path}: expected {kind}, got {value!r}")
+    # json.load reads NaN, Infinity and ints of any size; NaN fails the comparison
+    nums = value if kind == "float_list" else [value] if kind == "float" else []
+    if not all(abs(v) <= sys.float_info.max for v in nums):
+        raise ConfigError(f"{path}: expected finite numbers, got {value!r}")
     if field.choices and value not in field.choices:
         raise ConfigError(f"{path}: {value!r} not one of {field.choices}")
     return float(value) if kind == "float" else value

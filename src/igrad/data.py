@@ -62,11 +62,6 @@ class DatasetSplit:
         s = self.std.reshape(-1, 1, 1)
         return (pixels - m) / s
 
-    def denormalize(self, pixels: np.ndarray) -> np.ndarray:
-        m = self.mean.reshape(-1, 1, 1)
-        s = self.std.reshape(-1, 1, 1)
-        return pixels * s + m
-
     def batch(self, indices, rng: np.random.Generator | None = None):
         """Normalized (n,C,H,W) inputs and labels; augments when configured."""
         idx = np.asarray(indices)
@@ -152,26 +147,27 @@ def serialize_cifar_record(image: LabeledImage, variant: str) -> bytes:
 # synthetic shapes
 # --------------------------------------------------------------------------
 
-def synthetic_shapes(n: int, classes=SHAPE_CLASSES, hw: int = 16, seed: int = 0) -> DatasetSplit:
-    """Deterministic dataset of bright shapes on noisy backgrounds.
+def synthetic_shapes(n: int, hw: int = 16, seed: int = 0) -> DatasetSplit:
+    """Deterministic dataset of bright shapes on noisy backgrounds, one
+    class per entry of SHAPE_CLASSES.
 
     Classes are assigned round-robin so any n divisible by the class count is
     exactly balanced. Normalization stats are computed from the generated set.
     """
     if hw < 8:
         raise ValueError("hw must be >= 8")
-    if n < len(classes):
+    if n < len(SHAPE_CLASSES):
         raise ValueError("need at least one image per class")
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:hw, 0:hw].astype(np.float64)
     images = []
     for i in range(n):
-        label = i % len(classes)
+        label = i % len(SHAPE_CLASSES)
         img = rng.uniform(0.0, 0.35, size=(3, hw, hw))
         cx, cy = rng.uniform(0.3, 0.7, size=2) * hw
         r = rng.uniform(0.18, 0.3) * hw
         color = rng.uniform(0.65, 1.0, size=3)
-        kind = classes[label]
+        kind = SHAPE_CLASSES[label]
         if kind == "square":
             mask = (np.abs(xx - cx) <= r) & (np.abs(yy - cy) <= r)
         elif kind == "disk":
@@ -181,16 +177,14 @@ def synthetic_shapes(n: int, classes=SHAPE_CLASSES, hw: int = 16, seed: int = 0)
             mask = ((np.abs(xx - cx) <= bar) & (np.abs(yy - cy) <= r)) | (
                 (np.abs(yy - cy) <= bar) & (np.abs(xx - cx) <= r)
             )
-        elif kind == "tri":
+        else:  # tri
             mask = (yy >= cy - r) & (yy <= cy + r) & (np.abs(xx - cx) <= (yy - (cy - r)) / 2)
-        else:
-            raise ValueError(f"unknown shape class {kind!r}")
         img[:, mask] = color[:, None]
         images.append(LabeledImage(img, label, f"synthetic:{seed}:{i}"))
     stack = np.stack([im.pixels for im in images])
     mean = stack.mean(axis=(0, 2, 3))
     std = stack.std(axis=(0, 2, 3))
-    return DatasetSplit(images, len(classes), mean, std)
+    return DatasetSplit(images, len(SHAPE_CLASSES), mean, std)
 
 
 # --------------------------------------------------------------------------
@@ -216,7 +210,6 @@ def write_image(path, kind: str, payload) -> None:
     """Write a binary netpbm file.
 
     pgm_gray: payload is an (H,W) map in [0,1].
-    ppm_rgb: payload is (H,W,3) RGB in [0,1].
     ppm_overlay: payload is (image_chw, saliency_hw); blends the image at
     weight 0.5 with the colormapped saliency.
     """
@@ -225,12 +218,6 @@ def write_image(path, kind: str, payload) -> None:
         if arr.ndim != 2:
             raise ValueError(f"pgm_gray wants (H,W), got {arr.shape}")
         header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode()
-        body = _quantize(arr).tobytes()
-    elif kind == "ppm_rgb":
-        arr = np.asarray(payload, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[2] != 3:
-            raise ValueError(f"ppm_rgb wants (H,W,3), got {arr.shape}")
-        header = f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode()
         body = _quantize(arr).tobytes()
     elif kind == "ppm_overlay":
         image_chw, sal = payload

@@ -18,23 +18,22 @@ from .tensor import GradMode, Tape, Tensor, backward
 
 REL_TOL = 1e-4
 ABS_FLOOR = 1e-7
+FD_STEP = 1e-5  # central-difference step
 
 
-def finite_diff_gradient(fn, at: Tensor, step: float = 1e-5) -> Tensor:
+def finite_diff_gradient(fn, at: Tensor) -> Tensor:
     """Central-difference gradient estimate of a scalar function, per element."""
-    if step <= 0:
-        raise ValueError("step must be positive")
     base = at.data.copy()
     flat = base.reshape(-1)
     out = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
+        flat[i] = orig + FD_STEP
         hi = _scalar(fn(Tensor(base)))
-        flat[i] = orig - step
+        flat[i] = orig - FD_STEP
         lo = _scalar(fn(Tensor(base)))
         flat[i] = orig
-        out[i] = (hi - lo) / (2.0 * step)
+        out[i] = (hi - lo) / (2.0 * FD_STEP)
     return Tensor(out.reshape(at.shape), _copy=False)
 
 
@@ -61,11 +60,11 @@ def wrapped_backward(kind: str, wrap):
         spec.backward = orig
 
 
-def corrupted_backward(kind: str, scale_factor: float = 1.5):
-    """Test hook: multiply one op's backward output by a wrong factor."""
+def corrupted_backward(kind: str):
+    """Test hook: multiply one op's backward output by a wrong factor, 1.5."""
 
     def bad(orig, node, g, mode):
-        return [None if gi is None else T.scale(gi, scale_factor) for gi in orig(node, g, mode)]
+        return [None if gi is None else T.scale(gi, 1.5) for gi in orig(node, g, mode)]
 
     return wrapped_backward(kind, bad)
 
@@ -134,12 +133,8 @@ def _case_inputs(kind, rng):
         return [rng.normal(size=(2, 3, 4))], lambda xs: T.mean(xs[0], axis=(1,))
     if kind == "global_avg_pool":
         return [rng.normal(size=(2, 3, 4, 4))], lambda xs: T.global_avg_pool(xs[0])
-    if kind == "matmul":
-        # the variants linear's backward records
-        ta, tb = [(False, False), (False, True), (True, False)][rng.integers(0, 3)]
-        a = rng.normal(size=(3, 4) if not ta else (4, 3))
-        b = rng.normal(size=(4, 2) if not tb else (2, 4))
-        return [a, b], lambda xs: T.matmul(xs[0], xs[1], ta=ta, tb=tb)
+    if kind == "transpose":
+        return [rng.normal(size=(3, 4))], lambda xs: T.transpose(xs[0])
     if kind == "linear":
         return [
             rng.normal(size=(3, 5)),
@@ -166,15 +161,15 @@ def _case_inputs(kind, rng):
         x = rng.normal(size=(2, 2, 6, 6))
         # keep window maxima unambiguous so FD does not cross an argmax switch
         x += np.linspace(0, 0.5, x.size).reshape(x.shape)
-        return [x], lambda xs: T.maxpool2d(xs[0], kernel=2)
+        return [x], lambda xs: T.maxpool2d(xs[0])
     if kind in ("pool_scatter", "pool_gather"):
         # both are linear in their input for argmax indices held constant
-        idx = T._pool_argmax(rng.normal(size=(2, 2, 6, 6)), 2)
+        idx = T._pool_argmax(rng.normal(size=(2, 2, 6, 6)))
         if kind == "pool_scatter":
             return [rng.normal(size=(2, 2, 3, 3))], lambda xs: T.pool_scatter(xs[0], idx, (6, 6))
         return [rng.normal(size=(2, 2, 6, 6))], lambda xs: T.pool_gather(xs[0], idx)
     if kind == "softmax":
-        return [rng.normal(size=(3, 4))], lambda xs: T.softmax(xs[0], axis=1)
+        return [rng.normal(size=(3, 4))], lambda xs: T.softmax(xs[0])
     if kind == "cross_entropy_logits":
         t = rng.integers(0, 4, size=3)
         return [rng.normal(size=(3, 4))], lambda xs: T.cross_entropy_logits(xs[0], t)
@@ -186,7 +181,7 @@ def _case_inputs(kind, rng):
 CHECKED_OPS = [
     "add", "sub", "mul", "div", "neg", "scale", "minimum", "relu", "abs",
     "sqrt", "reshape", "broadcast_to", "sum", "mean", "global_avg_pool",
-    "matmul", "linear", "conv2d", "conv2d_input_grad", "conv2d_kernel_grad",
+    "transpose", "linear", "conv2d", "conv2d_input_grad", "conv2d_kernel_grad",
     "maxpool2d", "pool_scatter", "pool_gather", "softmax", "cross_entropy_logits",
 ]
 
@@ -222,10 +217,10 @@ def gradcheck_op(kind: str, seed: int) -> float:
     return worst
 
 
-def run_op_suite(seeds=50, ops=None) -> dict[str, float]:
+def run_op_suite(seeds=50) -> dict[str, float]:
     """Gradcheck every op over `seeds` random draws; returns max error per op."""
     report = {}
-    for kind in ops or CHECKED_OPS:
+    for kind in CHECKED_OPS:
         worst = 0.0
         for s in range(seeds):
             worst = max(worst, gradcheck_op(kind, 1000 + s))
@@ -249,7 +244,7 @@ def _tiny_net_loss(x, params, targets):
     """conv-relu-pool-linear cross-entropy on a 1x1x6x6 input batch."""
     w1, b1, w2, b2 = params
     h = T.relu(T.conv2d(x, w1, b1))
-    h = T.maxpool2d(h, kernel=2)  # (n,2,2,2)
+    h = T.maxpool2d(h)  # (n,2,2,2)
     h = T.reshape(h, (x.shape[0], 2 * 4))
     logits = T.linear(h, w2, b2)
     return T.mean(T.cross_entropy_logits(logits, targets))
@@ -286,7 +281,7 @@ def run_double_backward_suite(seeds=5) -> float:
                 probe[i] = v
                 return l2_value(probe)
 
-            want = finite_diff_gradient(fn, Tensor(params[i]), step=1e-5).data
+            want = finite_diff_gradient(fn, Tensor(params[i])).data
             got = grads[i].data
             diff = np.abs(got - want)
             denom = np.maximum(1e-6, 1e-3 * np.maximum(np.abs(got), np.abs(want)))
@@ -319,7 +314,7 @@ def run_guided_suite(nets=100) -> tuple[float, bool]:
     def positive_loss(tape):
         x = tape.watch(Tensor(x0))
         h = T.relu(T.conv2d(x, tape.watch(w1)))
-        h = T.maxpool2d(h, 2)
+        h = T.maxpool2d(h)
         logits = T.linear(T.reshape(h, (1, 8)), tape.watch(w2))
         return T.reduce_sum(logits), x
 

@@ -31,7 +31,6 @@ class LossBreakdown:
     loss_c: float
     loss_r: float
     total: float
-    lam: float
 
 
 @dataclass
@@ -39,7 +38,6 @@ class InterpLossResult:
     breakdown: LossBreakdown
     total: Tensor                  # tape scalar, differentiable w.r.t. parameters
     params: list[Tensor]           # tape-watched parameter aliases
-    inputs: Tensor                 # tape-watched input batch
     standard_grads: Tensor | None  # dL_C/dX, on tape (None when lam == 0)
     guided_grads: Tensor | None    # guided counterpart, always detached
 
@@ -159,13 +157,13 @@ def interpretable_loss(
     n = x.shape[0]
 
     if lam == 0.0:
-        bd = LossBreakdown(ce.item(), 0.0, ce.item(), 0.0)
-        return InterpLossResult(bd, ce, fwd.params, x, None, None)
+        bd = LossBreakdown(ce.item(), 0.0, ce.item())
+        return InterpLossResult(bd, ce, fwd.params, None, None)
 
     (d_std,) = backward(ce, [x], create_graph=True)
     (d_guided,) = backward(ce, [x], mode=GradMode.GUIDED)
     errs = _per_example_errors(kind, d_std, d_guided)
     loss_r = T.scale(T.reduce_sum(errs), 1.0 / n)
     total = T.add(ce, T.scale(loss_r, lam))
-    bd = LossBreakdown(ce.item(), loss_r.item(), total.item(), lam)
-    return InterpLossResult(bd, total, fwd.params, x, d_std, d_guided)
+    bd = LossBreakdown(ce.item(), loss_r.item(), total.item())
+    return InterpLossResult(bd, total, fwd.params, d_std, d_guided)

@@ -59,8 +59,8 @@ class MetricsReport:
 
 
 def masked_image(x: np.ndarray, smap) -> np.ndarray:
-    """Element-wise product of the image with the normalized saliency map."""
-    sal = smap.normalized if hasattr(smap, "normalized") else np.asarray(smap)
+    """Element-wise product of the image with the map's `normalized` array."""
+    sal = smap.normalized
     if x.shape[1:] != sal.shape:
         raise ValueError(f"masked_image: {x.shape} does not match map {sal.shape}")
     return x * sal[None, :, :]

@@ -2,9 +2,9 @@
 
 Two desk-scale ReLU families are provided: `tinycnn` (conv-relu-pool twice,
 GAP, linear) and `miniresnet` (stem plus two identity-skip blocks). Every
-convolution slides one pixel at a time, every pool window is disjoint from
-the others, and every activation is ReLU, so the guided backward rule
-applies throughout.
+convolution is 3x3 at padding 1 and slides one pixel at a time, every pool
+is a 2x2 max over disjoint windows, and every activation is ReLU, so the
+guided backward rule applies throughout.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ class CheckpointError(ValueError):
 
 @dataclass(frozen=True)
 class ConvBlock:
+    """3x3 convolution at padding 1, then ReLU; `pool` adds a 2x2 max pool."""
+
     out_channels: int
-    kernel: int = 3
-    padding: int = 1
-    pool: int | None = None
+    pool: bool = False
     residual: bool = False
 
 
@@ -47,14 +47,14 @@ def tinycnn(input_shape=(3, 16, 16), num_classes=4, widths=(8, 16)) -> Architect
     name = "tinycnn-{}x{}x{}-c{}-w{}".format(
         *input_shape, num_classes, ".".join(str(w) for w in widths)
     )
-    blocks = tuple(ConvBlock(w, kernel=3, padding=1, pool=2) for w in widths)
+    blocks = tuple(ConvBlock(w, pool=True) for w in widths)
     return ArchitectureSpec(name, tuple(input_shape), num_classes, blocks)
 
 
 def miniresnet(input_shape=(3, 16, 16), num_classes=4, width=12) -> ArchitectureSpec:
     name = "miniresnet-{}x{}x{}-c{}-w{}".format(*input_shape, num_classes, width)
     blocks = (
-        ConvBlock(width, kernel=3, padding=1, pool=2),
+        ConvBlock(width, pool=True),
         ConvBlock(width, residual=True),
         ConvBlock(width, residual=True),
     )
@@ -78,26 +78,18 @@ def spec_from_name(name: str) -> ArchitectureSpec:
 
 
 def _validate_spec(spec: ArchitectureSpec):
+    """Channels and spatial size after the last block; only pools change the size."""
     c, h, w = spec.input_shape
     for i, blk in enumerate(spec.blocks):
-        if blk.residual:
-            if blk.out_channels != c:
-                raise ValueError(
-                    f"block {i}: residual needs matching channels ({c} -> {blk.out_channels})"
-                )
-            if 2 * blk.padding + 1 != blk.kernel:
-                raise ValueError(f"block {i}: residual blocks must preserve spatial shape")
-        else:
-            h += 2 * blk.padding - blk.kernel + 1
-            w += 2 * blk.padding - blk.kernel + 1
-            c = blk.out_channels
-        if h < 1 or w < 1:
-            raise ValueError(f"block {i}: spatial extent collapsed to {h}x{w}")
+        if blk.residual and blk.out_channels != c:
+            raise ValueError(
+                f"block {i}: residual needs matching channels ({c} -> {blk.out_channels})"
+            )
+        c = blk.out_channels
         if blk.pool:
-            if h < blk.pool or w < blk.pool:
-                raise ValueError(f"block {i}: pool {blk.pool} larger than map {h}x{w}")
-            h //= blk.pool
-            w //= blk.pool
+            if h < T.POOL or w < T.POOL:
+                raise ValueError(f"block {i}: pool {T.POOL} larger than map {h}x{w}")
+            h, w = h // T.POOL, w // T.POOL
     return c, h, w
 
 
@@ -200,21 +192,21 @@ class Model:
         last_act = None
         for i, blk in enumerate(self.spec.blocks, start=1):
             if blk.residual:
-                r = T.relu(T.conv2d(h, take(), take(), padding=blk.padding))
-                r = T.conv2d(r, take(), take(), padding=blk.padding)
+                r = T.relu(T.conv2d(h, take(), take(), padding=1))
+                r = T.conv2d(r, take(), take(), padding=1)
                 h = T.relu(T.add(r, h))
             else:
-                h = T.relu(T.conv2d(h, take(), take(), padding=blk.padding))
+                h = T.relu(T.conv2d(h, take(), take(), padding=1))
             h = expose(f"block{i}", h)
             last_act = f"block{i}"
             if blk.pool:
-                h = expose(f"block{i}_pool", T.maxpool2d(h, blk.pool))
+                h = expose(f"block{i}_pool", T.maxpool2d(h))
 
         maps["last_conv"] = maps[last_act]
         maps["gap_input"] = h
         pooled = T.global_avg_pool(h)
         logits = T.linear(pooled, take(), take())
-        probs = T.softmax(logits, axis=1)
+        probs = T.softmax(logits)
         return ForwardResult(logits, probs, maps, watched if tape is not None else None)
 
 
@@ -233,8 +225,8 @@ def build_model(spec: ArchitectureSpec, seed: int) -> Model:
         n_convs = 2 if blk.residual else 1
         for j in range(n_convs):
             cin = c if j == 0 or blk.residual else blk.out_channels
-            shape = (blk.out_channels, cin, blk.kernel, blk.kernel)
-            params.append(Parameter(f"block{i}.conv{j}.w", kaiming(shape, cin * blk.kernel**2)))
+            shape = (blk.out_channels, cin, 3, 3)
+            params.append(Parameter(f"block{i}.conv{j}.w", kaiming(shape, cin * 9)))
             params.append(Parameter(f"block{i}.conv{j}.b", np.zeros(blk.out_channels)))
         c = blk.out_channels
 

@@ -170,10 +170,10 @@ _METHODS = {
 }
 
 
-def make_method(name: str, **kwargs):
+def make_method(name: str):
     if name not in _METHODS:
         raise ValueError(f"unknown saliency method {name!r} (have {sorted(_METHODS)})")
-    return _METHODS[name](**kwargs)
+    return _METHODS[name]()
 
 
 def cam_weights(method, model, x_raw, c, layer, prep=_identity) -> np.ndarray:

@@ -19,15 +19,17 @@ from .tensor import GradMode, backward
 from .train import TrainConfig, fit
 
 DESK_LAMBDA = 1.0  # chosen by pilot sweep over {1e-3 .. 1}; see README
+ALIGN_BATCH = 64  # images per batch in mean_cosine_alignment
 
 
-def mean_cosine_alignment(model, dataset, batch_size=64) -> float:
+def mean_cosine_alignment(model, dataset) -> float:
     """Mean over examples of cos(standard grad, guided grad) of the batch CE
-    loss w.r.t. the input; examples with a norm under NORM_GUARD contribute 0."""
+    loss w.r.t. the input, in batches of ALIGN_BATCH; examples with a norm
+    under NORM_GUARD contribute 0."""
     vals = []
     n = len(dataset)
-    for start in range(0, n, batch_size):
-        idx = np.arange(start, min(start + batch_size, n))
+    for start in range(0, n, ALIGN_BATCH):
+        idx = np.arange(start, min(start + ALIGN_BATCH, n))
         x, t = dataset.batch(idx)
         ce, _, xw = _forward_ce(model, x, t)
         (d_std,) = backward(ce, [xw])

@@ -353,28 +353,13 @@ def _sum_spec():
 
 # ---- linear algebra ----
 
-@_op("matmul")
-def _matmul_spec():
+@_op("transpose")
+def _transpose_spec():
     def fwd(xs, attrs):
-        a, b = xs
-        if a.ndim != 2 or b.ndim != 2:
-            raise _shape_err("matmul", a.shape, b.shape)
-        ta, tb = attrs["ta"], attrs["tb"]
-        if ta and tb:
-            raise ValueError("matmul: transposing both operands is not supported")
-        inner_a = a.shape[0] if ta else a.shape[1]
-        inner_b = b.shape[1] if tb else b.shape[0]
-        if inner_a != inner_b:
-            raise _shape_err("matmul", a.shape, b.shape)
-        return (a.T if ta else a) @ (b.T if tb else b)
+        return xs[0].T
 
     def bwd(node, g, mode):
-        a, b = node.inputs
-        if node.attrs["ta"]:
-            return [matmul(b, g, tb=True), matmul(a, g)]
-        if node.attrs["tb"]:
-            return [matmul(g, b), matmul(g, a, ta=True)]
-        return [matmul(g, b, tb=True), matmul(a, g, ta=True)]
+        return [transpose(g)]
 
     return fwd, bwd
 
@@ -394,7 +379,8 @@ def _linear_spec():
 
     def bwd(node, g, mode):
         x, w = node.inputs[0], node.inputs[1]
-        grads = [matmul(g, w), matmul(g, x, ta=True)]
+        # g @ w and g.T @ x, each a linear against a transposed view
+        grads = [linear(g, transpose(w)), linear(transpose(g), transpose(x))]
         if len(node.inputs) == 3:
             grads.append(reduce_sum(g, axis=0))
         return grads
@@ -495,24 +481,27 @@ def _conv2d_kernel_grad_spec():
     return fwd, bwd
 
 
-# ---- pooling (non-overlapping windows; argmax indices are constants
-# under differentiation) ----
+# ---- pooling (non-overlapping POOL x POOL windows; argmax indices are
+# constants under differentiation) ----
 
-def _pool_argmax(x, kernel):
+POOL = 2
+
+
+def _pool_argmax(x):
     """Flat h*w index of each window's maximum, shaped like the pooled map."""
     n, c, hh, ww = x.shape
-    ho, wo = hh // kernel, ww // kernel
+    ho, wo = hh // POOL, ww // POOL
     if ho < 1 or wo < 1:
-        raise ValueError(f"maxpool2d: kernel {kernel} larger than input {(hh, ww)}")
-    windows = np.empty((n, c, ho, wo, kernel * kernel))
-    offsets = np.empty(kernel * kernel, dtype=np.int64)
-    for i in range(kernel):
-        for j in range(kernel):
-            q = i * kernel + j
-            windows[:, :, :, :, q] = x[:, :, i : kernel * ho : kernel, j : kernel * wo : kernel]
+        raise ValueError(f"maxpool2d: pool {POOL} larger than input {(hh, ww)}")
+    windows = np.empty((n, c, ho, wo, POOL * POOL))
+    offsets = np.empty(POOL * POOL, dtype=np.int64)
+    for i in range(POOL):
+        for j in range(POOL):
+            q = i * POOL + j
+            windows[:, :, :, :, q] = x[:, :, i : POOL * ho : POOL, j : POOL * wo : POOL]
             offsets[q] = i * ww + j
     pick = np.argmax(windows, axis=-1)  # first max = lowest linear index
-    base = np.arange(ho)[:, None] * kernel * ww + np.arange(wo)[None, :] * kernel
+    base = np.arange(ho)[:, None] * POOL * ww + np.arange(wo)[None, :] * POOL
     return base + offsets[pick]
 
 
@@ -555,14 +544,15 @@ def _pool_gather_spec():
 def _softmax_spec():
     def fwd(xs, attrs):
         x = xs[0]
-        shifted = x - np.max(x, axis=attrs["axis"], keepdims=True)
+        if x.ndim != 2:
+            raise _shape_err("softmax", x.shape)
+        shifted = x - np.max(x, axis=1, keepdims=True)
         e = np.exp(shifted)
-        return e / np.sum(e, axis=attrs["axis"], keepdims=True)
+        return e / np.sum(e, axis=1, keepdims=True)
 
     def bwd(node, g, mode):
         p = node.out
-        axis = node.attrs["axis"]
-        inner = reduce_sum(mul(p, g), axis=axis, keepdims=True)
+        inner = reduce_sum(mul(p, g), axis=1, keepdims=True)
         return [mul(p, sub(g, broadcast_to(inner, g.shape)))]
 
     return fwd, bwd
@@ -584,7 +574,7 @@ def _ce_logits_spec():
         t = node.attrs["targets"]
         onehot = np.zeros(y.shape)
         onehot[np.arange(y.shape[0]), t] = 1.0
-        p = softmax(y, axis=1)
+        p = softmax(y)
         gcol = broadcast_to(reshape(g, (y.shape[0], 1)), y.shape)
         return [mul(sub(p, Tensor(onehot, _copy=False)), gcol)]
 
@@ -644,23 +634,17 @@ def broadcast_to(a, shape):
 
 
 def reduce_sum(a, axis=None, keepdims=False):
-    if isinstance(axis, list):
-        axis = tuple(axis)
     return _apply("sum", [a], {"axis": axis, "keepdims": keepdims})
 
 
-def mean(a, axis=None, keepdims=False):
-    if axis is None:
-        count = a.size
-    elif isinstance(axis, int):
-        count = a.shape[axis]
-    else:
-        count = int(np.prod([a.shape[i] for i in axis]))
-    return scale(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+def mean(a, axis=None):
+    """Mean over every element, or over the axes in the tuple `axis`."""
+    count = a.size if axis is None else int(np.prod([a.shape[i] for i in axis]))
+    return scale(reduce_sum(a, axis=axis), 1.0 / count)
 
 
-def matmul(a, b, ta=False, tb=False):
-    return _apply("matmul", [a, b], {"ta": ta, "tb": tb})
+def transpose(a):
+    return _apply("transpose", [a])
 
 
 def linear(x, w, b=None):
@@ -681,10 +665,10 @@ def conv2d_kernel_grad(x, g, padding):
     return _apply("conv2d_kernel_grad", [x, g], {"padding": padding})
 
 
-def maxpool2d(x, kernel=2):
-    """Maxima of non-overlapping kernel x kernel windows, as a pool_gather at
+def maxpool2d(x):
+    """Maxima of non-overlapping POOL x POOL windows, as a pool_gather at
     argmax indices taken once, here."""
-    return pool_gather(x, _pool_argmax(x.data, int(kernel)))
+    return pool_gather(x, _pool_argmax(x.data))
 
 
 def pool_scatter(g, indices, in_hw):
@@ -701,8 +685,9 @@ def global_avg_pool(x):
     return mean(x, axis=(2, 3))
 
 
-def softmax(x, axis=-1):
-    return _apply("softmax", [x], {"axis": axis})
+def softmax(x):
+    """Row-wise softmax of a 2-D input."""
+    return _apply("softmax", [x])
 
 
 def cross_entropy_logits(logits, targets):

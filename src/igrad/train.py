@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nn
 from .losses import ErrorFnKind, LossBreakdown, interpretable_loss
 from .tensor import backward
+
+EVAL_BATCH = 256  # images per forward in evaluate_accuracy
 
 
 class DivergenceError(RuntimeError):
@@ -38,25 +40,27 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.base_lr <= 0:
+        # written so that NaN fails each check
+        if not self.base_lr > 0:
             raise ValueError("base_lr must be positive")
-        if self.lr_decay_factor <= 1:
+        if not self.lr_decay_factor > 1:
             raise ValueError("lr_decay_factor must be > 1")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError("lam must be >= 0")
 
 
-def reference_recipe(**overrides) -> TrainConfig:
+def reference_recipe() -> TrainConfig:
     """The full-scale reference schedule: 200 epochs, lr 0.1 divided by 5
-    on epochs 60/120/160, batch 128."""
-    cfg = TrainConfig(
+    on epochs 60/120/160, batch 128, with the cosine regularizer at
+    lambda 7.5e-3."""
+    return TrainConfig(
         epochs=200,
         batch_size=128,
         base_lr=0.1,
         lr_decay_epochs=(60, 120, 160),
         lr_decay_factor=5.0,
+        lam=7.5e-3,
     )
-    return replace(cfg, **overrides) if overrides else cfg
 
 
 def lr_at(cfg: TrainConfig, epoch: int) -> float:
@@ -124,14 +128,15 @@ def train_step(model, x_batch, targets, cfg: TrainConfig, lr: float, velocity) -
     return bd
 
 
-def evaluate_accuracy(model, dataset, batch_size: int = 256) -> float:
-    """Top-1 accuracy; argmax ties resolve to the lowest class index."""
+def evaluate_accuracy(model, dataset) -> float:
+    """Top-1 accuracy, EVAL_BATCH images per forward; argmax ties resolve to
+    the lowest class index."""
     n = len(dataset)
     if n == 0:
         raise ValueError("dataset must be nonempty")
     hits = 0
-    for start in range(0, n, batch_size):
-        idx = np.arange(start, min(start + batch_size, n))
+    for start in range(0, n, EVAL_BATCH):
+        idx = np.arange(start, min(start + EVAL_BATCH, n))
         x, t = dataset.batch(idx)  # no rng: evaluation never augments
         probs = model.forward(x).probs.data
         hits += int(np.sum(np.argmax(probs, axis=1) == t))

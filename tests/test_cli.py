@@ -9,6 +9,7 @@ import pytest
 from igrad import data, nn
 from igrad.cli import main
 from igrad.config import ConfigError, build_datasets, load_config, validate_config
+from igrad.gradcheck import corrupted_backward
 from igrad.saliency import input_gradient_map
 from igrad.tensor import GradMode
 
@@ -79,6 +80,23 @@ class TestConfigValidation:
         path.write_text(json.dumps(doc))
         assert main(["train", str(path)]) == 2
         assert "train.epochs" in capsys.readouterr().err
+
+    def test_nan_float_exit_2_naming_the_key(self, tmp_path, capsys):
+        # json.dumps writes NaN, and json.load reads it back as a float
+        path, _ = tiny_config(tmp_path, base_lr=float("nan"))
+        assert '"base_lr": NaN' in path.read_text()
+        assert main(["train", str(path)]) == 2
+        assert "train.base_lr" in capsys.readouterr().err
+
+    def test_non_finite_float_list_entry_rejected(self):
+        # Infinity, and an int past the float range, which float() cannot convert
+        for entry in ("Infinity", "1" + "0" * 400):
+            doc = json.loads(
+                '{"dataset": {"kind": "synthetic", "std": [%s, 1, 1]},'
+                ' "model": {"architecture": "tinycnn"}, "train": {"epochs": 1}}' % entry
+            )
+            with pytest.raises(ConfigError, match="dataset.std"):
+                validate_config(doc)
 
 
 class TestCmdTrain:
@@ -225,6 +243,7 @@ class TestCmdGradcheck:
         assert "all gradient checks passed" in capsys.readouterr().out
 
     def test_corrupted_relu_fails_naming_it(self, capsys):
-        assert main(["gradcheck", "--seeds", "2", "--nets", "3", "--corrupt", "relu"]) == 1
+        with corrupted_backward("relu"):
+            assert main(["gradcheck", "--seeds", "2", "--nets", "3"]) == 1
         out = capsys.readouterr().out
         assert "relu" in out and "FAILED" in out

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from igrad.data import (
     DatasetSplit,
@@ -133,19 +131,6 @@ class TestAugmentation:
 
 
 class TestNormalization:
-    def test_round_trip(self):
-        split = synthetic_shapes(8, hw=8, seed=2)
-        x = split.images[0].pixels
-        back = split.denormalize(split.normalize(x))
-        np.testing.assert_allclose(back, x, atol=1e-12)
-
-    @settings(max_examples=20)
-    @given(st.integers(0, 10_000))
-    def test_round_trip_random(self, seed):
-        split = synthetic_shapes(4, hw=8, seed=0)
-        x = np.random.default_rng(seed).uniform(0, 1, size=(3, 8, 8))
-        np.testing.assert_allclose(split.denormalize(split.normalize(x)), x, atol=1e-12)
-
     def test_bad_stats_rejected(self):
         img = LabeledImage(np.zeros((3, 8, 8)), 0, "x")
         with pytest.raises(ValueError, match="std"):
@@ -188,15 +173,6 @@ class TestWriteImage:
         want = np.clip(np.round(arr * 255), 0, 255).astype(np.uint8)
         np.testing.assert_array_equal(got, want)
 
-    def test_ppm_rgb(self, tmp_path):
-        path = tmp_path / "c.ppm"
-        rgb = np.zeros((2, 3, 3))
-        rgb[..., 0] = 1.0
-        write_image(path, "ppm_rgb", rgb)
-        raw = path.read_bytes()
-        assert raw.startswith(b"P6\n3 2\n255\n")
-        assert raw.endswith(b"\xff\x00\x00" * 6)
-
     def test_overlay_blend_oracle(self, tmp_path):
         # zero saliency: every output pixel is 0.5*image + 0.5*colormap(0)
         rng = np.random.default_rng(5)
@@ -221,5 +197,3 @@ class TestWriteImage:
     def test_bad_shapes(self, tmp_path):
         with pytest.raises(ValueError, match="pgm_gray"):
             write_image(tmp_path / "x.pgm", "pgm_gray", np.zeros((2, 2, 3)))
-        with pytest.raises(ValueError, match="ppm_rgb"):
-            write_image(tmp_path / "x.ppm", "ppm_rgb", np.zeros((2, 2)))

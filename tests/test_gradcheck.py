@@ -11,25 +11,18 @@ from igrad.gradcheck import (
     gradcheck_op,
     run_double_backward_suite,
     run_guided_suite,
-    run_op_suite,
 )
 from igrad.tensor import Tensor
 
 
 class TestFiniteDiff:
     def test_sum_of_squares(self):
-        got = finite_diff_gradient(
-            lambda t: T.reduce_sum(T.mul(t, t)), Tensor([1.0, 2.0]), step=1e-5
-        )
+        got = finite_diff_gradient(lambda t: T.reduce_sum(T.mul(t, t)), Tensor([1.0, 2.0]))
         np.testing.assert_allclose(got.data, [2.0, 4.0], atol=1e-8)
 
     def test_constant_function(self):
         got = finite_diff_gradient(lambda t: 7.0, Tensor([1.0, -1.0, 0.5]))
         np.testing.assert_array_equal(got.data, [0.0, 0.0, 0.0])
-
-    def test_step_must_be_positive(self):
-        with pytest.raises(ValueError):
-            finite_diff_gradient(lambda t: 0.0, Tensor([1.0]), step=0.0)
 
 
 @pytest.mark.parametrize("kind", CHECKED_OPS)
@@ -76,11 +69,13 @@ def test_guided_suite():
 
 
 def test_corruption_hook_breaks_relu():
+    def relu_error():
+        return max(gradcheck_op("relu", 1000 + s) for s in range(3))
+
     with corrupted_backward("relu"):
-        report = run_op_suite(seeds=3, ops=["relu"])
-    assert report["relu"] > 1.0
+        assert relu_error() > 1.0
     # restored afterwards
-    assert run_op_suite(seeds=3, ops=["relu"])["relu"] <= 1.0
+    assert relu_error() <= 1.0
 
 
 def test_checked_ops_are_the_ops_the_system_runs(monkeypatch):

@@ -45,7 +45,8 @@ class TestBuild:
         assert build_model(spec16, 0).num_params == expected == 1460
 
     def test_collapsed_shape_rejected(self):
-        blocks = tuple(ConvBlock(4, kernel=3, padding=0, pool=2) for _ in range(3))
+        # 8 -> 4 -> 2 -> 1: the fourth pool has no 2x2 window left
+        blocks = tuple(ConvBlock(4, pool=True) for _ in range(4))
         spec = ArchitectureSpec("x", (3, 8, 8), 4, blocks)
         with pytest.raises(ValueError):
             build_model(spec, 0)

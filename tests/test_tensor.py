@@ -26,7 +26,7 @@ class TestForwardPrimitives:
         np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
 
     def test_softmax_symmetry(self):
-        out = T.softmax(Tensor([[0.0, 0.0]]), axis=1)
+        out = T.softmax(Tensor([[0.0, 0.0]]))
         np.testing.assert_array_equal(out.data, [[0.5, 0.5]])
 
     def test_shape_mismatch_names_op(self):
@@ -34,6 +34,9 @@ class TestForwardPrimitives:
         for other in ([1.0, 2.0, 3.0], [1.0]):
             with pytest.raises(ValueError, match="add"):
                 T.add(Tensor([1.0, 2.0]), Tensor(other))
+        # softmax is row-wise over a 2-D input
+        with pytest.raises(ValueError, match="softmax"):
+            T.softmax(Tensor(np.zeros((2, 3, 4))))
 
     def test_conv_kernel_too_large(self):
         with pytest.raises(ValueError, match="conv2d"):
@@ -62,6 +65,20 @@ class TestBackward:
         x = watched(tape, 3.0)
         (g,) = backward(T.mul(x, x), [x])
         assert g.item() == 6.0
+
+    def test_linear_adjoints_bit_exact(self):
+        # linear's backward runs linear against transposed views; its adjoints
+        # are numpy's own g @ w, g.T @ x and column sums, to the last bit
+        rng = np.random.default_rng(4)
+        x0, w0, b0 = rng.normal(size=(5, 3)), rng.normal(size=(4, 3)), rng.normal(size=(4,))
+        g = rng.normal(size=(5, 4))
+        tape = Tape()
+        x, w, b = (watched(tape, a) for a in (x0, w0, b0))
+        out = T.reduce_sum(T.mul(T.linear(x, w, b), Tensor(g)))
+        gx, gw, gb = backward(out, [x, w, b])
+        np.testing.assert_array_equal(gx.data, g @ w0)
+        np.testing.assert_array_equal(gw.data, g.T @ x0)
+        np.testing.assert_array_equal(gb.data, g.sum(0))
 
     def test_relu_rule_standard_vs_guided(self):
         sig = Tensor([0.5, 0.7, -0.2])
@@ -149,7 +166,7 @@ class TestTape:
             tape = Tape()
             x = watched(tape, rng.normal(size=(2, 5)))
             w = watched(tape, rng.normal(size=(3, 5)))
-            loss = T.reduce_sum(T.softmax(T.linear(x, w), axis=1))
+            loss = T.reduce_sum(T.softmax(T.linear(x, w)))
             (g,) = backward(loss, [w])
             return [n.op for n in tape.nodes], g.data
 
@@ -186,13 +203,13 @@ class TestOpSemantics:
     def test_maxpool_scatters_to_argmax(self):
         tape = Tape()
         x = watched(tape, [[[[1.0, 2.0], [3.0, 4.0]]]])
-        (g,) = backward(T.reduce_sum(T.maxpool2d(x, 2)), [x])
+        (g,) = backward(T.reduce_sum(T.maxpool2d(x)), [x])
         np.testing.assert_array_equal(g.data, [[[[0.0, 0.0], [0.0, 1.0]]]])
 
     def test_maxpool_tie_lowest_index(self):
         tape = Tape()
         x = watched(tape, np.ones((1, 1, 2, 2)))
-        (g,) = backward(T.reduce_sum(T.maxpool2d(x, 2)), [x])
+        (g,) = backward(T.reduce_sum(T.maxpool2d(x)), [x])
         np.testing.assert_array_equal(g.data, [[[[1.0, 0.0], [0.0, 0.0]]]])
 
     def test_pool_argmax_once_per_pool_per_train_step(self, monkeypatch):
@@ -220,7 +237,7 @@ class TestOpSemantics:
     @given(st.integers(0, 2**32 - 1))
     def test_softmax_rows_normalized(self, seed):
         x = np.random.default_rng(seed).normal(size=(4, 6)) * 10
-        p = T.softmax(Tensor(x), axis=1).data
+        p = T.softmax(Tensor(x)).data
         assert p.min() >= 0
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 

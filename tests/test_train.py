@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from igrad import data, nn, train
-from igrad.losses import classification_loss, _forward_ce
+from igrad.losses import ErrorFnKind, classification_loss, _forward_ce
 from igrad.tensor import backward
 from igrad.train import (
     DivergenceError,
@@ -44,6 +44,9 @@ class TestConfig:
             TrainConfig(lr_decay_factor=1.0)
         with pytest.raises(ValueError):
             TrainConfig(lam=-1e-9)
+        for key in ("base_lr", "lr_decay_factor", "lam"):
+            with pytest.raises(ValueError, match=key):
+                TrainConfig(**{key: float("nan")})
 
     def test_reference_recipe_values(self):
         cfg = reference_recipe()
@@ -52,6 +55,8 @@ class TestConfig:
         assert cfg.base_lr == 0.1
         assert cfg.lr_decay_epochs == (60, 120, 160)
         assert cfg.lr_decay_factor == 5.0
+        assert cfg.lam == 7.5e-3
+        assert cfg.error_kind is ErrorFnKind.COSINE
 
     def test_lr_at_epoch_161(self):
         cfg = reference_recipe()
