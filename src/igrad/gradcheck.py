@@ -50,10 +50,11 @@ def max_scaled_error(got: np.ndarray, want: np.ndarray) -> float:
 
 @contextmanager
 def wrapped_backward(kind: str, wrap):
-    """Test hook: run one op's backward as `wrap(original, node, g, mode)` meanwhile."""
+    """Test hook: run one op's backward as `wrap(original, node, g, mode, need)`
+    meanwhile."""
     spec = T._REGISTRY[kind]
     orig = spec.backward
-    spec.backward = lambda node, g, mode: wrap(orig, node, g, mode)
+    spec.backward = lambda node, g, mode, need: wrap(orig, node, g, mode, need)
     try:
         yield
     finally:
@@ -63,8 +64,8 @@ def wrapped_backward(kind: str, wrap):
 def corrupted_backward(kind: str):
     """Test hook: multiply one op's backward output by a wrong factor, 1.5."""
 
-    def bad(orig, node, g, mode):
-        return [None if gi is None else T.scale(gi, 1.5) for gi in orig(node, g, mode)]
+    def bad(orig, node, g, mode, need):
+        return [None if gi is None else T.scale(gi, 1.5) for gi in orig(node, g, mode, need)]
 
     return wrapped_backward(kind, bad)
 
@@ -74,8 +75,8 @@ def recorded_relu_emissions():
     """Collect, as arrays, the gradient every ReLU backward emits meanwhile."""
     emitted: list[np.ndarray] = []
 
-    def record(orig, node, g, mode):
-        grads = orig(node, g, mode)
+    def record(orig, node, g, mode, need):
+        grads = orig(node, g, mode, need)
         emitted.append(grads[0].data)
         return grads
 

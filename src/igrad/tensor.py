@@ -3,6 +3,12 @@
 The backward pass is itself built from the same primitive ops, so gradients
 can be differentiated again (create_graph). Guided backpropagation is a
 per-ReLU rule override selected through GradMode.
+
+`backward` computes only the adjoints it returns: a scan of the tape marks
+the nodes that are, or depend on, a `wrt` tensor, and each op's backward
+`bwd(node, g, mode, need)` receives `need`, one bool per input, and may
+return None for an input that is not needed. The sweep keeps adjoints of
+needed inputs only.
 """
 
 from __future__ import annotations
@@ -168,6 +174,12 @@ def _apply(kind: str, inputs, attrs=None) -> Tensor:
     return out
 
 
+def _adjoints(need, *makers):
+    """One adjoint per input: makers[i]() where need[i], else None. A maker
+    past the node's input count (an absent bias) is never called."""
+    return [make() if n else None for n, make in zip(need, makers)]
+
+
 def _shape_err(kind, *extents):
     return ValueError(f"{kind}: incompatible shapes {' vs '.join(map(str, extents))}")
 
@@ -185,7 +197,7 @@ def _add_spec():
         _same_shape("add", xs)
         return xs[0] + xs[1]
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         return [g, g]
 
     return fwd, bwd
@@ -197,7 +209,7 @@ def _sub_spec():
         _same_shape("sub", xs)
         return xs[0] - xs[1]
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         return [g, neg(g)]
 
     return fwd, bwd
@@ -209,7 +221,7 @@ def _mul_spec():
         _same_shape("mul", xs)
         return xs[0] * xs[1]
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         a, b = node.inputs
         return [mul(g, b), mul(g, a)]
 
@@ -222,7 +234,7 @@ def _div_spec():
         _same_shape("div", xs)
         return xs[0] / xs[1]
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         b = node.inputs[1]
         return [div(g, b), neg(div(mul(g, node.out), b))]
 
@@ -234,7 +246,7 @@ def _scale_spec():
     def fwd(xs, attrs):
         return xs[0] * attrs["factor"]
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         return [scale(g, node.attrs["factor"])]
 
     return fwd, bwd
@@ -246,7 +258,7 @@ def _minimum_spec():
         _same_shape("minimum", xs)
         return np.minimum(xs[0], xs[1])
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         a, b = node.inputs
         # ties route to the first argument
         take_a = Tensor((a.data <= b.data).astype(np.float64), _copy=False)
@@ -263,7 +275,7 @@ def _relu_spec():
     def fwd(xs, attrs):
         return np.maximum(xs[0], 0.0)
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         gate = Tensor((node.inputs[0].data > 0).astype(np.float64), _copy=False)
         if mode is GradMode.GUIDED:
             return [mul(relu(g), gate)]
@@ -277,7 +289,7 @@ def _abs_spec():
     def fwd(xs, attrs):
         return np.abs(xs[0])
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         # subgradient 0 at exactly 0
         sign = Tensor(np.sign(node.inputs[0].data), _copy=False)
         return [mul(g, sign)]
@@ -290,7 +302,7 @@ def _sqrt_spec():
     def fwd(xs, attrs):
         return np.sqrt(xs[0])
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         return [div(g, scale(node.out, 2.0))]
 
     return fwd, bwd
@@ -303,7 +315,7 @@ def _reshape_spec():
     def fwd(xs, attrs):
         return np.reshape(xs[0], attrs["shape"])
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         return [reshape(g, node.inputs[0].shape)]
 
     return fwd, bwd
@@ -320,7 +332,7 @@ def _broadcast_spec():
             raise _shape_err("broadcast_to", x.shape, shape)
         return np.ascontiguousarray(np.broadcast_to(x, shape))
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         x = node.inputs[0]
         axes = tuple(
             i for i, (s, t) in enumerate(zip(x.shape, g.shape)) if s == 1 and t != 1
@@ -335,7 +347,7 @@ def _sum_spec():
     def fwd(xs, attrs):
         return np.asarray(np.sum(xs[0], axis=attrs["axis"], keepdims=attrs["keepdims"]))
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         x = node.inputs[0]
         axis = node.attrs["axis"]
         if axis is None:
@@ -358,7 +370,7 @@ def _transpose_spec():
     def fwd(xs, attrs):
         return xs[0].T
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         return [transpose(g)]
 
     return fwd, bwd
@@ -377,13 +389,15 @@ def _linear_spec():
             out = out + xs[2]
         return out
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         x, w = node.inputs[0], node.inputs[1]
         # g @ w and g.T @ x, each a linear against a transposed view
-        grads = [linear(g, transpose(w)), linear(transpose(g), transpose(x))]
-        if len(node.inputs) == 3:
-            grads.append(reduce_sum(g, axis=0))
-        return grads
+        return _adjoints(
+            need,
+            lambda: linear(g, transpose(w)),
+            lambda: linear(transpose(g), transpose(x)),
+            lambda: reduce_sum(g, axis=0),
+        )
 
     return fwd, bwd
 
@@ -443,13 +457,15 @@ def _conv2d_spec():
             out += xs[2][None, :, None, None]
         return out
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         x, w = node.inputs[0], node.inputs[1]
         p = node.attrs["padding"]
-        grads = [conv2d_input_grad(g, w, p), conv2d_kernel_grad(x, g, p)]
-        if len(node.inputs) == 3:
-            grads.append(reduce_sum(g, axis=(0, 2, 3)))
-        return grads
+        return _adjoints(
+            need,
+            lambda: conv2d_input_grad(g, w, p),
+            lambda: conv2d_kernel_grad(x, g, p),
+            lambda: reduce_sum(g, axis=(0, 2, 3)),
+        )
 
     return fwd, bwd
 
@@ -459,11 +475,15 @@ def _conv2d_input_grad_spec():
     def fwd(xs, attrs):
         return _conv2d_input_grad_fwd(xs[0], xs[1], attrs["padding"])
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         # bilinear in (gout, w): adjoints swap back through conv2d / kernel-corr
         gout, w = node.inputs
         p = node.attrs["padding"]
-        return [conv2d(g, w, padding=p), conv2d_kernel_grad(g, gout, p)]
+        return _adjoints(
+            need,
+            lambda: conv2d(g, w, padding=p),
+            lambda: conv2d_kernel_grad(g, gout, p),
+        )
 
     return fwd, bwd
 
@@ -473,10 +493,14 @@ def _conv2d_kernel_grad_spec():
     def fwd(xs, attrs):
         return _conv2d_kernel_grad_fwd(xs[0], xs[1], attrs["padding"])
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         x, gout = node.inputs
         p = node.attrs["padding"]
-        return [conv2d_input_grad(gout, g, p), conv2d(x, g, padding=p)]
+        return _adjoints(
+            need,
+            lambda: conv2d_input_grad(gout, g, p),
+            lambda: conv2d(x, g, padding=p),
+        )
 
     return fwd, bwd
 
@@ -516,7 +540,7 @@ def _pool_scatter_spec():
         np.put_along_axis(out, idx.reshape(n, c, -1), g.reshape(n, c, -1), axis=2)
         return out.reshape(n, c, hh, ww)
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         return [pool_gather(g, node.attrs["indices"])]
 
     return fwd, bwd
@@ -532,7 +556,7 @@ def _pool_gather_spec():
         picked = np.take_along_axis(flat, idx.reshape(n, c, -1), axis=2)
         return picked.reshape(idx.shape)
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         return [pool_scatter(g, node.attrs["indices"], in_hw=node.inputs[0].shape[2:])]
 
     return fwd, bwd
@@ -550,7 +574,7 @@ def _softmax_spec():
         e = np.exp(shifted)
         return e / np.sum(e, axis=1, keepdims=True)
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         p = node.out
         inner = reduce_sum(mul(p, g), axis=1, keepdims=True)
         return [mul(p, sub(g, broadcast_to(inner, g.shape)))]
@@ -569,7 +593,7 @@ def _ce_logits_spec():
         lse = np.log(np.sum(np.exp(y - m), axis=1)) + m[:, 0]
         return lse - y[np.arange(y.shape[0]), t]
 
-    def bwd(node, g, mode):
+    def bwd(node, g, mode, need):
         y = node.inputs[0]
         t = node.attrs["targets"]
         onehot = np.zeros(y.shape)
@@ -731,11 +755,18 @@ def backward(
         if t.node is None or t.node.tape is not tape:
             raise ValueError("backward: wrt tensor is not on the output's tape")
 
-    adjoint: dict[int, Tensor] = {output.node.idx: ones(output.shape)}
     start = output.node.idx
     # inputs precede their node: once the sweep is down to the lowest wrt
     # node, every wrt adjoint is complete and the nodes below feed none of them
     stop = min((t.node.idx for t in wrt), default=start)
+
+    # a node is live when it is a wrt node or has a live input; only live
+    # nodes' adjoints are computed and kept
+    live = {t.node.idx for t in wrt}
+    for node in tape.nodes[stop + 1 : start + 1]:
+        if any(t.node is not None and t.node.idx in live for t in node.inputs):
+            live.add(node.idx)
+    adjoint: dict[int, Tensor] = {start: ones(output.shape)} if start in live else {}
 
     def sweep():
         for idx in range(start, stop, -1):
@@ -745,13 +776,13 @@ def backward(
             node = tape.nodes[idx]
             if node.op == "leaf":
                 continue
-            grads = _REGISTRY[node.op].backward(node, g, mode)
-            for t_in, gi in zip(node.inputs, grads):
-                if gi is None or t_in.node is None:
-                    continue
-                j = t_in.node.idx
-                prev = adjoint.get(j)
-                adjoint[j] = gi if prev is None else add(prev, gi)
+            need = tuple(t.node is not None and t.node.idx in live for t in node.inputs)
+            grads = _REGISTRY[node.op].backward(node, g, mode, need)
+            for t_in, gi, n in zip(node.inputs, grads, need):
+                if n:
+                    j = t_in.node.idx
+                    prev = adjoint.get(j)
+                    adjoint[j] = gi if prev is None else add(prev, gi)
 
     if create_graph:
         sweep()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from igrad import tensor as T
 from igrad.gradcheck import recorded_relu_emissions
+from igrad.losses import ErrorFnKind
 from igrad.tensor import GradMode, Tape, Tensor, backward, detach
 
 
@@ -138,6 +139,77 @@ class TestBackward:
         x = watched(tape, 2.0)
         (g,) = backward(T.mul(x, x), [x])
         assert g.node is None
+
+
+def _batch_and_specs():
+    from igrad import data, nn
+
+    split = data.synthetic_shapes(8, hw=8, seed=3)
+    x, t = split.batch(np.arange(len(split)))
+    specs = {
+        "tinycnn": nn.tinycnn((3, 8, 8), split.num_classes, (4, 6)),
+        "miniresnet": nn.miniresnet((3, 8, 8), split.num_classes, 4),
+    }
+    return x, t, specs
+
+
+class TestLivePruning:
+    """backward computes only the adjoints of nodes with a path to wrt."""
+
+    @pytest.mark.parametrize(
+        "lam, want",
+        [
+            (1.0, {"conv2d_kernel_grad": 4, "conv2d_input_grad": 5, "linear": 7}),
+            # the watched input's gradient is dead at lambda 0
+            (0.0, {"conv2d_input_grad": 1}),
+        ],
+    )
+    def test_train_step_dispatch_counts(self, monkeypatch, lam, want):
+        from collections import Counter
+
+        from igrad import nn, train
+
+        counts = Counter()
+        apply = T._apply
+        monkeypatch.setattr(T, "_apply", lambda kind, *a: counts.update([kind]) or apply(kind, *a))
+        x, t, specs = _batch_and_specs()
+        model = nn.build_model(specs["tinycnn"], 0)
+        velocity = [np.zeros_like(p.data) for p in model.params]
+        cfg = train.TrainConfig(lam=lam, error_kind=ErrorFnKind.COSINE)
+        train.train_step(model, x, t, cfg, 0.01, velocity)
+        assert {k: counts[k] for k in want} == want
+
+    @pytest.mark.parametrize("arch", ["tinycnn", "miniresnet"])
+    @pytest.mark.parametrize("kind", list(ErrorFnKind))
+    def test_pruning_never_changes_a_kept_adjoint(self, arch, kind):
+        from igrad import losses, nn
+
+        x_batch, t, specs = _batch_and_specs()
+        model = nn.build_model(specs[arch], 0)
+
+        def build():
+            # a fresh tape per call; _forward_ce watches the input first, and
+            # the total is add(ce, lam * loss_r)
+            res = losses.interpretable_loss(model, x_batch, t, kind, lam=1.0)
+            x = res.total.node.tape.nodes[0].out
+            assert x.shape == x_batch.shape
+            ce = res.total.node.inputs[0]
+            return res.total, ce, x, res.params
+
+        for mode in GradMode:
+            total, _, _, params = build()
+            narrow = backward(total, params, mode=mode)
+            total, _, x, params = build()
+            wide = backward(total, [x] + params, mode=mode)
+            for a, b in zip(narrow, wide[1:], strict=True):
+                np.testing.assert_array_equal(a.data, b.data)
+
+            graph = mode is GradMode.STANDARD
+            _, ce, x, _ = build()
+            (narrow,) = backward(ce, [x], mode=mode, create_graph=graph)
+            _, ce, x, params = build()
+            wide = backward(ce, [x] + params, mode=mode, create_graph=graph)
+            np.testing.assert_array_equal(narrow.data, wide[0].data)
 
 
 class TestDetach:
