@@ -180,18 +180,16 @@ def build_datasets(cfg: dict):
     return train_split, test_split
 
 
-def build_model(cfg: dict, dataset) -> nn.Model:
+def model_spec(cfg: dict, dataset) -> nn.ArchitectureSpec:
     mc = cfg["model"]
     input_shape = dataset.images[0].pixels.shape
     if mc["architecture"] == "tinycnn":
-        spec = nn.tinycnn(input_shape, dataset.num_classes, tuple(mc["widths"]))
-    else:
-        spec = nn.miniresnet(input_shape, dataset.num_classes, mc["width"])
-    return nn.build_model(spec, mc["seed"])
+        return nn.tinycnn(input_shape, dataset.num_classes, tuple(mc["widths"]))
+    return nn.miniresnet(input_shape, dataset.num_classes, mc["width"])
 
 
-def model_spec(cfg: dict, dataset) -> nn.ArchitectureSpec:
-    return build_model(cfg, dataset).spec
+def build_model(cfg: dict, dataset) -> nn.Model:
+    return nn.build_model(model_spec(cfg, dataset), cfg["model"]["seed"])
 
 
 def train_config(cfg: dict, checkpoint_path=None) -> TrainConfig:

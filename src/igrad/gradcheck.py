@@ -50,22 +50,21 @@ def max_scaled_error(got: np.ndarray, want: np.ndarray) -> float:
 
 @contextmanager
 def wrapped_backward(kind: str, wrap):
-    """Test hook: run one op's backward as `wrap(original, node, g, mode, need)`
-    meanwhile."""
-    spec = T._REGISTRY[kind]
-    orig = spec.backward
-    spec.backward = lambda node, g, mode, need: wrap(orig, node, g, mode, need)
+    """Test hook: run one op's backward rule as `wrap(original, node, g)`
+    meanwhile; like the rule, it returns one thunk per input."""
+    orig = T._REGISTRY[kind]
+    T._REGISTRY[kind] = lambda node, g: wrap(orig, node, g)
     try:
         yield
     finally:
-        spec.backward = orig
+        T._REGISTRY[kind] = orig
 
 
 def corrupted_backward(kind: str):
     """Test hook: multiply one op's backward output by a wrong factor, 1.5."""
 
-    def bad(orig, node, g, mode, need):
-        return [None if gi is None else T.scale(gi, 1.5) for gi in orig(node, g, mode, need)]
+    def bad(orig, node, g):
+        return [lambda make=make: T.scale(make(), 1.5) for make in orig(node, g)]
 
     return wrapped_backward(kind, bad)
 
@@ -75,10 +74,15 @@ def recorded_relu_emissions():
     """Collect, as arrays, the gradient every ReLU backward emits meanwhile."""
     emitted: list[np.ndarray] = []
 
-    def record(orig, node, g, mode, need):
-        grads = orig(node, g, mode, need)
-        emitted.append(grads[0].data)
-        return grads
+    def record(orig, node, g):
+        (make,) = orig(node, g)
+
+        def emit():
+            gi = make()
+            emitted.append(gi.data)
+            return gi
+
+        return [emit]
 
     with wrapped_backward("relu", record):
         yield emitted

@@ -206,7 +206,7 @@ class Model:
         maps["gap_input"] = h
         pooled = T.global_avg_pool(h)
         logits = T.linear(pooled, take(), take())
-        probs = T.softmax(logits)
+        probs = T.softmax(T.detach(logits))  # read, never differentiated
         return ForwardResult(logits, probs, maps, watched if tape is not None else None)
 
 

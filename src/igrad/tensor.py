@@ -1,14 +1,14 @@
 """Dense float64 tensors with a tape-based reverse-mode autodiff engine.
 
 The backward pass is itself built from the same primitive ops, so gradients
-can be differentiated again (create_graph). Guided backpropagation is a
-per-ReLU rule override selected through GradMode.
+can be differentiated again (create_graph). In guided mode (GradMode) the
+sweep passes only the positive part of the gradient into each ReLU.
 
-`backward` computes only the adjoints it returns: a scan of the tape marks
-the nodes that are, or depend on, a `wrt` tensor, and each op's backward
-`bwd(node, g, mode, need)` receives `need`, one bool per input, and may
-return None for an input that is not needed. The sweep keeps adjoints of
-needed inputs only.
+Each op is one public function that computes its forward in numpy and
+records a node, followed by its backward rule `bwd(node, g)`, which returns
+one zero-argument thunk per input. `backward` computes only the adjoints it
+returns: a scan of the tape marks the nodes that are, or depend on, a `wrt`
+tensor, and the sweep calls the thunks of those live inputs only.
 """
 
 from __future__ import annotations
@@ -126,25 +126,18 @@ def detach(t: Tensor) -> Tensor:
 
 
 # --------------------------------------------------------------------------
-# op registry
+# ops: each public op computes its forward in numpy and records one node
 # --------------------------------------------------------------------------
 
-class _OpSpec:
-    __slots__ = ("forward", "backward")
-
-    def __init__(self, forward, backward):
-        self.forward = forward
-        self.backward = backward
+# kind -> bwd(node, g), which returns one zero-argument thunk per input that
+# builds that input's adjoint
+_REGISTRY: dict = {}
 
 
-_REGISTRY: dict[str, _OpSpec] = {}
-
-
-def _op(name):
-    def register(pair):
-        fwd, bwd = pair()
-        _REGISTRY[name] = _OpSpec(fwd, bwd)
-        return pair
+def _rule(kind):
+    def register(bwd):
+        _REGISTRY[kind] = bwd
+        return bwd
 
     return register
 
@@ -162,9 +155,7 @@ def _tape_of(inputs) -> Tape | None:
     return tape
 
 
-def _apply(kind: str, inputs, attrs=None) -> Tensor:
-    spec = _REGISTRY[kind]
-    out_data = spec.forward([t.data for t in inputs], attrs)
+def _apply(kind: str, out_data, inputs, attrs=None) -> Tensor:
     out = Tensor(out_data, _copy=False)
     tape = _tape_of(inputs)
     if tape is not None:
@@ -174,241 +165,219 @@ def _apply(kind: str, inputs, attrs=None) -> Tensor:
     return out
 
 
-def _adjoints(need, *makers):
-    """One adjoint per input: makers[i]() where need[i], else None. A maker
-    past the node's input count (an absent bias) is never called."""
-    return [make() if n else None for n, make in zip(need, makers)]
-
-
 def _shape_err(kind, *extents):
     return ValueError(f"{kind}: incompatible shapes {' vs '.join(map(str, extents))}")
 
 
-def _same_shape(kind, xs):
-    if xs[0].shape != xs[1].shape:
-        raise _shape_err(kind, xs[0].shape, xs[1].shape)
+def _same_shape(kind, a, b):
+    if a.shape != b.shape:
+        raise _shape_err(kind, a.shape, b.shape)
 
 
 # ---- elementwise arithmetic (operands of equal shape) ----
 
-@_op("add")
-def _add_spec():
-    def fwd(xs, attrs):
-        _same_shape("add", xs)
-        return xs[0] + xs[1]
-
-    def bwd(node, g, mode, need):
-        return [g, g]
-
-    return fwd, bwd
+def add(a, b):
+    _same_shape("add", a, b)
+    return _apply("add", a.data + b.data, [a, b])
 
 
-@_op("sub")
-def _sub_spec():
-    def fwd(xs, attrs):
-        _same_shape("sub", xs)
-        return xs[0] - xs[1]
-
-    def bwd(node, g, mode, need):
-        return [g, neg(g)]
-
-    return fwd, bwd
+@_rule("add")
+def _add_bwd(node, g):
+    return [lambda: g, lambda: g]
 
 
-@_op("mul")
-def _mul_spec():
-    def fwd(xs, attrs):
-        _same_shape("mul", xs)
-        return xs[0] * xs[1]
-
-    def bwd(node, g, mode, need):
-        a, b = node.inputs
-        return [mul(g, b), mul(g, a)]
-
-    return fwd, bwd
+def sub(a, b):
+    _same_shape("sub", a, b)
+    return _apply("sub", a.data - b.data, [a, b])
 
 
-@_op("div")
-def _div_spec():
-    def fwd(xs, attrs):
-        _same_shape("div", xs)
-        return xs[0] / xs[1]
-
-    def bwd(node, g, mode, need):
-        b = node.inputs[1]
-        return [div(g, b), neg(div(mul(g, node.out), b))]
-
-    return fwd, bwd
+@_rule("sub")
+def _sub_bwd(node, g):
+    return [lambda: g, lambda: neg(g)]
 
 
-@_op("scale")
-def _scale_spec():
-    def fwd(xs, attrs):
-        return xs[0] * attrs["factor"]
-
-    def bwd(node, g, mode, need):
-        return [scale(g, node.attrs["factor"])]
-
-    return fwd, bwd
+def mul(a, b):
+    _same_shape("mul", a, b)
+    return _apply("mul", a.data * b.data, [a, b])
 
 
-@_op("minimum")
-def _minimum_spec():
-    def fwd(xs, attrs):
-        _same_shape("minimum", xs)
-        return np.minimum(xs[0], xs[1])
+@_rule("mul")
+def _mul_bwd(node, g):
+    a, b = node.inputs
+    return [lambda: mul(g, b), lambda: mul(g, a)]
 
-    def bwd(node, g, mode, need):
-        a, b = node.inputs
-        # ties route to the first argument
-        take_a = Tensor((a.data <= b.data).astype(np.float64), _copy=False)
-        take_b = Tensor((b.data < a.data).astype(np.float64), _copy=False)
-        return [mul(g, take_a), mul(g, take_b)]
 
-    return fwd, bwd
+def div(a, b):
+    _same_shape("div", a, b)
+    return _apply("div", a.data / b.data, [a, b])
+
+
+@_rule("div")
+def _div_bwd(node, g):
+    b = node.inputs[1]
+    return [lambda: div(g, b), lambda: neg(div(mul(g, node.out), b))]
+
+
+def scale(a, factor: float):
+    factor = float(factor)
+    return _apply("scale", a.data * factor, [a], {"factor": factor})
+
+
+@_rule("scale")
+def _scale_bwd(node, g):
+    return [lambda: scale(g, node.attrs["factor"])]
+
+
+def neg(a):
+    return scale(a, -1.0)
+
+
+def minimum(a, b):
+    _same_shape("minimum", a, b)
+    return _apply("minimum", np.minimum(a.data, b.data), [a, b])
+
+
+@_rule("minimum")
+def _minimum_bwd(node, g):
+    a, b = node.inputs
+    # ties route to the first argument
+    return [
+        lambda: mul(g, Tensor((a.data <= b.data).astype(np.float64), _copy=False)),
+        lambda: mul(g, Tensor((b.data < a.data).astype(np.float64), _copy=False)),
+    ]
 
 
 # ---- elementwise functions ----
 
-@_op("relu")
-def _relu_spec():
-    def fwd(xs, attrs):
-        return np.maximum(xs[0], 0.0)
-
-    def bwd(node, g, mode, need):
-        gate = Tensor((node.inputs[0].data > 0).astype(np.float64), _copy=False)
-        if mode is GradMode.GUIDED:
-            return [mul(relu(g), gate)]
-        return [mul(g, gate)]
-
-    return fwd, bwd
+def relu(a):
+    return _apply("relu", np.maximum(a.data, 0.0), [a])
 
 
-@_op("abs")
-def _abs_spec():
-    def fwd(xs, attrs):
-        return np.abs(xs[0])
-
-    def bwd(node, g, mode, need):
-        # subgradient 0 at exactly 0
-        sign = Tensor(np.sign(node.inputs[0].data), _copy=False)
-        return [mul(g, sign)]
-
-    return fwd, bwd
+@_rule("relu")
+def _relu_bwd(node, g):
+    gate = Tensor((node.inputs[0].data > 0).astype(np.float64), _copy=False)
+    return [lambda: mul(g, gate)]
 
 
-@_op("sqrt")
-def _sqrt_spec():
-    def fwd(xs, attrs):
-        return np.sqrt(xs[0])
+def absolute(a):
+    return _apply("abs", np.abs(a.data), [a])
 
-    def bwd(node, g, mode, need):
-        return [div(g, scale(node.out, 2.0))]
 
-    return fwd, bwd
+@_rule("abs")
+def _abs_bwd(node, g):
+    # subgradient 0 at exactly 0
+    sign = Tensor(np.sign(node.inputs[0].data), _copy=False)
+    return [lambda: mul(g, sign)]
+
+
+def sqrt(a):
+    return _apply("sqrt", np.sqrt(a.data), [a])
+
+
+@_rule("sqrt")
+def _sqrt_bwd(node, g):
+    return [lambda: div(g, scale(node.out, 2.0))]
 
 
 # ---- shape movement ----
 
-@_op("reshape")
-def _reshape_spec():
-    def fwd(xs, attrs):
-        return np.reshape(xs[0], attrs["shape"])
-
-    def bwd(node, g, mode, need):
-        return [reshape(g, node.inputs[0].shape)]
-
-    return fwd, bwd
+def reshape(a, shape):
+    return _apply("reshape", np.reshape(a.data, tuple(shape)), [a])
 
 
-@_op("broadcast_to")
-def _broadcast_spec():
-    def fwd(xs, attrs):
-        x = xs[0]
-        shape = tuple(attrs["shape"])
-        if x.ndim != len(shape) or any(
-            s not in (1, t) for s, t in zip(x.shape, shape)
-        ):
-            raise _shape_err("broadcast_to", x.shape, shape)
-        return np.ascontiguousarray(np.broadcast_to(x, shape))
-
-    def bwd(node, g, mode, need):
-        x = node.inputs[0]
-        axes = tuple(
-            i for i, (s, t) in enumerate(zip(x.shape, g.shape)) if s == 1 and t != 1
-        )
-        return [reduce_sum(g, axis=axes, keepdims=True) if axes else g]
-
-    return fwd, bwd
+@_rule("reshape")
+def _reshape_bwd(node, g):
+    return [lambda: reshape(g, node.inputs[0].shape)]
 
 
-@_op("sum")
-def _sum_spec():
-    def fwd(xs, attrs):
-        return np.asarray(np.sum(xs[0], axis=attrs["axis"], keepdims=attrs["keepdims"]))
+def broadcast_to(a, shape):
+    shape = tuple(shape)
+    if len(a.shape) != len(shape) or any(s not in (1, t) for s, t in zip(a.shape, shape)):
+        raise _shape_err("broadcast_to", a.shape, shape)
+    return _apply("broadcast_to", np.ascontiguousarray(np.broadcast_to(a.data, shape)), [a])
 
-    def bwd(node, g, mode, need):
-        x = node.inputs[0]
-        axis = node.attrs["axis"]
-        if axis is None:
-            axes = tuple(range(len(x.shape)))
-        elif isinstance(axis, int):
-            axes = (axis,)
-        else:
-            axes = tuple(axis)
-        kshape = tuple(1 if i in axes else s for i, s in enumerate(x.shape))
+
+@_rule("broadcast_to")
+def _broadcast_to_bwd(node, g):
+    x = node.inputs[0]
+    axes = tuple(
+        i for i, (s, t) in enumerate(zip(x.shape, g.shape)) if s == 1 and t != 1
+    )
+    return [lambda: reduce_sum(g, axis=axes, keepdims=True) if axes else g]
+
+
+def reduce_sum(a, axis=None, keepdims=False):
+    out = np.asarray(np.sum(a.data, axis=axis, keepdims=keepdims))
+    return _apply("sum", out, [a], {"axis": axis, "keepdims": keepdims})
+
+
+@_rule("sum")
+def _sum_bwd(node, g):
+    x = node.inputs[0]
+    axis = node.attrs["axis"]
+    if axis is None:
+        axes = tuple(range(len(x.shape)))
+    elif isinstance(axis, int):
+        axes = (axis,)
+    else:
+        axes = tuple(axis)
+    kshape = tuple(1 if i in axes else s for i, s in enumerate(x.shape))
+
+    def make():
         gk = g if node.attrs["keepdims"] else reshape(g, kshape)
-        return [broadcast_to(gk, x.shape) if x.shape else gk]
+        return broadcast_to(gk, x.shape) if x.shape else gk
 
-    return fwd, bwd
+    return [make]
+
+
+def mean(a, axis=None):
+    """Mean over every element, or over the axes in the tuple `axis`."""
+    count = a.size if axis is None else int(np.prod([a.shape[i] for i in axis]))
+    return scale(reduce_sum(a, axis=axis), 1.0 / count)
 
 
 # ---- linear algebra ----
 
-@_op("transpose")
-def _transpose_spec():
-    def fwd(xs, attrs):
-        return xs[0].T
-
-    def bwd(node, g, mode, need):
-        return [transpose(g)]
-
-    return fwd, bwd
+def transpose(a):
+    return _apply("transpose", a.data.T, [a])
 
 
-@_op("linear")
-def _linear_spec():
-    def fwd(xs, attrs):
-        x, w = xs[0], xs[1]
-        if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
-            raise _shape_err("linear", x.shape, w.shape)
-        out = x @ w.T
-        if len(xs) == 3:
-            if xs[2].shape != (w.shape[0],):
-                raise _shape_err("linear bias", xs[2].shape, (w.shape[0],))
-            out = out + xs[2]
-        return out
+@_rule("transpose")
+def _transpose_bwd(node, g):
+    return [lambda: transpose(g)]
 
-    def bwd(node, g, mode, need):
-        x, w = node.inputs[0], node.inputs[1]
-        # g @ w and g.T @ x, each a linear against a transposed view
-        return _adjoints(
-            need,
-            lambda: linear(g, transpose(w)),
-            lambda: linear(transpose(g), transpose(x)),
-            lambda: reduce_sum(g, axis=0),
-        )
 
-    return fwd, bwd
+def linear(x, w, b=None):
+    if len(x.shape) != 2 or len(w.shape) != 2 or x.shape[1] != w.shape[1]:
+        raise _shape_err("linear", x.shape, w.shape)
+    out = x.data @ w.data.T
+    if b is None:
+        return _apply("linear", out, [x, w])
+    if b.shape != (w.shape[0],):
+        raise _shape_err("linear bias", b.shape, (w.shape[0],))
+    return _apply("linear", out + b.data, [x, w, b])
+
+
+@_rule("linear")
+def _linear_bwd(node, g):
+    x, w = node.inputs[:2]
+    # g @ w and g.T @ x, each a linear against a transposed view; a thunk past
+    # the node's inputs (an absent bias) is never called
+    return [
+        lambda: linear(g, transpose(w)),
+        lambda: linear(transpose(g), transpose(x)),
+        lambda: reduce_sum(g, axis=0),
+    ]
 
 
 # ---- convolution family (mutually adjoint triple; windows one pixel apart) ----
 
-def _conv2d_fwd(x, w, padding):
+def conv2d(x, w, b=None, padding=0):
+    padding = int(padding)
     co, ci, kh, kw = w.shape
     if x.shape[1] != ci:
         raise _shape_err("conv2d", x.shape, w.shape)
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     n, _, hp, wp = xp.shape
     ho, wo = hp - kh + 1, wp - kw + 1
     if ho < 1 or wo < 1:
@@ -417,25 +386,51 @@ def _conv2d_fwd(x, w, padding):
     for i in range(kh):
         for j in range(kw):
             patch = xp[:, :, i : i + ho, j : j + wo]
-            out += np.einsum("ncij,oc->noij", patch, w[:, :, i, j], optimize=True)
-    return out
+            out += np.einsum("ncij,oc->noij", patch, w.data[:, :, i, j], optimize=True)
+    if b is None:
+        return _apply("conv2d", out, [x, w], {"padding": padding})
+    if b.shape != (co,):
+        raise _shape_err("conv2d bias", b.shape, (co,))
+    out += b.data[None, :, None, None]
+    return _apply("conv2d", out, [x, w, b], {"padding": padding})
 
 
-def _conv2d_input_grad_fwd(g, w, padding):
+@_rule("conv2d")
+def _conv2d_bwd(node, g):
+    x, w = node.inputs[:2]
+    p = node.attrs["padding"]
+    return [
+        lambda: conv2d_input_grad(g, w, p),
+        lambda: conv2d_kernel_grad(x, g, p),
+        lambda: reduce_sum(g, axis=(0, 2, 3)),
+    ]
+
+
+def conv2d_input_grad(g, w, padding):
+    """Adjoint of conv2d in x: the gradient of sum(conv2d(x, w) * g) w.r.t. x."""
     n, co, ho, wo = g.shape
     _, ci, kh, kw = w.shape
     gxp = np.zeros((n, ci, ho + kh - 1, wo + kw - 1))
     for i in range(kh):
         for j in range(kw):
-            contrib = np.einsum("noij,oc->ncij", g, w[:, :, i, j], optimize=True)
+            contrib = np.einsum("noij,oc->ncij", g.data, w.data[:, :, i, j], optimize=True)
             gxp[:, :, i : i + ho, j : j + wo] += contrib
     if padding:
         gxp = gxp[:, :, padding:-padding, padding:-padding]
-    return np.ascontiguousarray(gxp)
+    return _apply("conv2d_input_grad", np.ascontiguousarray(gxp), [g, w], {"padding": padding})
 
 
-def _conv2d_kernel_grad_fwd(x, g, padding):
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+@_rule("conv2d_input_grad")
+def _conv2d_input_grad_bwd(node, g):
+    # bilinear in (gout, w): adjoints swap back through conv2d / kernel-corr
+    gout, w = node.inputs
+    p = node.attrs["padding"]
+    return [lambda: conv2d(g, w, padding=p), lambda: conv2d_kernel_grad(g, gout, p)]
+
+
+def conv2d_kernel_grad(x, g, padding):
+    """Adjoint of conv2d in w: the gradient of sum(conv2d(x, w) * g) w.r.t. w."""
+    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     _, ci, hp, wp = xp.shape
     _, co, ho, wo = g.shape
     kh, kw = hp - ho + 1, wp - wo + 1
@@ -443,66 +438,15 @@ def _conv2d_kernel_grad_fwd(x, g, padding):
     for i in range(kh):
         for j in range(kw):
             patch = xp[:, :, i : i + ho, j : j + wo]
-            gw[:, :, i, j] = np.einsum("ncij,noij->oc", patch, g, optimize=True)
-    return gw
+            gw[:, :, i, j] = np.einsum("ncij,noij->oc", patch, g.data, optimize=True)
+    return _apply("conv2d_kernel_grad", gw, [x, g], {"padding": padding})
 
 
-@_op("conv2d")
-def _conv2d_spec():
-    def fwd(xs, attrs):
-        out = _conv2d_fwd(xs[0], xs[1], attrs["padding"])
-        if len(xs) == 3:
-            if xs[2].shape != (xs[1].shape[0],):
-                raise _shape_err("conv2d bias", xs[2].shape, (xs[1].shape[0],))
-            out += xs[2][None, :, None, None]
-        return out
-
-    def bwd(node, g, mode, need):
-        x, w = node.inputs[0], node.inputs[1]
-        p = node.attrs["padding"]
-        return _adjoints(
-            need,
-            lambda: conv2d_input_grad(g, w, p),
-            lambda: conv2d_kernel_grad(x, g, p),
-            lambda: reduce_sum(g, axis=(0, 2, 3)),
-        )
-
-    return fwd, bwd
-
-
-@_op("conv2d_input_grad")
-def _conv2d_input_grad_spec():
-    def fwd(xs, attrs):
-        return _conv2d_input_grad_fwd(xs[0], xs[1], attrs["padding"])
-
-    def bwd(node, g, mode, need):
-        # bilinear in (gout, w): adjoints swap back through conv2d / kernel-corr
-        gout, w = node.inputs
-        p = node.attrs["padding"]
-        return _adjoints(
-            need,
-            lambda: conv2d(g, w, padding=p),
-            lambda: conv2d_kernel_grad(g, gout, p),
-        )
-
-    return fwd, bwd
-
-
-@_op("conv2d_kernel_grad")
-def _conv2d_kernel_grad_spec():
-    def fwd(xs, attrs):
-        return _conv2d_kernel_grad_fwd(xs[0], xs[1], attrs["padding"])
-
-    def bwd(node, g, mode, need):
-        x, gout = node.inputs
-        p = node.attrs["padding"]
-        return _adjoints(
-            need,
-            lambda: conv2d_input_grad(gout, g, p),
-            lambda: conv2d(x, g, padding=p),
-        )
-
-    return fwd, bwd
+@_rule("conv2d_kernel_grad")
+def _conv2d_kernel_grad_bwd(node, g):
+    x, gout = node.inputs
+    p = node.attrs["padding"]
+    return [lambda: conv2d_input_grad(gout, g, p), lambda: conv2d(x, g, padding=p)]
 
 
 # ---- pooling (non-overlapping POOL x POOL windows; argmax indices are
@@ -529,178 +473,36 @@ def _pool_argmax(x):
     return base + offsets[pick]
 
 
-@_op("pool_scatter")
-def _pool_scatter_spec():
-    def fwd(xs, attrs):
-        g = xs[0]
-        idx = attrs["indices"]
-        hh, ww = attrs["in_hw"]
-        n, c = g.shape[0], g.shape[1]
-        out = np.zeros((n, c, hh * ww))
-        np.put_along_axis(out, idx.reshape(n, c, -1), g.reshape(n, c, -1), axis=2)
-        return out.reshape(n, c, hh, ww)
-
-    def bwd(node, g, mode, need):
-        return [pool_gather(g, node.attrs["indices"])]
-
-    return fwd, bwd
-
-
-@_op("pool_gather")
-def _pool_gather_spec():
-    def fwd(xs, attrs):
-        x = xs[0]
-        idx = attrs["indices"]
-        n, c, hh, ww = x.shape
-        flat = x.reshape(n, c, hh * ww)
-        picked = np.take_along_axis(flat, idx.reshape(n, c, -1), axis=2)
-        return picked.reshape(idx.shape)
-
-    def bwd(node, g, mode, need):
-        return [pool_scatter(g, node.attrs["indices"], in_hw=node.inputs[0].shape[2:])]
-
-    return fwd, bwd
-
-
-# ---- softmax / cross-entropy ----
-
-@_op("softmax")
-def _softmax_spec():
-    def fwd(xs, attrs):
-        x = xs[0]
-        if x.ndim != 2:
-            raise _shape_err("softmax", x.shape)
-        shifted = x - np.max(x, axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / np.sum(e, axis=1, keepdims=True)
-
-    def bwd(node, g, mode, need):
-        p = node.out
-        inner = reduce_sum(mul(p, g), axis=1, keepdims=True)
-        return [mul(p, sub(g, broadcast_to(inner, g.shape)))]
-
-    return fwd, bwd
-
-
-@_op("cross_entropy_logits")
-def _ce_logits_spec():
-    def fwd(xs, attrs):
-        y = xs[0]
-        t = attrs["targets"]
-        if y.ndim != 2:
-            raise _shape_err("cross_entropy_logits", y.shape)
-        m = np.max(y, axis=1, keepdims=True)
-        lse = np.log(np.sum(np.exp(y - m), axis=1)) + m[:, 0]
-        return lse - y[np.arange(y.shape[0]), t]
-
-    def bwd(node, g, mode, need):
-        y = node.inputs[0]
-        t = node.attrs["targets"]
-        onehot = np.zeros(y.shape)
-        onehot[np.arange(y.shape[0]), t] = 1.0
-        p = softmax(y)
-        gcol = broadcast_to(reshape(g, (y.shape[0], 1)), y.shape)
-        return [mul(sub(p, Tensor(onehot, _copy=False)), gcol)]
-
-    return fwd, bwd
-
-
-# --------------------------------------------------------------------------
-# public op helpers
-# --------------------------------------------------------------------------
-
-def add(a, b):
-    return _apply("add", [a, b])
-
-
-def sub(a, b):
-    return _apply("sub", [a, b])
-
-
-def mul(a, b):
-    return _apply("mul", [a, b])
-
-
-def div(a, b):
-    return _apply("div", [a, b])
-
-
-def neg(a):
-    return scale(a, -1.0)
-
-
-def scale(a, factor: float):
-    return _apply("scale", [a], {"factor": float(factor)})
-
-
-def minimum(a, b):
-    return _apply("minimum", [a, b])
-
-
-def relu(a):
-    return _apply("relu", [a])
-
-
-def absolute(a):
-    return _apply("abs", [a])
-
-
-def sqrt(a):
-    return _apply("sqrt", [a])
-
-
-def reshape(a, shape):
-    return _apply("reshape", [a], {"shape": tuple(shape)})
-
-
-def broadcast_to(a, shape):
-    return _apply("broadcast_to", [a], {"shape": tuple(shape)})
-
-
-def reduce_sum(a, axis=None, keepdims=False):
-    return _apply("sum", [a], {"axis": axis, "keepdims": keepdims})
-
-
-def mean(a, axis=None):
-    """Mean over every element, or over the axes in the tuple `axis`."""
-    count = a.size if axis is None else int(np.prod([a.shape[i] for i in axis]))
-    return scale(reduce_sum(a, axis=axis), 1.0 / count)
-
-
-def transpose(a):
-    return _apply("transpose", [a])
-
-
-def linear(x, w, b=None):
-    ins = [x, w] if b is None else [x, w, b]
-    return _apply("linear", ins)
-
-
-def conv2d(x, w, b=None, padding=0):
-    ins = [x, w] if b is None else [x, w, b]
-    return _apply("conv2d", ins, {"padding": int(padding)})
-
-
-def conv2d_input_grad(g, w, padding):
-    return _apply("conv2d_input_grad", [g, w], {"padding": padding})
-
-
-def conv2d_kernel_grad(x, g, padding):
-    return _apply("conv2d_kernel_grad", [x, g], {"padding": padding})
-
-
 def maxpool2d(x):
     """Maxima of non-overlapping POOL x POOL windows, as a pool_gather at
     argmax indices taken once, here."""
     return pool_gather(x, _pool_argmax(x.data))
 
 
-def pool_scatter(g, indices, in_hw):
-    return _apply("pool_scatter", [g], {"indices": indices, "in_hw": tuple(in_hw)})
-
-
 def pool_gather(x, indices):
-    return _apply("pool_gather", [x], {"indices": indices})
+    n, c, hh, ww = x.shape
+    flat = x.data.reshape(n, c, hh * ww)
+    picked = np.take_along_axis(flat, indices.reshape(n, c, -1), axis=2)
+    return _apply("pool_gather", picked.reshape(indices.shape), [x], {"indices": indices})
+
+
+@_rule("pool_gather")
+def _pool_gather_bwd(node, g):
+    return [lambda: pool_scatter(g, node.attrs["indices"], node.inputs[0].shape[2:])]
+
+
+def pool_scatter(g, indices, in_hw):
+    """Adjoint of pool_gather: g at the flat indices of an in_hw map, zeros elsewhere."""
+    hh, ww = in_hw
+    n, c = g.shape[0], g.shape[1]
+    out = np.zeros((n, c, hh * ww))
+    np.put_along_axis(out, indices.reshape(n, c, -1), g.data.reshape(n, c, -1), axis=2)
+    return _apply("pool_scatter", out.reshape(n, c, hh, ww), [g], {"indices": indices})
+
+
+@_rule("pool_scatter")
+def _pool_scatter_bwd(node, g):
+    return [lambda: pool_gather(g, node.attrs["indices"])]
 
 
 def global_avg_pool(x):
@@ -709,20 +511,56 @@ def global_avg_pool(x):
     return mean(x, axis=(2, 3))
 
 
+# ---- softmax / cross-entropy ----
+
 def softmax(x):
     """Row-wise softmax of a 2-D input."""
-    return _apply("softmax", [x])
+    if len(x.shape) != 2:
+        raise _shape_err("softmax", x.shape)
+    e = np.exp(x.data - np.max(x.data, axis=1, keepdims=True))
+    return _apply("softmax", e / np.sum(e, axis=1, keepdims=True), [x])
+
+
+@_rule("softmax")
+def _softmax_bwd(node, g):
+    p = node.out
+
+    def make():
+        inner = reduce_sum(mul(p, g), axis=1, keepdims=True)
+        return mul(p, sub(g, broadcast_to(inner, g.shape)))
+
+    return [make]
 
 
 def cross_entropy_logits(logits, targets):
+    y = logits.data
+    if y.ndim != 2:
+        raise _shape_err("cross_entropy_logits", y.shape)
     t = np.asarray(targets, dtype=np.int64)
-    if t.ndim != 1 or t.shape[0] != logits.shape[0]:
-        raise _shape_err("cross_entropy_logits targets", t.shape, logits.shape)
-    if t.size and (t.min() < 0 or t.max() >= logits.shape[1]):
+    if t.ndim != 1 or t.shape[0] != y.shape[0]:
+        raise _shape_err("cross_entropy_logits targets", t.shape, y.shape)
+    if t.size and (t.min() < 0 or t.max() >= y.shape[1]):
         raise ValueError(
-            f"cross_entropy_logits: target out of range for {logits.shape[1]} classes"
+            f"cross_entropy_logits: target out of range for {y.shape[1]} classes"
         )
-    return _apply("cross_entropy_logits", [logits], {"targets": t})
+    m = np.max(y, axis=1, keepdims=True)
+    lse = np.log(np.sum(np.exp(y - m), axis=1)) + m[:, 0]
+    out = lse - y[np.arange(y.shape[0]), t]
+    return _apply("cross_entropy_logits", out, [logits], {"targets": t})
+
+
+@_rule("cross_entropy_logits")
+def _cross_entropy_logits_bwd(node, g):
+    y = node.inputs[0]
+
+    def make():
+        onehot = np.zeros(y.shape)
+        onehot[np.arange(y.shape[0]), node.attrs["targets"]] = 1.0
+        p = softmax(y)
+        gcol = broadcast_to(reshape(g, (y.shape[0], 1)), y.shape)
+        return mul(sub(p, Tensor(onehot, _copy=False)), gcol)
+
+    return [make]
 
 
 # --------------------------------------------------------------------------
@@ -776,13 +614,19 @@ def backward(
             node = tape.nodes[idx]
             if node.op == "leaf":
                 continue
-            need = tuple(t.node is not None and t.node.idx in live for t in node.inputs)
-            grads = _REGISTRY[node.op].backward(node, g, mode, need)
-            for t_in, gi, n in zip(node.inputs, grads, need):
-                if n:
-                    j = t_in.node.idx
-                    prev = adjoint.get(j)
-                    adjoint[j] = gi if prev is None else add(prev, gi)
+            if mode is GradMode.GUIDED and node.op == "relu":
+                g = relu(g)
+            thunks = _REGISTRY[node.op](node, g)
+            # build every live adjoint, in input order, before summing any, so
+            # the tape records a node's adjoints ahead of their accumulation
+            built = [
+                (t.node.idx, make())
+                for t, make in zip(node.inputs, thunks)
+                if t.node is not None and t.node.idx in live
+            ]
+            for j, gi in built:
+                prev = adjoint.get(j)
+                adjoint[j] = gi if prev is None else add(prev, gi)
 
     if create_graph:
         sweep()

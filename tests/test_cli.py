@@ -165,6 +165,15 @@ class TestCmdEval:
         assert all(r["class_policy"] == "predicted" for r in rows)
         assert "accuracy" in capsys.readouterr().out
 
+    def test_builds_only_the_checkpoint_model(self, trained, monkeypatch):
+        # the spec comes from the config without initialising a model
+        path, ckpt, _ = trained
+        built = []
+        build = nn.build_model
+        monkeypatch.setattr(nn, "build_model", lambda *a: built.append(a) or build(*a))
+        assert main(["eval", str(path), str(ckpt)]) == 0
+        assert len(built) == 1
+
     def test_class_policy_flag_echoed(self, trained):
         path, ckpt, tmp_path = trained
         assert main(["eval", str(path), str(ckpt), "--class-policy", "ground_truth"]) == 0

@@ -77,6 +77,11 @@ class TestClassificationLoss:
         lab = classification_loss(m, np.concatenate([xa, xb]), [0, 2]).item()
         assert lab == pytest.approx((la + lb) / 2, rel=1e-12)
 
+    def test_probabilities_stay_off_the_tape(self):
+        # no loss reads the forward's softmax, so training records none
+        ce, _, _ = _forward_ce(small_model(), np.zeros((2, 3, 8, 8)), [0, 1])
+        assert "softmax" not in {n.op for n in ce.node.tape.nodes}
+
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             classification_loss(small_model(), np.zeros((0, 3, 8, 8)), [])

@@ -159,7 +159,8 @@ class TestLivePruning:
     @pytest.mark.parametrize(
         "lam, want",
         [
-            (1.0, {"conv2d_kernel_grad": 4, "conv2d_input_grad": 5, "linear": 7}),
+            # no rule builds the adjoint of a constant or dead input
+            (1.0, {"conv2d_kernel_grad": 4, "conv2d_input_grad": 5, "linear": 7, "mul": 27, "scale": 17}),
             # the watched input's gradient is dead at lambda 0
             (0.0, {"conv2d_input_grad": 1}),
         ],
