@@ -17,6 +17,7 @@ import enum
 from contextlib import contextmanager
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class GradMode(enum.Enum):
@@ -370,23 +371,31 @@ def _linear_bwd(node, g):
     ]
 
 
-# ---- convolution family (mutually adjoint triple; windows one pixel apart) ----
+# ---- convolution family (a mutually adjoint triple, each one correlation) ----
+
+def _correlate(a, k):
+    """Valid cross-correlation of an (n, c, H, W) stack with an (o, c, kh, kw)
+    bank: out[n, o, y, x] = sum over c, i, j of a[n, c, y + i, x + j] k[o, c, i, j]."""
+    windows = sliding_window_view(a, k.shape[2:], axis=(2, 3))
+    return np.einsum("ncyxij,ocij->noyx", windows, k, optimize=True)
+
+
+def _pad(a, ph, pw):
+    return np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+
 
 def conv2d(x, w, b=None, padding=0):
     padding = int(padding)
     co, ci, kh, kw = w.shape
     if x.shape[1] != ci:
         raise _shape_err("conv2d", x.shape, w.shape)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    n, _, hp, wp = xp.shape
-    ho, wo = hp - kh + 1, wp - kw + 1
-    if ho < 1 or wo < 1:
-        raise ValueError(f"conv2d: kernel {(kh, kw)} larger than padded input {(hp, wp)}")
-    out = np.zeros((n, co, ho, wo))
-    for i in range(kh):
-        for j in range(kw):
-            patch = xp[:, :, i : i + ho, j : j + wo]
-            out += np.einsum("ncij,oc->noij", patch, w.data[:, :, i, j], optimize=True)
+    # the input adjoint pads g by k - 1 - padding, which must not be negative
+    if not 0 <= padding < min(kh, kw):
+        raise ValueError(f"conv2d: padding {padding} outside 0..{min(kh, kw) - 1}")
+    xp = _pad(x.data, padding, padding)
+    if xp.shape[2] < kh or xp.shape[3] < kw:
+        raise ValueError(f"conv2d: kernel {(kh, kw)} larger than padded input {xp.shape[2:]}")
+    out = _correlate(xp, w.data)
     if b is None:
         return _apply("conv2d", out, [x, w], {"padding": padding})
     if b.shape != (co,):
@@ -407,17 +416,12 @@ def _conv2d_bwd(node, g):
 
 
 def conv2d_input_grad(g, w, padding):
-    """Adjoint of conv2d in x: the gradient of sum(conv2d(x, w) * g) w.r.t. x."""
-    n, co, ho, wo = g.shape
-    _, ci, kh, kw = w.shape
-    gxp = np.zeros((n, ci, ho + kh - 1, wo + kw - 1))
-    for i in range(kh):
-        for j in range(kw):
-            contrib = np.einsum("noij,oc->ncij", g.data, w.data[:, :, i, j], optimize=True)
-            gxp[:, :, i : i + ho, j : j + wo] += contrib
-    if padding:
-        gxp = gxp[:, :, padding:-padding, padding:-padding]
-    return _apply("conv2d_input_grad", np.ascontiguousarray(gxp), [g, w], {"padding": padding})
+    """Adjoint of conv2d in x: the gradient of sum(conv2d(x, w) * g) w.r.t. x,
+    the full correlation of g with the flipped, channel-swapped kernel."""
+    kh, kw = w.shape[2:]
+    gp = _pad(g.data, kh - 1 - padding, kw - 1 - padding)
+    gx = _correlate(gp, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    return _apply("conv2d_input_grad", gx, [g, w], {"padding": padding})
 
 
 @_rule("conv2d_input_grad")
@@ -429,17 +433,11 @@ def _conv2d_input_grad_bwd(node, g):
 
 
 def conv2d_kernel_grad(x, g, padding):
-    """Adjoint of conv2d in w: the gradient of sum(conv2d(x, w) * g) w.r.t. w."""
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    _, ci, hp, wp = xp.shape
-    _, co, ho, wo = g.shape
-    kh, kw = hp - ho + 1, wp - wo + 1
-    gw = np.zeros((co, ci, kh, kw))
-    for i in range(kh):
-        for j in range(kw):
-            patch = xp[:, :, i : i + ho, j : j + wo]
-            gw[:, :, i, j] = np.einsum("ncij,noij->oc", patch, g.data, optimize=True)
-    return _apply("conv2d_kernel_grad", gw, [x, g], {"padding": padding})
+    """Adjoint of conv2d in w: the gradient of sum(conv2d(x, w) * g) w.r.t. w,
+    the correlation of the padded input with g over the batch."""
+    xp = _pad(x.data, padding, padding)
+    gw = _correlate(xp.transpose(1, 0, 2, 3), g.data.transpose(1, 0, 2, 3))
+    return _apply("conv2d_kernel_grad", gw.transpose(1, 0, 2, 3), [x, g], {"padding": padding})
 
 
 @_rule("conv2d_kernel_grad")

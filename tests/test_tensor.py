@@ -43,6 +43,13 @@ class TestForwardPrimitives:
         with pytest.raises(ValueError, match="conv2d"):
             T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 4, 4))))
 
+    def test_conv_padding_outside_kernel_rejected(self):
+        # the input adjoint pads g by k - 1 - padding, so padding runs 0..k-1
+        x, w = Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3)))
+        for padding in (-1, 3, 4):
+            with pytest.raises(ValueError, match="conv2d"):
+                T.conv2d(x, w, padding=padding)
+
     def test_records_only_with_node(self):
         tape = Tape()
         a = watched(tape, [1.0, 2.0])
@@ -313,6 +320,93 @@ class TestOpSemantics:
         p = T.softmax(Tensor(x)).data
         assert p.min() >= 0
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+
+
+def _assert_adjoint(lhs_pair, rhs_pair):
+    """<A u, v> == <u, A* v> to 1e-13 of the larger product of the norms."""
+    (au, v), (u, atv) = lhs_pair, rhs_pair
+    scale = max(np.linalg.norm(au) * np.linalg.norm(v), np.linalg.norm(u) * np.linalg.norm(atv))
+    assert abs(np.vdot(au, v) - np.vdot(u, atv)) <= 1e-13 * scale
+
+
+class TestAdjointIdentities:
+    """Each linear op and the op its backward runs are adjoint: <A u, v> equals
+    <u, A* v> to rounding, a far tighter check than finite differences."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        ci=st.integers(1, 4),
+        co=st.integers(1, 4),
+        k=st.sampled_from([2, 3]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_conv_triple(self, n, ci, co, k, data, seed):
+        padding = data.draw(st.integers(0, k - 1), label="padding")
+        hw = data.draw(st.integers(max(1, k - 2 * padding), 9), label="hw")
+        rng = np.random.default_rng(seed)
+        x, w = rng.normal(size=(n, ci, hw, hw)), rng.normal(size=(co, ci, k, k))
+        y = T.conv2d(Tensor(x), Tensor(w), padding=padding).data
+        g = rng.normal(size=y.shape)
+        gx = T.conv2d_input_grad(Tensor(g), Tensor(w), padding).data
+        gw = T.conv2d_kernel_grad(Tensor(x), Tensor(g), padding).data
+        assert gx.shape == x.shape and gw.shape == w.shape
+        _assert_adjoint((y, g), (x, gx))
+        _assert_adjoint((y, g), (w, gw))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        c=st.integers(1, 4),
+        hh=st.integers(2, 9),
+        ww=st.integers(2, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pool_pair(self, n, c, hh, ww, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, c, hh, ww))
+        indices = T._pool_argmax(x)
+        y = T.pool_gather(Tensor(x), indices).data
+        g = rng.normal(size=y.shape)
+        _assert_adjoint((y, g), (x, T.pool_scatter(Tensor(g), indices, (hh, ww)).data))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        i=st.integers(1, 8),
+        o=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_linear_transpose_reshape(self, n, i, o, seed):
+        rng = np.random.default_rng(seed)
+        x, w = rng.normal(size=(n, i)), rng.normal(size=(o, i))
+        y = T.linear(Tensor(x), Tensor(w)).data
+        g = rng.normal(size=y.shape)
+        gx = T.linear(Tensor(g), T.transpose(Tensor(w))).data
+        gw = T.linear(T.transpose(Tensor(g)), T.transpose(Tensor(x))).data
+        _assert_adjoint((y, g), (x, gx))
+        _assert_adjoint((y, g), (w, gw))
+        gt = rng.normal(size=(i, n))
+        _assert_adjoint((T.transpose(Tensor(x)).data, gt), (x, T.transpose(Tensor(gt)).data))
+        gr = rng.normal(size=(n * i,))
+        _assert_adjoint((T.reshape(Tensor(x), (-1,)).data, gr), (x, T.reshape(Tensor(gr), x.shape).data))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 6), min_size=1, max_size=4),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_broadcast_reduce_pair(self, shape, data, seed):
+        axes = tuple(
+            i for i in range(len(shape)) if data.draw(st.booleans(), label=f"broadcast axis {i}")
+        )
+        small = tuple(1 if i in axes else s for i, s in enumerate(shape))
+        rng = np.random.default_rng(seed)
+        a, g = rng.normal(size=small), rng.normal(size=shape)
+        y = T.broadcast_to(Tensor(a), shape).data
+        _assert_adjoint((y, g), (a, T.reduce_sum(Tensor(g), axis=axes, keepdims=True).data))
 
 
 class TestGuidedLocality:
