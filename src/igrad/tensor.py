@@ -5,15 +5,20 @@ can be differentiated again (create_graph). In guided mode (GradMode) the
 sweep passes only the positive part of the gradient into each ReLU.
 
 Each op is one public function that computes its forward in numpy and
-records a node, followed by its backward rule `bwd(node, g)`, which returns
-one zero-argument thunk per input. `backward` computes only the adjoints it
-returns: a scan of the tape marks the nodes that are, or depend on, a `wrt`
-tensor, and the sweep calls the thunks of those live inputs only.
+records its output tensor as a tape node, followed by its backward rule
+`bwd(node, g)`, which returns one zero-argument thunk per input. `backward`
+computes only the adjoints it returns: a scan of the tape marks the nodes
+that are, or depend on, a `wrt` tensor, and the sweep calls the thunks of
+those live inputs only.
+
+A tape holds its nodes weakly and a node holds its inputs, so a step's tape
+and every array on it are freed with the last tensor that reaches them.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -25,37 +30,26 @@ class GradMode(enum.Enum):
     GUIDED = "guided"
 
 
-class Node:
-    """One recorded primitive op. Inputs always precede the node on the tape."""
-
-    __slots__ = ("tape", "op", "inputs", "attrs", "out", "idx")
-
-    def __init__(self, tape, op, inputs, attrs, out, idx):
-        self.tape = tape
-        self.op = op
-        self.inputs = inputs
-        self.attrs = attrs
-        self.out = out
-        self.idx = idx
-
-
 class Tape:
-    """Append-only record of primitive ops; one tape per thread of execution."""
+    """Append-only record of primitive ops; one tape per thread of execution.
+    `nodes[i]` weakly references the i-th recorded tensor, after its inputs."""
 
     def __init__(self):
-        self.nodes: list[Node] = []
+        self.nodes: list[weakref.ref] = []
         self._recording = True
 
     def __len__(self):
         return len(self.nodes)
 
+    def _record(self, out: "Tensor", op, inputs, attrs) -> "Tensor":
+        out.tape, out.op, out.inputs, out.attrs = self, op, inputs, attrs
+        out.idx = len(self.nodes)
+        self.nodes.append(weakref.ref(out))
+        return out
+
     def watch(self, t: "Tensor") -> "Tensor":
         """Return an alias of t registered as a differentiable leaf on this tape."""
-        out = Tensor(t.data, _copy=False)
-        node = Node(self, "leaf", (), None, out, len(self.nodes))
-        self.nodes.append(node)
-        out.node = node
-        return out
+        return self._record(Tensor(t.data, _copy=False), "leaf", (), None)
 
     @contextmanager
     def paused(self):
@@ -68,16 +62,17 @@ class Tape:
 
 
 class Tensor:
-    """N-d array of float64 in row-major order, optionally on a tape."""
+    """N-d array of float64 in row-major order, optionally on a tape. A recorded
+    tensor is its own tape node, with `op`, `inputs`, `attrs` and index `idx`."""
 
-    __slots__ = ("data", "node")
+    __slots__ = ("data", "tape", "op", "inputs", "attrs", "idx", "__weakref__")
 
     def __init__(self, data, _copy=True):
         arr = np.asarray(data, dtype=np.float64)
         if _copy:
             arr = np.ascontiguousarray(arr).copy()
         self.data = arr
-        self.node: Node | None = None
+        self.tape: Tape | None = None
 
     @property
     def shape(self):
@@ -93,7 +88,7 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
-        tag = "" if self.node is None else f", tape@{self.node.idx}"
+        tag = "" if self.tape is None else f", tape@{self.idx}"
         return f"Tensor(shape={self.shape}{tag})"
 
     # arithmetic sugar; python scalars go through the cheaper scale path
@@ -121,9 +116,8 @@ def ones(shape) -> Tensor:
 
 
 def detach(t: Tensor) -> Tensor:
-    """Same data and shape, no tape node: a stop-gradient constant."""
-    out = Tensor(t.data, _copy=False)
-    return out
+    """Same data and shape, not on a tape: a stop-gradient constant."""
+    return Tensor(t.data, _copy=False)
 
 
 # --------------------------------------------------------------------------
@@ -146,10 +140,10 @@ def _rule(kind):
 def _tape_of(inputs) -> Tape | None:
     tape = None
     for t in inputs:
-        if t.node is not None:
+        if t.tape is not None:
             if tape is None:
-                tape = t.node.tape
-            elif tape is not t.node.tape:
+                tape = t.tape
+            elif tape is not t.tape:
                 raise ValueError("inputs recorded on different tapes")
     if tape is not None and not tape._recording:
         return None
@@ -160,9 +154,7 @@ def _apply(kind: str, out_data, inputs, attrs=None) -> Tensor:
     out = Tensor(out_data, _copy=False)
     tape = _tape_of(inputs)
     if tape is not None:
-        node = Node(tape, kind, tuple(inputs), attrs, out, len(tape.nodes))
-        tape.nodes.append(node)
-        out.node = node
+        tape._record(out, kind, tuple(inputs), attrs)
     return out
 
 
@@ -216,7 +208,7 @@ def div(a, b):
 @_rule("div")
 def _div_bwd(node, g):
     b = node.inputs[1]
-    return [lambda: div(g, b), lambda: neg(div(mul(g, node.out), b))]
+    return [lambda: div(g, b), lambda: neg(div(mul(g, node), b))]
 
 
 def scale(a, factor: float):
@@ -277,7 +269,7 @@ def sqrt(a):
 
 @_rule("sqrt")
 def _sqrt_bwd(node, g):
-    return [lambda: div(g, scale(node.out, 2.0))]
+    return [lambda: div(g, scale(node, 2.0))]
 
 
 # ---- shape movement ----
@@ -521,7 +513,7 @@ def softmax(x):
 
 @_rule("softmax")
 def _softmax_bwd(node, g):
-    p = node.out
+    p = node
 
     def make():
         inner = reduce_sum(mul(p, g), axis=1, keepdims=True)
@@ -583,24 +575,25 @@ def backward(
         )
     if output.data.size != 1:
         raise ValueError(f"backward: output must be scalar, got shape {output.shape}")
-    if output.node is None:
+    tape = output.tape
+    if tape is None:
         raise ValueError("backward: output is not on a tape")
-    tape = output.node.tape
     wrt = list(wrt)
     for t in wrt:
-        if t.node is None or t.node.tape is not tape:
+        if t.tape is not tape:
             raise ValueError("backward: wrt tensor is not on the output's tape")
 
-    start = output.node.idx
+    start = output.idx
     # inputs precede their node: once the sweep is down to the lowest wrt
     # node, every wrt adjoint is complete and the nodes below feed none of them
-    stop = min((t.node.idx for t in wrt), default=start)
+    stop = min((t.idx for t in wrt), default=start)
 
     # a node is live when it is a wrt node or has a live input; only live
-    # nodes' adjoints are computed and kept
-    live = {t.node.idx for t in wrt}
-    for node in tape.nodes[stop + 1 : start + 1]:
-        if any(t.node is not None and t.node.idx in live for t in node.inputs):
+    # nodes' adjoints are computed and kept. A freed node reaches no output.
+    live = {t.idx for t in wrt}
+    for ref in tape.nodes[stop + 1 : start + 1]:
+        node = ref()
+        if node is not None and any(t.tape is not None and t.idx in live for t in node.inputs):
             live.add(node.idx)
     adjoint: dict[int, Tensor] = {start: ones(output.shape)} if start in live else {}
 
@@ -609,7 +602,7 @@ def backward(
             g = adjoint.get(idx)
             if g is None:
                 continue
-            node = tape.nodes[idx]
+            node = tape.nodes[idx]()
             if node.op == "leaf":
                 continue
             if mode is GradMode.GUIDED and node.op == "relu":
@@ -618,9 +611,9 @@ def backward(
             # build every live adjoint, in input order, before summing any, so
             # the tape records a node's adjoints ahead of their accumulation
             built = [
-                (t.node.idx, make())
+                (t.idx, make())
                 for t, make in zip(node.inputs, thunks)
-                if t.node is not None and t.node.idx in live
+                if t.tape is not None and t.idx in live
             ]
             for j, gi in built:
                 prev = adjoint.get(j)
@@ -634,6 +627,6 @@ def backward(
 
     results = []
     for t in wrt:
-        g = adjoint.get(t.node.idx)
+        g = adjoint.get(t.idx)
         results.append(zeros(t.shape) if g is None else g)
     return results

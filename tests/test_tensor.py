@@ -136,7 +136,7 @@ class TestBackward:
         x = watched(tape, 2.0)
         y = T.mul(T.mul(x, x), x)  # x^3
         (g,) = backward(y, [x], create_graph=True)
-        assert g.node is not None
+        assert g.tape is not None
         np.testing.assert_allclose(g.data, 12.0)
         (gg,) = backward(T.reduce_sum(g), [x])
         np.testing.assert_allclose(gg.data, 12.0)  # d(3x^2)/dx at 2
@@ -145,7 +145,7 @@ class TestBackward:
         tape = Tape()
         x = watched(tape, 2.0)
         (g,) = backward(T.mul(x, x), [x])
-        assert g.node is None
+        assert g.tape is None
 
 
 def _batch_and_specs():
@@ -199,9 +199,9 @@ class TestLivePruning:
             # a fresh tape per call; _forward_ce watches the input first, and
             # the total is add(ce, lam * loss_r)
             res = losses.interpretable_loss(model, x_batch, t, kind, lam=1.0)
-            x = res.total.node.tape.nodes[0].out
+            x = res.total.tape.nodes[0]()
             assert x.shape == x_batch.shape
-            ce = res.total.node.inputs[0]
+            ce = res.total.inputs[0]
             return res.total, ce, x, res.params
 
         for mode in GradMode:
@@ -224,9 +224,9 @@ class TestDetach:
     def test_idempotent_on_constants(self):
         t = Tensor([1.0, 2.0])
         d = detach(t)
-        assert d.node is None
+        assert d.tape is None
         np.testing.assert_array_equal(d.data, t.data)
-        assert detach(d).node is None
+        assert detach(d).tape is None
 
     def test_blocks_gradient_flow(self):
         tape = Tape()
@@ -248,7 +248,7 @@ class TestTape:
             w = watched(tape, rng.normal(size=(3, 5)))
             loss = T.reduce_sum(T.softmax(T.linear(x, w)))
             (g,) = backward(loss, [w])
-            return [n.op for n in tape.nodes], g.data
+            return [ref().op for ref in tape.nodes], g.data
 
         ops1, g1 = run()
         ops2, g2 = run()
@@ -259,11 +259,47 @@ class TestTape:
         tape = Tape()
         x = watched(tape, [1.0, 2.0])
         y = T.mul(T.add(x, x), x)
-        backward(T.reduce_sum(y), [x], create_graph=True)
-        for node in tape.nodes:
+        grads = backward(T.reduce_sum(y), [x], create_graph=True)
+        assert grads[0].tape is tape
+        for ref in tape.nodes:
+            node = ref()
+            if node is None:  # freed: no live tensor reaches it
+                continue
             for t in node.inputs:
-                if t.node is not None:
-                    assert t.node.idx < node.idx
+                if t.tape is not None:
+                    assert t.idx < node.idx
+
+
+    def test_train_step_frees_its_tape_without_the_collector(self, monkeypatch):
+        # the tape holds its nodes weakly, so reference counting alone frees a
+        # finished step's tape and every array on it
+        import gc
+        import weakref
+
+        from igrad import losses, nn, train
+
+        tapes = []
+
+        class RecordedTape(Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        monkeypatch.setattr(losses, "Tape", RecordedTape)
+        x, t, specs = _batch_and_specs()
+        model = nn.build_model(specs["tinycnn"], 0)
+        velocity = [np.zeros_like(p.data) for p in model.params]
+        cfg = train.TrainConfig(lam=1.0, error_kind=ErrorFnKind.COSINE)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train.train_step(model, x, t, cfg, 0.01, velocity)
+            alive = sum(ref() is not None for ref in tapes)
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(tapes) == 1
+        assert alive == 0
 
 
 class TestOpSemantics:
