@@ -116,8 +116,9 @@ def ones(shape) -> Tensor:
 
 
 def detach(t: Tensor) -> Tensor:
-    """Same data and shape, not on a tape: a stop-gradient constant."""
-    return Tensor(t.data, _copy=False)
+    """Same data and shape, no tape node: a stop-gradient constant."""
+    out = Tensor(t.data, _copy=False)
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -26,6 +26,21 @@ class TestForwardPrimitives:
         assert out.shape == (1, 1, 2, 2)
         np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
 
+    def test_conv2d_matches_offset_loop(self):
+        # the definition, one kernel offset at a time, on a non-square kernel
+        rng = np.random.default_rng(2)
+        x, w, b = rng.normal(size=(3, 2, 5, 6)), rng.normal(size=(4, 2, 3, 2)), rng.normal(size=4)
+        for padding in (0, 1):
+            xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+            ho, wo = xp.shape[2] - 2, xp.shape[3] - 1
+            want = np.zeros((3, 4, ho, wo)) + b[None, :, None, None]
+            for i in range(3):
+                for j in range(2):
+                    patch = xp[:, :, i : i + ho, j : j + wo]
+                    want += np.einsum("ncyx,oc->noyx", patch, w[:, :, i, j])
+            got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
     def test_softmax_symmetry(self):
         out = T.softmax(Tensor([[0.0, 0.0]]))
         np.testing.assert_array_equal(out.data, [[0.5, 0.5]])
@@ -374,15 +389,17 @@ class TestAdjointIdentities:
         n=st.integers(1, 64),
         ci=st.integers(1, 4),
         co=st.integers(1, 4),
-        k=st.sampled_from([2, 3]),
+        kh=st.sampled_from([2, 3]),
+        kw=st.sampled_from([2, 3]),
         data=st.data(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_conv_triple(self, n, ci, co, k, data, seed):
-        padding = data.draw(st.integers(0, k - 1), label="padding")
-        hw = data.draw(st.integers(max(1, k - 2 * padding), 9), label="hw")
+    def test_conv_triple(self, n, ci, co, kh, kw, data, seed):
+        padding = data.draw(st.integers(0, min(kh, kw) - 1), label="padding")
+        hh = data.draw(st.integers(max(1, kh - 2 * padding), 9), label="hh")
+        ww = data.draw(st.integers(max(1, kw - 2 * padding), 9), label="ww")
         rng = np.random.default_rng(seed)
-        x, w = rng.normal(size=(n, ci, hw, hw)), rng.normal(size=(co, ci, k, k))
+        x, w = rng.normal(size=(n, ci, hh, ww)), rng.normal(size=(co, ci, kh, kw))
         y = T.conv2d(Tensor(x), Tensor(w), padding=padding).data
         g = rng.normal(size=y.shape)
         gx = T.conv2d_input_grad(Tensor(g), Tensor(w), padding).data
@@ -426,7 +443,8 @@ class TestAdjointIdentities:
         gt = rng.normal(size=(i, n))
         _assert_adjoint((T.transpose(Tensor(x)).data, gt), (x, T.transpose(Tensor(gt)).data))
         gr = rng.normal(size=(n * i,))
-        _assert_adjoint((T.reshape(Tensor(x), (-1,)).data, gr), (x, T.reshape(Tensor(gr), x.shape).data))
+        flat = T.reshape(Tensor(x), (-1,)).data
+        _assert_adjoint((flat, gr), (x, T.reshape(Tensor(gr), x.shape).data))
 
     @settings(max_examples=40, deadline=None)
     @given(
