@@ -10,8 +10,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import config as cfgmod
 from . import data, gradcheck, metrics, nn, saliency
 from .config import ConfigError
@@ -25,18 +23,20 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
-def _out_dir(cfg):
-    path = cfg["output"]["dir"]
-    os.makedirs(path, exist_ok=True)
-    return path
+def _prepare(cfg, command):
+    """Make the output directory and write `<command>.resolved.json` in it;
+    return it with both splits and the model spec."""
+    out = cfg["output"]["dir"]
+    os.makedirs(out, exist_ok=True)
+    cfgmod.write_resolved(cfg, os.path.join(out, f"{command}.resolved.json"))
+    train_set, test_set = cfgmod.build_datasets(cfg)
+    return out, train_set, test_set, cfgmod.model_spec(cfg, train_set)
 
 
 def cmd_train(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    out = _out_dir(cfg)
-    cfgmod.write_resolved(cfg, os.path.join(out, "train.resolved.json"))
-    train_set, test_set = cfgmod.build_datasets(cfg)
-    model = cfgmod.build_model(cfg, train_set)
+    out, train_set, test_set, spec = _prepare(cfg, "train")
+    model = nn.build_model(spec, cfg["model"]["seed"])
     tc = cfgmod.train_config(cfg, checkpoint_path=os.path.join(out, "model.ckpt"))
     log = fit(model, train_set, test_set, tc)
     log.write_csv(os.path.join(out, "train_log.csv"))
@@ -53,10 +53,7 @@ def cmd_eval(args) -> int:
     cfg = cfgmod.load_config(args.config)
     if args.class_policy:
         cfg["saliency"]["class_policy"] = args.class_policy
-    out = _out_dir(cfg)
-    cfgmod.write_resolved(cfg, os.path.join(out, "eval.resolved.json"))
-    train_set, test_set = cfgmod.build_datasets(cfg)
-    spec = cfgmod.model_spec(cfg, train_set)
+    out, _, test_set, spec = _prepare(cfg, "eval")
     model = nn.load_checkpoint(args.checkpoint, spec)
     acc = evaluate_accuracy(model, test_set)
     print(f"accuracy: {acc:.4f} ({len(test_set)} images)")
@@ -83,10 +80,7 @@ def cmd_eval(args) -> int:
 
 def cmd_saliency(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    out = _out_dir(cfg)
-    cfgmod.write_resolved(cfg, os.path.join(out, "saliency.resolved.json"))
-    train_set, test_set = cfgmod.build_datasets(cfg)
-    spec = cfgmod.model_spec(cfg, train_set)
+    out, _, test_set, spec = _prepare(cfg, "saliency")
     model = nn.load_checkpoint(args.checkpoint, spec)
     try:
         ids = [int(v) for v in args.ids.split(",") if v]
@@ -96,13 +90,10 @@ def cmd_saliency(args) -> int:
         if not 0 <= i < len(test_set):
             raise ConfigError(f"id {i} out of range for {len(test_set)} images")
     layer = cfg["saliency"]["layer"]
-    policy = cfg["saliency"]["class_policy"]
     for i in ids:
-        img = test_set.images[i]
-        x_raw = img.pixels
+        x_raw = test_set.images[i].pixels
         x_norm = test_set.normalize(x_raw)
-        probs = model.forward(x_norm[None]).probs.data[0]
-        c = int(np.argmax(probs)) if policy == "predicted" else int(img.label)
+        c, _ = metrics.target_class(model, test_set, i, cfg["saliency"]["class_policy"])
         for name in cfg["saliency"]["methods"]:
             method = saliency.make_method(name)
             smap = saliency.saliency_for(

@@ -77,19 +77,23 @@ _SCHEMA = {
 }
 
 
+# JSON true/false are Python ints, so numbers exclude bool
+_SCALAR = {
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+}
+
+
 def _check_type(value, field: Field, path: str):
     kind = field.kind
-    ok = {
-        "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-        "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-        "str": lambda v: isinstance(v, str),
-        "bool": lambda v: isinstance(v, bool),
-        "int_list": lambda v: isinstance(v, list) and all(isinstance(x, int) for x in v),
-        "float_list": lambda v: isinstance(v, list)
-        and all(isinstance(x, (int, float)) for x in v),
-        "str_list": lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-    }[kind]
-    if not ok(value):
+    item = kind.removesuffix("_list")
+    if kind == item:
+        ok = _SCALAR[kind](value)
+    else:
+        ok = isinstance(value, list) and all(_SCALAR[item](v) for v in value)
+    if not ok:
         raise ConfigError(f"{path}: expected {kind}, got {value!r}")
     # json.load reads NaN, Infinity and ints of any size; NaN fails the comparison
     nums = value if kind == "float_list" else [value] if kind == "float" else []
@@ -186,10 +190,6 @@ def model_spec(cfg: dict, dataset) -> nn.ArchitectureSpec:
     if mc["architecture"] == "tinycnn":
         return nn.tinycnn(input_shape, dataset.num_classes, tuple(mc["widths"]))
     return nn.miniresnet(input_shape, dataset.num_classes, mc["width"])
-
-
-def build_model(cfg: dict, dataset) -> nn.Model:
-    return nn.build_model(model_spec(cfg, dataset), cfg["model"]["seed"])
 
 
 def train_config(cfg: dict, checkpoint_path=None) -> TrainConfig:

@@ -101,100 +101,95 @@ def _away_from(vals, kinks, margin=1e-3):
     return out
 
 
-def _case_inputs(kind, rng):
-    """Random input tensors + op lambda for one gradcheck trial."""
-    if kind in ("add", "sub", "mul"):
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(3, 4))
-        op = {"add": T.add, "sub": T.sub, "mul": T.mul}[kind]
-        return [a, b], lambda xs: op(xs[0], xs[1])
-    if kind == "div":
-        a = rng.normal(size=(3, 4))
-        b = _away_from(rng.normal(size=(3, 4)), [0.0], 0.5)
-        return [a, b], lambda xs: T.div(xs[0], xs[1])
-    if kind == "neg":
-        return [rng.normal(size=(5,))], lambda xs: T.neg(xs[0])
-    if kind == "scale":
-        return [rng.normal(size=(2, 3))], lambda xs: T.scale(xs[0], -1.7)
-    if kind == "minimum":
-        a = rng.normal(size=(4, 3))
-        b = a + _away_from(rng.normal(size=(4, 3)), [0.0], 1e-3)
-        return [a, b], lambda xs: T.minimum(xs[0], xs[1])
-    if kind == "relu":
-        return [_away_from(rng.normal(size=(3, 5)), [0.0])], lambda xs: T.relu(xs[0])
-    if kind == "abs":
-        return [_away_from(rng.normal(size=(6,)), [0.0])], lambda xs: T.absolute(xs[0])
-    if kind == "sqrt":
-        return [rng.uniform(0.5, 2.0, size=(4,))], lambda xs: T.sqrt(xs[0])
-    if kind == "reshape":
-        return [rng.normal(size=(2, 6))], lambda xs: T.reshape(xs[0], (3, 4))
-    if kind == "broadcast_to":
-        return [rng.normal(size=(3, 1))], lambda xs: T.broadcast_to(xs[0], (3, 4))
-    if kind == "sum":
-        return [rng.normal(size=(2, 3, 4))], lambda xs: T.reduce_sum(
-            xs[0], axis=(0, 2)
-        )
-    if kind == "mean":
-        return [rng.normal(size=(2, 3, 4))], lambda xs: T.mean(xs[0], axis=(1,))
-    if kind == "global_avg_pool":
-        return [rng.normal(size=(2, 3, 4, 4))], lambda xs: T.global_avg_pool(xs[0])
-    if kind == "transpose":
-        return [rng.normal(size=(3, 4))], lambda xs: T.transpose(xs[0])
-    if kind == "linear":
-        return [
-            rng.normal(size=(3, 5)),
-            rng.normal(size=(2, 5)),
-            rng.normal(size=(2,)),
-        ], lambda xs: T.linear(xs[0], xs[1], xs[2])
-    if kind == "conv2d":
-        return [
-            rng.normal(size=(2, 2, 5, 5)),
-            rng.normal(size=(3, 2, 3, 3)),
-            rng.normal(size=(3,)),
-        ], lambda xs: T.conv2d(xs[0], xs[1], xs[2], padding=1)
-    if kind == "conv2d_input_grad":
-        return [
-            rng.normal(size=(2, 3, 4, 4)),
-            rng.normal(size=(3, 2, 2, 2)),
-        ], lambda xs: T.conv2d_input_grad(xs[0], xs[1], padding=0)
-    if kind == "conv2d_kernel_grad":
-        return [
-            rng.normal(size=(2, 2, 5, 5)),
-            rng.normal(size=(2, 3, 4, 4)),
-        ], lambda xs: T.conv2d_kernel_grad(xs[0], xs[1], padding=0)
-    if kind == "maxpool2d":
-        x = rng.normal(size=(2, 2, 6, 6))
-        # keep window maxima unambiguous so FD does not cross an argmax switch
-        x += np.linspace(0, 0.5, x.size).reshape(x.shape)
-        return [x], lambda xs: T.maxpool2d(xs[0])
-    if kind in ("pool_scatter", "pool_gather"):
-        # both are linear in their input for argmax indices held constant
-        idx = T._pool_argmax(rng.normal(size=(2, 2, 6, 6)))
-        if kind == "pool_scatter":
-            return [rng.normal(size=(2, 2, 3, 3))], lambda xs: T.pool_scatter(xs[0], idx, (6, 6))
-        return [rng.normal(size=(2, 2, 6, 6))], lambda xs: T.pool_gather(xs[0], idx)
-    if kind == "softmax":
-        return [rng.normal(size=(3, 4))], lambda xs: T.softmax(xs[0])
-    if kind == "cross_entropy_logits":
-        t = rng.integers(0, 4, size=3)
-        return [rng.normal(size=(3, 4))], lambda xs: T.cross_entropy_logits(xs[0], t)
-    raise ValueError(f"no gradcheck case for {kind!r}")
+def _normal(op, *shapes):
+    """A case of standard-normal inputs of these shapes, passed to op in order."""
+    return lambda rng: ([rng.normal(size=sh) for sh in shapes], lambda xs: op(*xs))
 
 
-# registry ops plus the composite helpers mean, global_avg_pool, neg (a scale)
-# and maxpool2d (a pool_gather at argmax indices)
-CHECKED_OPS = [
-    "add", "sub", "mul", "div", "neg", "scale", "minimum", "relu", "abs",
-    "sqrt", "reshape", "broadcast_to", "sum", "mean", "global_avg_pool",
-    "transpose", "linear", "conv2d", "conv2d_input_grad", "conv2d_kernel_grad",
-    "maxpool2d", "pool_scatter", "pool_gather", "softmax", "cross_entropy_logits",
-]
+def _div(rng):
+    a = rng.normal(size=(3, 4))
+    b = _away_from(rng.normal(size=(3, 4)), [0.0], 0.5)
+    return [a, b], lambda xs: T.div(*xs)
+
+
+def _minimum(rng):
+    a = rng.normal(size=(4, 3))
+    b = a + _away_from(rng.normal(size=(4, 3)), [0.0], 1e-3)
+    return [a, b], lambda xs: T.minimum(*xs)
+
+
+def _kinked(op, shape):
+    """A case of one standard-normal input kept off op's kink at 0."""
+    return lambda rng: ([_away_from(rng.normal(size=shape), [0.0])], lambda xs: op(xs[0]))
+
+
+def _maxpool2d(rng):
+    x = rng.normal(size=(2, 2, 6, 6))
+    # keep window maxima unambiguous so FD does not cross an argmax switch
+    x += np.linspace(0, 0.5, x.size).reshape(x.shape)
+    return [x], lambda xs: T.maxpool2d(xs[0])
+
+
+def _pool_scatter(rng):
+    # pool_scatter and pool_gather are linear in their input for argmax
+    # indices held constant
+    idx = T._pool_argmax(rng.normal(size=(2, 2, 6, 6)))
+    return [rng.normal(size=(2, 2, 3, 3))], lambda xs: T.pool_scatter(xs[0], idx, (6, 6))
+
+
+def _pool_gather(rng):
+    idx = T._pool_argmax(rng.normal(size=(2, 2, 6, 6)))
+    return [rng.normal(size=(2, 2, 6, 6))], lambda xs: T.pool_gather(xs[0], idx)
+
+
+def _cross_entropy_logits(rng):
+    t = rng.integers(0, 4, size=3)
+    return [rng.normal(size=(3, 4))], lambda xs: T.cross_entropy_logits(xs[0], t)
+
+
+# The op suite's cases: kind -> rng -> (input arrays, op over input tensors).
+# They are the registry ops plus the composite helpers mean, global_avg_pool,
+# neg (a scale) and maxpool2d (a pool_gather at argmax indices).
+_CASES = {
+    "add": _normal(T.add, (3, 4), (3, 4)),
+    "sub": _normal(T.sub, (3, 4), (3, 4)),
+    "mul": _normal(T.mul, (3, 4), (3, 4)),
+    "div": _div,
+    "neg": _normal(T.neg, (5,)),
+    "scale": _normal(lambda a: T.scale(a, -1.7), (2, 3)),
+    "minimum": _minimum,
+    "relu": _kinked(T.relu, (3, 5)),
+    "abs": _kinked(T.absolute, (6,)),
+    "sqrt": lambda rng: ([rng.uniform(0.5, 2.0, size=(4,))], lambda xs: T.sqrt(xs[0])),
+    "reshape": _normal(lambda a: T.reshape(a, (3, 4)), (2, 6)),
+    "broadcast_to": _normal(lambda a: T.broadcast_to(a, (3, 4)), (3, 1)),
+    "sum": _normal(lambda a: T.reduce_sum(a, axis=(0, 2)), (2, 3, 4)),
+    "mean": _normal(lambda a: T.mean(a, axis=(1,)), (2, 3, 4)),
+    "global_avg_pool": _normal(T.global_avg_pool, (2, 3, 4, 4)),
+    "transpose": _normal(T.transpose, (3, 4)),
+    "linear": _normal(T.linear, (3, 5), (2, 5), (2,)),
+    "conv2d": _normal(
+        lambda x, w, b: T.conv2d(x, w, b, padding=1), (2, 2, 5, 5), (3, 2, 3, 3), (3,)
+    ),
+    "conv2d_input_grad": _normal(
+        lambda g, w: T.conv2d_input_grad(g, w, padding=0), (2, 3, 4, 4), (3, 2, 2, 2)
+    ),
+    "conv2d_kernel_grad": _normal(
+        lambda x, g: T.conv2d_kernel_grad(x, g, padding=0), (2, 2, 5, 5), (2, 3, 4, 4)
+    ),
+    "maxpool2d": _maxpool2d,
+    "pool_scatter": _pool_scatter,
+    "pool_gather": _pool_gather,
+    "softmax": _normal(T.softmax, (3, 4)),
+    "cross_entropy_logits": _cross_entropy_logits,
+}
+CHECKED_OPS = list(_CASES)
 
 
 def gradcheck_op(kind: str, seed: int) -> float:
     """Max scaled backward-vs-FD error for one op at one random point."""
     rng = np.random.default_rng(seed)
-    arrays, apply_op = _case_inputs(kind, rng)
+    arrays, apply_op = _CASES[kind](rng)
     probe = None
 
     def scalarize(xs):
@@ -265,26 +260,22 @@ def run_double_backward_suite(seeds=5) -> float:
         targets = rng.integers(0, 3, size=2)
 
         def l2_value(param_tensors):
+            """(L2, the watched parameters) at these parameter values."""
             tape = Tape()
             ps = [tape.watch(p) for p in param_tensors]
             x = tape.watch(Tensor(x0))
             loss = _tiny_net_loss(x, ps, targets)
             (gx,) = backward(loss, [x], create_graph=True)
-            return T.reduce_sum(T.mul(gx, gx))
+            return T.reduce_sum(T.mul(gx, gx)), ps
 
-        tape = Tape()
-        ps = [tape.watch(Tensor(p)) for p in params]
-        x = tape.watch(Tensor(x0))
-        loss = _tiny_net_loss(x, ps, targets)
-        (gx,) = backward(loss, [x], create_graph=True)
-        l2 = T.reduce_sum(T.mul(gx, gx))
+        l2, ps = l2_value([Tensor(p) for p in params])
         grads = backward(l2, ps)
 
         for i in range(len(params)):
             def fn(v, i=i):
                 probe = [Tensor(p) for p in params]
                 probe[i] = v
-                return l2_value(probe)
+                return l2_value(probe)[0]
 
             want = finite_diff_gradient(fn, Tensor(params[i])).data
             got = grads[i].data
@@ -350,10 +341,6 @@ class GradcheckReport:
         if not self.guided_positive_path_equal:
             bad.append("guided_positive_path")
         return bad
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def run_all(seeds=50, nets=100) -> GradcheckReport:

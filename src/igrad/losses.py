@@ -64,13 +64,6 @@ def _flat_axes(shape):
     return tuple(range(1, len(shape)))
 
 
-# the norm each similarity divides by, as the batched form guards it
-_GUARDED_NORMS = {
-    ErrorFnKind.COSINE: lambda a: np.sqrt(np.sum(a * a)),
-    ErrorFnKind.HIST_INTERSECT: lambda a: np.sum(np.abs(a)),
-}
-
-
 def error_fn(kind: ErrorFnKind, d: Tensor, d_ref: Tensor) -> Tensor:
     """Error between two gradient images; differentiable w.r.t. the first.
 
@@ -84,10 +77,9 @@ def error_fn(kind: ErrorFnKind, d: Tensor, d_ref: Tensor) -> Tensor:
         raise ValueError(f"error_fn: shapes differ {d.shape} vs {d_ref.shape}")
     if d.size == 0:
         raise ValueError("error_fn: empty tensors")
-    norm = _GUARDED_NORMS.get(kind)
-    if norm is not None and min(norm(d.data), norm(d_ref.data)) < NORM_GUARD:
+    errs, kept = _guarded_errors(kind, T.reshape(d, (1, -1)), T.reshape(d_ref, (1, -1)))
+    if not kept.all():
         raise ValueError(f"error_fn: zero-norm input for {kind.name.lower()}")
-    errs = _per_example_errors(kind, T.reshape(d, (1, -1)), T.reshape(d_ref, (1, -1)))
     return T.reshape(errs, ())
 
 
@@ -98,23 +90,35 @@ def _per_example_errors(kind: ErrorFnKind, d: Tensor, d_ref: Tensor) -> Tensor:
     contribute exactly zero instead of erroring (dead gradients happen
     early in training).
     """
+    return _guarded_errors(kind, d, d_ref)[0]
+
+
+def _norm_guard(norm_a: np.ndarray, norm_b: np.ndarray):
+    """The examples whose two norms both reach NORM_GUARD, and the constants
+    (mask, 1 - mask) that zero the others' terms and divide them by 1."""
+    kept = (norm_a >= NORM_GUARD) & (norm_b >= NORM_GUARD)
+    mask = kept.astype(np.float64)
+    return kept, Tensor(mask, _copy=False), Tensor(1.0 - mask, _copy=False)
+
+
+def _guarded_errors(kind: ErrorFnKind, d: Tensor, d_ref: Tensor):
+    """`_per_example_errors` and the examples its norm guard kept."""
     axes = _flat_axes(d.shape)
     m = int(np.prod(d.shape[1:]))
+    kept = np.ones(d.shape[0], dtype=bool)
     if kind is ErrorFnKind.MAE:
-        return T.scale(T.reduce_sum(T.absolute(T.sub(d, d_ref)), axis=axes), 1.0 / m)
+        return T.scale(T.reduce_sum(T.absolute(T.sub(d, d_ref)), axis=axes), 1.0 / m), kept
     if kind is ErrorFnKind.MSE:
         diff = T.sub(d, d_ref)
-        return T.scale(T.reduce_sum(T.mul(diff, diff), axis=axes), 1.0 / m)
+        return T.scale(T.reduce_sum(T.mul(diff, diff), axis=axes), 1.0 / m), kept
 
     if kind is ErrorFnKind.COSINE:
         sq_a = T.reduce_sum(T.mul(d, d), axis=axes)
         sq_b = T.reduce_sum(T.mul(d_ref, d_ref), axis=axes)
-        keep = (np.sqrt(sq_a.data) >= NORM_GUARD) & (np.sqrt(sq_b.data) >= NORM_GUARD)
-        mask = Tensor(keep.astype(np.float64), _copy=False)
-        offset = Tensor(1.0 - keep.astype(np.float64), _copy=False)
+        kept, mask, offset = _norm_guard(np.sqrt(sq_a.data), np.sqrt(sq_b.data))
         prod = T.add(T.mul(T.mul(sq_a, sq_b), mask), offset)
         inner = T.reduce_sum(T.mul(d, d_ref), axis=axes)
-        return T.neg(T.mul(T.div(inner, T.sqrt(prod)), mask))
+        return T.neg(T.mul(T.div(inner, T.sqrt(prod)), mask)), kept
 
     if kind is ErrorFnKind.HIST_INTERSECT:
         # overlap of the two L1-normalized histograms: -1 when equal, and
@@ -122,17 +126,14 @@ def _per_example_errors(kind: ErrorFnKind, d: Tensor, d_ref: Tensor) -> Tensor:
         abs_a, abs_b = T.absolute(d), T.absolute(d_ref)
         l1_a = T.reduce_sum(abs_a, axis=axes)
         l1_b = T.reduce_sum(abs_b, axis=axes)
-        keep = (l1_a.data >= NORM_GUARD) & (l1_b.data >= NORM_GUARD)
-        mask = Tensor(keep.astype(np.float64), _copy=False)
-        offset = Tensor(1.0 - keep.astype(np.float64), _copy=False)
+        kept, mask, offset = _norm_guard(l1_a.data, l1_b.data)
 
         def unit(v, l1):
-            # masked rows divide by 1
             l1 = T.reshape(T.add(T.mul(l1, mask), offset), (d.shape[0],) + (1,) * len(axes))
             return T.div(v, T.broadcast_to(l1, v.shape))
 
         overlap = T.reduce_sum(T.minimum(unit(abs_a, l1_a), unit(abs_b, l1_b)), axis=axes)
-        return T.neg(T.mul(overlap, mask))
+        return T.neg(T.mul(overlap, mask)), kept
     raise ValueError(f"unknown error function {kind!r}")
 
 

@@ -26,8 +26,10 @@ class CurveConfig:
     def __post_init__(self):
         if self.pixels_per_step < 1 or self.steps < 1:
             raise ValueError("steps and pixels_per_step must be >= 1")
-        if self.blur_kernel % 2 != 1:
-            raise ValueError("blur_kernel must be odd")
+        if self.blur_kernel < 1 or self.blur_kernel % 2 != 1:
+            raise ValueError(f"blur_kernel must be odd and >= 1, got {self.blur_kernel}")
+        if not self.blur_sigma > 0.0:  # NaN fails too
+            raise ValueError(f"blur_sigma must be > 0, got {self.blur_sigma}")
 
 
 def default_curve_config(hw: int) -> CurveConfig:
@@ -99,24 +101,17 @@ def causal_curves(model, x_raw, smap, cfg: CurveConfig, c, prep, p_orig) -> tupl
     total = h * w
     if cfg.steps * cfg.pixels_per_step < total:
         raise ValueError("steps * pixels_per_step must cover the image")
-    order = np.argsort(-smap.normalized.reshape(-1), kind="stable")
-
-    counts = [0]
-    done = 0
-    while done < total:
-        done = min(done + cfg.pixels_per_step, total)
-        counts.append(done)
-    fractions = np.array(counts, dtype=np.float64) / total
+    rank = np.empty(total, dtype=np.int64)
+    rank[np.argsort(-smap.normalized.reshape(-1), kind="stable")] = np.arange(total)
+    n_steps = -(-total // cfg.pixels_per_step)
+    counts = np.minimum(np.arange(n_steps + 1) * cfg.pixels_per_step, total)
+    fractions = counts / total
+    # state s shows the source at the counts[s] highest-ranked pixels
+    revealed = (rank[None, :] < counts[:, None])[:, None, :]
 
     def run(start_img: np.ndarray, source: np.ndarray) -> float:
-        flat_src = source.reshape(c_img, -1)
-        img = start_img.copy().reshape(c_img, -1)
-        states = np.empty((len(counts), c_img, total))
-        states[0] = img
-        for s in range(1, len(counts)):
-            sel = order[counts[s - 1] : counts[s]]
-            img[:, sel] = flat_src[:, sel]
-            states[s] = img
+        flat = (1, c_img, total)
+        states = np.where(revealed, source.reshape(flat), start_img.reshape(flat))
         batch = np.stack([prep(st.reshape(c_img, h, w)) for st in states])
         ratios = model.forward(batch).probs.data[:, c] / p_orig
         return float(np.trapezoid(ratios, fractions) * 100.0)
@@ -127,12 +122,19 @@ def causal_curves(model, x_raw, smap, cfg: CurveConfig, c, prep, p_orig) -> tupl
     return insertion, deletion
 
 
-def _eval_image(model, split, i, method, layer, class_policy, curve_cfg):
+def target_class(model, split, i, class_policy) -> tuple[int, float]:
+    """The class image i is explained for, the model's top class under the
+    "predicted" policy and the label under "ground_truth", with the
+    model's probability for it."""
     img = split.images[i]
-    x_raw = img.pixels
-    probs = model.forward(split.normalize(x_raw)[None]).probs.data[0]
+    probs = model.forward(split.normalize(img.pixels)[None]).probs.data[0]
     c = int(np.argmax(probs)) if class_policy == "predicted" else int(img.label)
-    p = float(probs[c])
+    return c, float(probs[c])
+
+
+def _eval_image(model, split, i, method, layer, class_policy, curve_cfg):
+    x_raw = split.images[i].pixels
+    c, p = target_class(model, split, i, class_policy)
     if p == 0.0:
         raise ValueError(f"image {i}: original probability for class {c} is zero")
     smap = saliency_for(model, x_raw, c, layer, method, prep=split.normalize)

@@ -80,7 +80,14 @@ def spec_from_name(name: str) -> ArchitectureSpec:
 def _validate_spec(spec: ArchitectureSpec):
     """Channels and spatial size after the last block; only pools change the size."""
     c, h, w = spec.input_shape
+    if min(c, h, w, spec.num_classes) < 1 or not spec.blocks:
+        raise ValueError(
+            f"{spec.name}: input {spec.input_shape}, {spec.num_classes} classes and "
+            f"{len(spec.blocks)} blocks must all be at least 1"
+        )
     for i, blk in enumerate(spec.blocks):
+        if blk.out_channels < 1:
+            raise ValueError(f"block {i}: {blk.out_channels} output channels, need at least 1")
         if blk.residual and blk.out_channels != c:
             raise ValueError(
                 f"block {i}: residual needs matching channels ({c} -> {blk.out_channels})"
@@ -116,7 +123,6 @@ class Model:
         self.spec = spec
         self.seed = seed
         self.params = params
-        self.forward_count = 0  # images pushed through forward()
 
     @property
     def num_params(self) -> int:
@@ -128,28 +134,28 @@ class Model:
                 return p
         raise KeyError(name)
 
+    def _aliases(self) -> dict[str, str]:
+        """The last_conv/gap_input aliases and the block maps they name."""
+        last = f"block{len(self.spec.blocks)}"
+        gap = f"{last}_pool" if self.spec.blocks[-1].pool else last
+        return {"last_conv": last, "gap_input": gap}
+
     def feature_map_names(self) -> list[str]:
         names = []
         for i, blk in enumerate(self.spec.blocks, start=1):
             names.append(f"block{i}")
             if blk.pool:
                 names.append(f"block{i}_pool")
-        return names + ["last_conv", "gap_input"]
+        return names + list(self._aliases())
 
     def resolve_layer(self, name: str) -> str:
         """Map the last_conv/gap_input aliases to concrete block map names."""
         names = self.feature_map_names()
         if name not in names:
             raise ValueError(f"unknown layer {name!r} (have {names})")
-        n_blocks = len(self.spec.blocks)
-        if name == "last_conv":
-            return f"block{n_blocks}"
-        if name == "gap_input":
-            last = self.spec.blocks[-1]
-            return f"block{n_blocks}_pool" if last.pool else f"block{n_blocks}"
-        return name
+        return self._aliases().get(name, name)
 
-    def forward(self, x, tape: Tape | None = None, inject=None, count=True) -> ForwardResult:
+    def forward(self, x, tape: Tape | None = None, inject=None) -> ForwardResult:
         """Run the network on a (N,C,H,W) batch.
 
         With a tape, parameters are watched as leaves so the result is
@@ -157,8 +163,6 @@ class Model:
         right after it is produced; the rest of the network runs on arr's
         rows, so one input image with a (K,C,h,w) map yields K outputs
         (Ablation-CAM's K channel-zeroed maps, activation-space oracles).
-        forward_count counts input images, so such a call counts 1;
-        `count=False` leaves it alone (map-extraction probes).
         """
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=np.float64))
@@ -168,8 +172,6 @@ class Model:
             )
         if inject is not None:
             inject = {self.resolve_layer(k): v for k, v in inject.items()}
-        if count:
-            self.forward_count += x.shape[0]
 
         if tape is not None:
             watched = [tape.watch(Tensor(p.data, _copy=False)) for p in self.params]
@@ -189,7 +191,6 @@ class Model:
             return t
 
         h = x
-        last_act = None
         for i, blk in enumerate(self.spec.blocks, start=1):
             if blk.residual:
                 r = T.relu(T.conv2d(h, take(), take(), padding=1))
@@ -198,12 +199,11 @@ class Model:
             else:
                 h = T.relu(T.conv2d(h, take(), take(), padding=1))
             h = expose(f"block{i}", h)
-            last_act = f"block{i}"
             if blk.pool:
                 h = expose(f"block{i}_pool", T.maxpool2d(h))
 
-        maps["last_conv"] = maps[last_act]
-        maps["gap_input"] = h
+        for alias, name in self._aliases().items():
+            maps[alias] = maps[name]
         pooled = T.global_avg_pool(h)
         logits = T.linear(pooled, take(), take())
         probs = T.softmax(T.detach(logits))  # read, never differentiated
@@ -277,7 +277,10 @@ def load_checkpoint(path, spec: ArchitectureSpec | None = None) -> Model:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"version: unsupported {version}")
     (name_len,) = struct.unpack("<I", pull(4, "architecture"))
-    name = pull(name_len, "architecture").decode("utf-8")
+    try:
+        name = pull(name_len, "architecture").decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise CheckpointError(f"architecture: name is not UTF-8 ({e})") from None
     (seed,) = struct.unpack("<Q", pull(8, "seed"))
     (count,) = struct.unpack("<Q", pull(8, "params"))
 
@@ -286,7 +289,10 @@ def load_checkpoint(path, spec: ArchitectureSpec | None = None) -> Model:
     elif spec.name != name:
         raise CheckpointError(f"architecture: checkpoint has {name!r}, expected {spec.name!r}")
 
-    model = build_model(spec, int(seed))
+    try:
+        model = build_model(spec, int(seed))
+    except ValueError as e:
+        raise CheckpointError(f"architecture: cannot build {name!r}: {e}") from None
     if model.num_params != count:
         raise CheckpointError(
             f"params: count {count} does not match architecture ({model.num_params})"

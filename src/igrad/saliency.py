@@ -117,18 +117,17 @@ class AxiomCam:
 class ScoreCam:
     """Gradient-free weights: per channel, the probability change between the
     input masked by the channel's normalized upsampled map and a black
-    image. All K masked inputs are scored in one forward; the black
-    baseline is computed on every call."""
+    image. One forward each gives the baseline, the maps and all K scores;
+    the baseline is computed on every call."""
 
     name = "scorecam"
 
     def weights_and_maps(self, model, x_raw, c, layer, prep=_identity):
         _check_target(model, c)
         layer = model.resolve_layer(layer)
-        # map extraction and the baseline are not among the K scoring passes
         black = prep(np.zeros(x_raw.shape))[None]
-        base = model.forward(black, count=False).probs.data[0, c]
-        fwd = model.forward(prep(x_raw)[None], count=False)
+        base = model.forward(black).probs.data[0, c]
+        fwd = model.forward(prep(x_raw)[None])
         amap = fwd.feature_maps[layer].data[0]
         k = amap.shape[0]
         hw = x_raw.shape[1:]
@@ -161,13 +160,7 @@ class AblationCam:
         return (y_c - y_abl) / y_c, amap
 
 
-_METHODS = {
-    "gradcam": GradCam,
-    "gradcampp": GradCamPP,
-    "scorecam": ScoreCam,
-    "ablationcam": AblationCam,
-    "axiomcam": AxiomCam,
-}
+_METHODS = {m.name: m for m in (GradCam, GradCamPP, ScoreCam, AblationCam, AxiomCam)}
 
 
 def make_method(name: str):

@@ -189,16 +189,21 @@ def test_criterion_6_cam_equivalence_and_scorecam_passes():
 
     method = ScoreCam()
     cam_weights(method, model, x, 0, "last_conv")  # no state carries over
-    model.forward_count = 0
+    sizes = []
+    real_forward = model.forward
+    model.forward = lambda xb, *a, **kw: sizes.append(len(xb)) or real_forward(xb, *a, **kw)
     cam_weights(method, model, x, 0, "last_conv")
-    k_passes = model.forward_count
+    model.forward = real_forward
+    # images per forward: the black baseline, the map extraction, the K scoring passes
+    k_passes = sizes[-1]
 
-    ok = worst <= 1e-9 and k_passes == 16
+    ok = worst <= 1e-9 and sizes == [1, 1, 16] and k_passes == 16
     report(
         6,
         ok,
         f"Grad-CAM == classifier-weight CAM within 1e-9 (max diff {worst:.2g}); "
-        f"Score-CAM scoring passes per image: {k_passes} == K=16",
+        f"Score-CAM scoring passes per image: {k_passes} == K=16 "
+        f"(images per forward {sizes} == [1, 1, 16])",
     )
 
 

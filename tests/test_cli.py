@@ -98,6 +98,25 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match="dataset.std"):
                 validate_config(doc)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("model", "widths", [True, 8]), ("dataset", "mean", [0.5, False, 0.5])],
+    )
+    def test_boolean_list_entry_rejected(self, section, key, value):
+        doc = {"dataset": {"kind": "synthetic"}, "model": {"architecture": "tinycnn"},
+               "train": {"epochs": 1}}
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key}: expected"):
+            validate_config(doc)
+
+    def test_zero_block_width_exit_2_naming_the_block(self, tmp_path, capsys):
+        path, _ = tiny_config(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["model"]["widths"] = [0, 6]
+        path.write_text(json.dumps(doc))
+        assert main(["train", str(path)]) == 2
+        assert "block 0" in capsys.readouterr().err
+
 
 class TestCmdTrain:
     def test_full_run_outputs(self, tmp_path):
@@ -193,6 +212,16 @@ class TestCmdEval:
         first = next(i for i, img in enumerate(test_set.images) if img.label != 0)
         assert main(["eval", str(path), str(ckpt), "--class-policy", "ground_truth"]) == 2
         assert f"image {first}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("blur_sigma", 0.0), ("blur_kernel", -1)])
+    def test_bad_blur_exit_2(self, trained, capsys, key, value):
+        path, ckpt, tmp_path = trained
+        doc = json.loads(path.read_text())
+        doc["metrics"] = {key: value}
+        path.write_text(json.dumps(doc))
+        assert main(["eval", str(path), str(ckpt)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out" / "metrics.csv").exists()
 
     def test_architecture_mismatch_exit_2(self, trained, tmp_path):
         path, ckpt, base = trained

@@ -51,6 +51,27 @@ class TestMaskedImage:
             masked_image(np.zeros((3, 4, 4)), FakeSmap(np.zeros((5, 5))))
 
 
+class TestCurveConfig:
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            ({"blur_sigma": 0.0}, "blur_sigma"),
+            ({"blur_sigma": -2.0}, "blur_sigma"),
+            ({"blur_sigma": float("nan")}, "blur_sigma"),
+            ({"blur_kernel": -1}, "blur_kernel"),
+            ({"blur_kernel": 4}, "blur_kernel"),
+        ],
+    )
+    def test_bad_blur_rejected(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            CurveConfig(pixels_per_step=4, steps=4, **kw)
+
+    def test_smallest_blur_is_identity(self):
+        x = np.random.default_rng(5).uniform(size=(3, 4, 4))
+        cfg = CurveConfig(pixels_per_step=4, steps=4, blur_kernel=1, blur_sigma=1e-3)
+        np.testing.assert_array_equal(gaussian_blur(x, cfg.blur_kernel, cfg.blur_sigma), x)
+
+
 class TestAggregate:
     def test_direct_formula_single_image(self):
         ad, ag, ai, _, _ = _aggregate([ImageRecord(0, 1, 0.8, 0.4)])
@@ -117,11 +138,9 @@ class OnePixelModel:
 
     def __init__(self, gain=4.0):
         self.gain = gain
-        self.forward_count = 0
 
     def forward(self, x, **kwargs):
         x = np.asarray(x.data if hasattr(x, "data") else x)
-        self.forward_count += x.shape[0]
         logit = self.gain * x[:, 0, 0, 0]
         p0 = 1.0 / (1.0 + np.exp(-logit))
         probs = np.stack([p0, 1.0 - p0], axis=1)

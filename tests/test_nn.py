@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from igrad import nn
 from igrad.nn import (
@@ -49,6 +51,24 @@ class TestBuild:
         blocks = tuple(ConvBlock(4, pool=True) for _ in range(4))
         spec = ArchitectureSpec("x", (3, 8, 8), 4, blocks)
         with pytest.raises(ValueError):
+            build_model(spec, 0)
+
+    @pytest.mark.parametrize("widths, block", [((0, 6), 0), ((8, 0), 1), ((8, -3), 1)])
+    def test_block_width_below_one_rejected(self, widths, block):
+        with pytest.raises(ValueError, match=f"block {block}: .* need at least 1"):
+            build_model(tinycnn((3, 16, 16), 4, widths), 0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            tinycnn((0, 16, 16), 4),
+            tinycnn((3, 0, 16), 4),
+            tinycnn((3, 16, 16), 0),
+            tinycnn(widths=()),
+        ],
+    )
+    def test_empty_input_classes_or_blocks_rejected(self, spec):
+        with pytest.raises(ValueError, match="must all be at least 1"):
             build_model(spec, 0)
 
     def test_residual_channel_mismatch_rejected(self):
@@ -174,3 +194,58 @@ class TestCheckpoint:
     def test_spec_from_unknown_name(self):
         with pytest.raises(CheckpointError, match="architecture"):
             spec_from_name("resnet50-pretrained")
+
+
+def _corrupt_load(path, raw):
+    """Load `raw` as a checkpoint: a model, or None for a CheckpointError."""
+    path.write_bytes(raw)
+    try:
+        return load_checkpoint(path)
+    except CheckpointError:
+        return None
+
+
+class TestCorruptCheckpoint:
+    """Any damaged checkpoint either loads or raises CheckpointError."""
+
+    SPEC = tinycnn((1, 4, 4), 2, (1, 2))
+    HEADER = 4 + 4 + 4 + len(SPEC.name) + 8 + 8
+
+    @pytest.fixture(scope="class")
+    def good(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ckpt") / "good.ckpt"
+        save_checkpoint(build_model(self.SPEC, seed=5), path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("old, new", [(b"3x16x16", b"0x16x16"), (b"w8.16", b"w0.16")])
+    def test_zero_size_in_name(self, spec16, tmp_path, old, new):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(spec16, 0), path)
+        path.write_bytes(path.read_bytes().replace(old, new))
+        with pytest.raises(CheckpointError, match="architecture"):
+            load_checkpoint(path)
+
+    def test_undecodable_name(self, spec16, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(spec16, 0), path)
+        path.write_bytes(path.read_bytes().replace(b"tinycnn", b"tiny\xffnn"))
+        with pytest.raises(CheckpointError, match="architecture"):
+            load_checkpoint(path)
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def test_every_single_byte_change(self, good, tmp_path, data):
+        # half the draws land in the header, where the parsing happens
+        where = st.integers(0, self.HEADER - 1) | st.integers(0, len(good) - 1)
+        pos = data.draw(where, label="position")
+        value = data.draw(st.integers(0, 255).filter(lambda v: v != good[pos]), label="byte")
+        raw = bytearray(good)
+        raw[pos] = value
+        _corrupt_load(tmp_path / "m.ckpt", bytes(raw))
+
+    def test_every_truncation(self, good, tmp_path):
+        assert _corrupt_load(tmp_path / "m.ckpt", good) is not None
+        for n in range(len(good)):
+            assert _corrupt_load(tmp_path / "m.ckpt", good[:n]) is None

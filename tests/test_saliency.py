@@ -188,13 +188,18 @@ class TestAxiomCam:
 
 
 class TestScoreCam:
-    def test_exactly_k_forward_passes_per_image(self, model16, x16):
+    def test_exactly_k_forward_passes_per_image(self, model16, x16, monkeypatch):
         method = ScoreCam()
         k = 16  # last_conv channels
         cam_weights(method, model16, x16, 0, "last_conv")  # no state carries over
-        model16.forward_count = 0
+        sizes = []
+        forward = model16.forward
+        monkeypatch.setattr(
+            model16, "forward", lambda x, *a, **kw: sizes.append(len(x)) or forward(x, *a, **kw)
+        )
         cam_weights(method, model16, x16, 0, "last_conv")
-        assert model16.forward_count == k  # one scoring pass per channel
+        # the black baseline, the map extraction, then one scoring pass per channel
+        assert sizes == [1, 1, k]
 
     def test_constant_channel_gets_zero_weight(self, model16, x16):
         # constant upsampled map normalizes to all zeros: masked input is
@@ -206,15 +211,14 @@ class TestScoreCam:
 
         class Inject:
             spec = model16.spec
-            forward_count = 0
 
-            def forward(self, x, tape=None, count=True):
-                # the constant map enters only the uncounted map extraction
-                # of the real image; the baseline and the K scoring passes
-                # run the real model on the masked inputs
-                if not count and np.array_equal(x, x16[None]):
-                    return model16.forward(x, tape, inject={"last_conv": amap[None]}, count=False)
-                return model16.forward(x, tape, count=count)
+            def forward(self, x, tape=None):
+                # the constant map enters only the map extraction, the one
+                # forward of the real image; the baseline and the K scoring
+                # passes run the real model on the black and masked inputs
+                if np.array_equal(x, x16[None]):
+                    return model16.forward(x, tape, inject={"last_conv": amap[None]})
+                return model16.forward(x, tape)
 
             def resolve_layer(self, name):
                 return model16.resolve_layer(name)
