@@ -54,11 +54,10 @@ def cmd_eval(args) -> int:
     if args.class_policy:
         cfg["saliency"]["class_policy"] = args.class_policy
     out, _, test_set, spec = _prepare(cfg, "eval")
+    curve_cfg = cfgmod.curve_config(cfg, test_set.images[0].pixels.shape[1])
     model = nn.load_checkpoint(args.checkpoint, spec)
     acc = evaluate_accuracy(model, test_set)
     print(f"accuracy: {acc:.4f} ({len(test_set)} images)")
-    hw = test_set.images[0].pixels.shape[1]
-    curve_cfg = cfgmod.curve_config(cfg, hw)
     layer = cfg["saliency"]["layer"]
     policy = cfg["saliency"]["class_policy"]
     reports = []
@@ -93,7 +92,7 @@ def cmd_saliency(args) -> int:
     for i in ids:
         x_raw = test_set.images[i].pixels
         x_norm = test_set.normalize(x_raw)
-        c, _ = metrics.target_class(model, test_set, i, cfg["saliency"]["class_policy"])
+        (c,), _ = metrics.target_class(model, test_set, [i], cfg["saliency"]["class_policy"])
         for name in cfg["saliency"]["methods"]:
             method = saliency.make_method(name)
             smap = saliency.saliency_for(
@@ -137,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep = sub.add_parser("eval", help="evaluate saliency metrics for a checkpoint")
     ep.add_argument("config")
     ep.add_argument("checkpoint")
-    ep.add_argument("--class-policy", choices=("predicted", "ground_truth"))
+    ep.add_argument("--class-policy", choices=metrics.CLASS_POLICIES)
     ep.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("saliency", help="export saliency overlays and gradient maps")

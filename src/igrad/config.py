@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import data, nn
 from .losses import ErrorFnKind
-from .metrics import CurveConfig, default_curve_config
+from .metrics import CLASS_POLICIES, CurveConfig, default_curve_config
 from .train import TrainConfig
 
 
@@ -62,7 +62,7 @@ _SCHEMA = {
     "saliency": {
         "methods": Field("str_list", default=["gradcam"]),
         "layer": Field("str", default="last_conv"),
-        "class_policy": Field("str", default="predicted", choices=("predicted", "ground_truth")),
+        "class_policy": Field("str", default="predicted", choices=CLASS_POLICIES),
     },
     "metrics": {
         "pixels_per_step": Field("int"),
@@ -214,10 +214,13 @@ def curve_config(cfg: dict, hw: int) -> CurveConfig:
     mc = cfg["metrics"]
     pps = mc["pixels_per_step"] or default_curve_config(hw).pixels_per_step
     steps = mc["steps"] or -(-(hw * hw) // pps)
-    return CurveConfig(
-        pixels_per_step=pps,
-        steps=steps,
-        blur_kernel=mc["blur_kernel"],
-        blur_sigma=mc["blur_sigma"],
-        fill=mc["fill"],
-    )
+    try:
+        return CurveConfig(
+            pixels_per_step=pps,
+            steps=steps,
+            blur_kernel=mc["blur_kernel"],
+            blur_sigma=mc["blur_sigma"],
+            fill=mc["fill"],
+        )
+    except ValueError as e:  # CurveConfig's messages start with the field name
+        raise ConfigError(f"metrics.{e}") from None

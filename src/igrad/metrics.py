@@ -3,6 +3,8 @@ metrics for saliency methods over a dataset split.
 
 Masking, insertion, and deletion all act in raw pixel space [0,1]; images are
 normalized just before every forward pass. Scores are softmax probabilities.
+A split is evaluated CHUNK_IMAGES images at a time, with one forward per step
+for the whole chunk.
 """
 
 from __future__ import annotations
@@ -12,7 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .saliency import saliency_for
+from .saliency import compose_saliency, pick_classes
+
+# Images per chunk. A forward's fixed cost dominates at a few images, and
+# the curve forwards of a chunk hold CHUNK_IMAGES * (steps + 1) images.
+CHUNK_IMAGES = 8
+CLASS_POLICIES = ("predicted", "ground_truth")
 
 
 @dataclass(frozen=True)
@@ -24,8 +31,9 @@ class CurveConfig:
     fill: float = 0.0
 
     def __post_init__(self):
-        if self.pixels_per_step < 1 or self.steps < 1:
-            raise ValueError("steps and pixels_per_step must be >= 1")
+        for name in ("pixels_per_step", "steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.blur_kernel < 1 or self.blur_kernel % 2 != 1:
             raise ValueError(f"blur_kernel must be odd and >= 1, got {self.blur_kernel}")
         if not self.blur_sigma > 0.0:  # NaN fails too
@@ -69,52 +77,58 @@ def masked_image(x: np.ndarray, smap) -> np.ndarray:
 
 
 def gaussian_blur(x: np.ndarray, kernel: int = 5, sigma: float = 2.0) -> np.ndarray:
-    """Separable Gaussian blur of a (C,H,W) image with reflect borders."""
+    """Separable Gaussian blur over the last two axes of a (C,H,W) image or
+    (N,C,H,W) batch, with reflect borders."""
     rad = kernel // 2
     t = np.arange(kernel, dtype=np.float64) - rad
     k1 = np.exp(-(t**2) / (2.0 * sigma**2))
     k1 /= k1.sum()
     out = x
-    for axis in (1, 2):
-        pads = [(0, 0), (0, 0), (0, 0)]
+    for axis in (x.ndim - 2, x.ndim - 1):
+        pads = [(0, 0)] * x.ndim
         pads[axis] = (rad, rad)
         padded = np.pad(out, pads, mode="reflect")
         acc = np.zeros_like(out)
         for i in range(kernel):
-            sl = [slice(None)] * 3
+            sl = [slice(None)] * x.ndim
             sl[axis] = slice(i, i + out.shape[axis])
             acc += k1[i] * padded[tuple(sl)]
         out = acc
     return out
 
 
-def causal_curves(model, x_raw, smap, cfg: CurveConfig, c, prep, p_orig) -> tuple[float, float]:
-    """Insertion and deletion AUCs (x100) for one image.
+def causal_curves(model, x_raw, sal, cfg: CurveConfig, cs, prep, p_orig):
+    """Insertion and deletion AUCs (x100) of a batch, as two (N,) arrays.
 
-    Pixels are ranked by decreasing saliency, ties to the lowest linear
-    index. Insertion reveals original pixels over a blurred copy; deletion
-    replaces them with the fill value. Each step's score is the probability
-    ratio against `p_orig`, the original image's nonzero class-c
-    probability; AUC is the trapezoid over the revealed fraction in [0,1].
+    x_raw is the (N,C,H,W) batch, sal its (N,H,W) normalized saliency maps,
+    cs the classes and p_orig each original image's nonzero class
+    probability. Pixels are ranked by decreasing saliency, ties to the
+    lowest linear index. Insertion reveals original pixels over a blurred
+    copy; deletion replaces them with the fill value. Each step's score is
+    the probability ratio against p_orig; AUC is the trapezoid over the
+    revealed fraction in [0,1]. One forward per curve kind runs all N *
+    (steps + 1) states, image by image.
     """
-    c_img, h, w = x_raw.shape
+    n, c_img, h, w = x_raw.shape
     total = h * w
     if cfg.steps * cfg.pixels_per_step < total:
         raise ValueError("steps * pixels_per_step must cover the image")
-    rank = np.empty(total, dtype=np.int64)
-    rank[np.argsort(-smap.normalized.reshape(-1), kind="stable")] = np.arange(total)
+    order = np.argsort(-sal.reshape(n, total), axis=1, kind="stable")
+    rank = np.empty((n, total), dtype=np.int64)
+    np.put_along_axis(rank, order, np.arange(total)[None], axis=1)
     n_steps = -(-total // cfg.pixels_per_step)
     counts = np.minimum(np.arange(n_steps + 1) * cfg.pixels_per_step, total)
     fractions = counts / total
     # state s shows the source at the counts[s] highest-ranked pixels
-    revealed = (rank[None, :] < counts[:, None])[:, None, :]
+    revealed = (rank[:, None, :] < counts[None, :, None])[:, :, None, :]
+    p_orig = np.asarray(p_orig, dtype=np.float64)[:, None]
 
-    def run(start_img: np.ndarray, source: np.ndarray) -> float:
-        flat = (1, c_img, total)
+    def run(start_img: np.ndarray, source: np.ndarray) -> np.ndarray:
+        flat = (n, 1, c_img, total)
         states = np.where(revealed, source.reshape(flat), start_img.reshape(flat))
-        batch = np.stack([prep(st.reshape(c_img, h, w)) for st in states])
-        ratios = model.forward(batch).probs.data[:, c] / p_orig
-        return float(np.trapezoid(ratios, fractions) * 100.0)
+        probs = model.forward(prep(states.reshape(-1, c_img, h, w))).probs.data
+        ratios = pick_classes(probs, cs) / p_orig
+        return np.trapezoid(ratios, fractions, axis=1) * 100.0
 
     blurred = gaussian_blur(x_raw, cfg.blur_kernel, cfg.blur_sigma)
     insertion = run(blurred, x_raw)
@@ -122,31 +136,18 @@ def causal_curves(model, x_raw, smap, cfg: CurveConfig, c, prep, p_orig) -> tupl
     return insertion, deletion
 
 
-def target_class(model, split, i, class_policy) -> tuple[int, float]:
-    """The class image i is explained for, the model's top class under the
-    "predicted" policy and the label under "ground_truth", with the
-    model's probability for it."""
-    img = split.images[i]
-    probs = model.forward(split.normalize(img.pixels)[None]).probs.data[0]
-    c = int(np.argmax(probs)) if class_policy == "predicted" else int(img.label)
-    return c, float(probs[c])
-
-
-def _eval_image(model, split, i, method, layer, class_policy, curve_cfg):
-    x_raw = split.images[i].pixels
-    c, p = target_class(model, split, i, class_policy)
-    if p == 0.0:
-        raise ValueError(f"image {i}: original probability for class {c} is zero")
-    smap = saliency_for(model, x_raw, c, layer, method, prep=split.normalize)
-    o = float(
-        model.forward(split.normalize(masked_image(x_raw, smap))[None]).probs.data[0, c]
-    )
-    rec = ImageRecord(i, c, p, o)
-    if curve_cfg is not None:
-        rec.insertion, rec.deletion = causal_curves(
-            model, x_raw, smap, curve_cfg, c, split.normalize, p
-        )
-    return rec
+def target_class(model, split, indices, class_policy) -> tuple[np.ndarray, np.ndarray]:
+    """The classes images `indices` are explained for, the model's top class
+    under the "predicted" policy and the label under "ground_truth", with
+    the model's probability for each, from one forward."""
+    if class_policy not in CLASS_POLICIES:
+        raise ValueError(f"class_policy {class_policy!r} not one of {CLASS_POLICIES}")
+    probs = model.forward(split.normalize(split.stacked()[indices])).probs.data
+    if class_policy == "predicted":
+        cs = np.argmax(probs, axis=1)
+    else:
+        cs = np.array([split.images[i].label for i in indices], dtype=np.int64)
+    return cs, probs[np.arange(len(cs)), cs]
 
 
 def _aggregate(recs):
@@ -171,13 +172,34 @@ def faithfulness_report(
     keep_per_image=False,
 ) -> MetricsReport:
     """AD/AG/AI percentages over the split for one saliency method, plus the
-    mean insertion/deletion AUCs when `curve_cfg` is given."""
+    mean insertion/deletion AUCs when `curve_cfg` is given. An image whose
+    probability for its class is zero fails the whole report, naming it."""
     if len(dataset) == 0:
         raise ValueError("dataset must be nonempty")
-    recs = [
-        _eval_image(model, dataset, i, method, layer, class_policy, curve_cfg)
-        for i in range(len(dataset))
-    ]
+    recs = []
+    for start in range(0, len(dataset), CHUNK_IMAGES):
+        idx = np.arange(start, min(start + CHUNK_IMAGES, len(dataset)))
+        cs, ps = target_class(model, dataset, idx, class_policy)
+        for i, c, p in zip(idx, cs, ps):
+            if p == 0.0:
+                raise ValueError(f"image {i}: original probability for class {c} is zero")
+        x_raw = dataset.stacked()[idx]
+        alpha, amap = method.weights_and_maps(model, x_raw, cs, layer, prep=dataset.normalize)
+        smaps = [
+            compose_saliency(a, m, x_raw.shape[2:], target_class=int(c), method=method.name)
+            for a, m, c in zip(alpha, amap, cs)
+        ]
+        masked = np.stack([masked_image(x, smap) for x, smap in zip(x_raw, smaps)])
+        pm = model.forward(dataset.normalize(masked)).probs.data[np.arange(len(cs)), cs]
+        chunk = [
+            ImageRecord(int(i), int(c), float(p), float(o)) for i, c, p, o in zip(idx, cs, ps, pm)
+        ]
+        if curve_cfg is not None:
+            sal = np.stack([smap.normalized for smap in smaps])
+            ins, dele = causal_curves(model, x_raw, sal, curve_cfg, cs, dataset.normalize, ps)
+            for rec, a, d in zip(chunk, ins, dele):
+                rec.insertion, rec.deletion = float(a), float(d)
+        recs += chunk
     ad, ag, ai, ins, dele = _aggregate(recs)
     return MetricsReport(
         method=method.name,

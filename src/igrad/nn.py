@@ -85,17 +85,17 @@ def _validate_spec(spec: ArchitectureSpec):
             f"{spec.name}: input {spec.input_shape}, {spec.num_classes} classes and "
             f"{len(spec.blocks)} blocks must all be at least 1"
         )
-    for i, blk in enumerate(spec.blocks):
+    for i, blk in enumerate(spec.blocks, start=1):
         if blk.out_channels < 1:
-            raise ValueError(f"block {i}: {blk.out_channels} output channels, need at least 1")
+            raise ValueError(f"block{i}: {blk.out_channels} output channels, need at least 1")
         if blk.residual and blk.out_channels != c:
             raise ValueError(
-                f"block {i}: residual needs matching channels ({c} -> {blk.out_channels})"
+                f"block{i}: residual needs matching channels ({c} -> {blk.out_channels})"
             )
         c = blk.out_channels
         if blk.pool:
             if h < T.POOL or w < T.POOL:
-                raise ValueError(f"block {i}: pool {T.POOL} larger than map {h}x{w}")
+                raise ValueError(f"block{i}: pool {T.POOL} larger than map {h}x{w}")
             h, w = h // T.POOL, w // T.POOL
     return c, h, w
 

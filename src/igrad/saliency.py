@@ -2,7 +2,9 @@
 
 All maps are built as a rectified weighted sum of one layer's feature maps;
 methods differ only in how the channel weights are computed. Gradient-based
-weights use the pre-softmax logit of the target class.
+weights use the pre-softmax logit of the target class. Each method's
+`weights_and_maps` takes a batch of images, each with its own class, and
+runs a fixed number of forwards whatever the batch size.
 """
 
 from __future__ import annotations
@@ -26,18 +28,19 @@ class SaliencyMap:
 
 
 def minmax_norm(a: np.ndarray) -> np.ndarray:
-    lo = float(a.min())
-    hi = float(a.max())
-    if hi == lo:
-        return np.zeros_like(a)
-    return (a - lo) / (hi - lo)
+    """Min-max normalization of each map over the last two axes; a constant
+    map normalizes to all zeros."""
+    lo = a.min(axis=(-2, -1), keepdims=True)
+    span = a.max(axis=(-2, -1), keepdims=True) - lo
+    flat = span == 0.0
+    return np.where(flat, 0.0, (a - lo) / np.where(flat, 1.0, span))
 
 
 def bilinear_upsample(a: np.ndarray, out_hw) -> np.ndarray:
-    """Corner-aligned bilinear interpolation of a 2-D map, rows then columns,
-    each in the lerp form a0 + (a1 - a0)*f, which is exact between equal
-    neighbours: a constant map stays constant."""
-    h, w = a.shape
+    """Corner-aligned bilinear interpolation of the maps in the last two axes,
+    rows then columns, each in the lerp form a0 + (a1 - a0)*f, which is exact
+    between equal neighbours: a constant map stays constant."""
+    h, w = a.shape[-2:]
     hh, ww = out_hw
     ys = np.linspace(0.0, h - 1.0, hh) if hh > 1 else np.zeros(1)
     xs = np.linspace(0.0, w - 1.0, ww) if ww > 1 else np.zeros(1)
@@ -47,31 +50,46 @@ def bilinear_upsample(a: np.ndarray, out_hw) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
-    rows = a[y0] + (a[y1] - a[y0]) * fy
-    return rows[:, x0] + (rows[:, x1] - rows[:, x0]) * fx
+    rows = a[..., y0, :] + (a[..., y1, :] - a[..., y0, :]) * fy
+    return rows[..., x0] + (rows[..., x1] - rows[..., x0]) * fx
 
 
 def _identity(x):
     return x
 
 
-def _check_target(model, c):
-    if not 0 <= c < model.spec.num_classes:
-        raise ValueError(f"class {c} out of range for {model.spec.num_classes} classes")
+def _check_targets(model, cs, n: int) -> np.ndarray:
+    """The classes of a batch of n images as an index array, one per image."""
+    cs = np.asarray(cs, dtype=np.int64)
+    if cs.shape != (n,):
+        raise ValueError(f"need one class per image: {cs.shape} for {n} images")
+    for c in cs:
+        if not 0 <= c < model.spec.num_classes:
+            raise ValueError(f"class {c} out of range for {model.spec.num_classes} classes")
+    return cs
 
 
-def _logit_and_activation_grad(model, x_norm, c, layer):
-    """Feature maps A and dy_c/dA for one image; returns (A, G) as (K,h,w)."""
-    _check_target(model, c)
+def pick_classes(rows: np.ndarray, cs) -> np.ndarray:
+    """Column cs[b] of image b's rows, from rows stacked image by image with
+    the same count for each of the len(cs) images: (images, rows per image)."""
+    n = len(cs)
+    return rows.reshape(n, -1, rows.shape[-1])[np.arange(n), :, cs]
+
+
+def _logit_and_activation_grad(model, x_norm, cs, layer):
+    """Feature maps A and dy_c/dA for a batch, as (N,K,h,w) each, from one
+    forward and one backward of the sum of each image's class logit: images
+    do not interact, so each image's gradient is its own."""
+    cs = _check_targets(model, cs, len(x_norm))
     layer = model.resolve_layer(layer)
     tape = Tape()
-    fwd = model.forward(Tensor(x_norm[None]), tape)
+    fwd = model.forward(Tensor(x_norm), tape)
     amap = fwd.feature_maps[layer]
-    onehot = np.zeros((1, model.spec.num_classes))
-    onehot[0, c] = 1.0
-    y_c = T.reduce_sum(T.mul(fwd.logits, Tensor(onehot, _copy=False)))
-    (grad,) = backward(y_c, [amap])
-    return amap.data[0], grad.data[0]
+    onehot = np.zeros((len(cs), model.spec.num_classes))
+    onehot[np.arange(len(cs)), cs] = 1.0
+    y = T.reduce_sum(T.mul(fwd.logits, Tensor(onehot, _copy=False)))
+    (grad,) = backward(y, [amap])
+    return amap.data, grad.data
 
 
 class GradCam:
@@ -79,9 +97,9 @@ class GradCam:
 
     name = "gradcam"
 
-    def weights_and_maps(self, model, x_raw, c, layer, prep=_identity):
-        amap, grad = _logit_and_activation_grad(model, prep(x_raw), c, layer)
-        return grad.mean(axis=(1, 2)), amap
+    def weights_and_maps(self, model, x_raw, cs, layer, prep=_identity):
+        amap, grad = _logit_and_activation_grad(model, prep(x_raw), cs, layer)
+        return grad.mean(axis=(2, 3)), amap
 
 
 class GradCamPP:
@@ -90,14 +108,14 @@ class GradCamPP:
 
     name = "gradcampp"
 
-    def weights_and_maps(self, model, x_raw, c, layer, prep=_identity):
-        amap, grad = _logit_and_activation_grad(model, prep(x_raw), c, layer)
+    def weights_and_maps(self, model, x_raw, cs, layer, prep=_identity):
+        amap, grad = _logit_and_activation_grad(model, prep(x_raw), cs, layer)
         g2 = grad * grad
         g3 = g2 * grad
-        sum_a = amap.sum(axis=(1, 2))
-        denom = 2.0 * g2 + sum_a[:, None, None] * g3
+        sum_a = amap.sum(axis=(2, 3))
+        denom = 2.0 * g2 + sum_a[:, :, None, None] * g3
         w = np.where(denom != 0.0, g2 / np.where(denom == 0.0, 1.0, denom), 0.0)
-        alpha = (w * np.maximum(grad, 0.0)).sum(axis=(1, 2))
+        alpha = (w * np.maximum(grad, 0.0)).sum(axis=(2, 3))
         return alpha, amap
 
 
@@ -106,10 +124,10 @@ class AxiomCam:
 
     name = "axiomcam"
 
-    def weights_and_maps(self, model, x_raw, c, layer, prep=_identity):
-        amap, grad = _logit_and_activation_grad(model, prep(x_raw), c, layer)
-        sum_a = amap.sum(axis=(1, 2))
-        num = (amap * grad).sum(axis=(1, 2))
+    def weights_and_maps(self, model, x_raw, cs, layer, prep=_identity):
+        amap, grad = _logit_and_activation_grad(model, prep(x_raw), cs, layer)
+        sum_a = amap.sum(axis=(2, 3))
+        num = (amap * grad).sum(axis=(2, 3))
         alpha = np.where(sum_a != 0.0, num / np.where(sum_a == 0.0, 1.0, sum_a), 0.0)
         return alpha, amap
 
@@ -117,47 +135,45 @@ class AxiomCam:
 class ScoreCam:
     """Gradient-free weights: per channel, the probability change between the
     input masked by the channel's normalized upsampled map and a black
-    image. One forward each gives the baseline, the maps and all K scores;
-    the baseline is computed on every call."""
+    image. One forward each gives the black baseline, the maps of the N
+    images and all N*K scores; the baseline is computed on every call."""
 
     name = "scorecam"
 
-    def weights_and_maps(self, model, x_raw, c, layer, prep=_identity):
-        _check_target(model, c)
+    def weights_and_maps(self, model, x_raw, cs, layer, prep=_identity):
+        cs = _check_targets(model, cs, len(x_raw))
         layer = model.resolve_layer(layer)
-        black = prep(np.zeros(x_raw.shape))[None]
-        base = model.forward(black).probs.data[0, c]
-        fwd = model.forward(prep(x_raw)[None])
-        amap = fwd.feature_maps[layer].data[0]
-        k = amap.shape[0]
-        hw = x_raw.shape[1:]
-        masks = np.stack([minmax_norm(bilinear_upsample(amap[i], hw)) for i in range(k)])
-        masked = x_raw[None, :, :, :] * masks[:, None, :, :]
-        scores = model.forward(np.stack([prep(m) for m in masked])).probs.data[:, c]
-        return scores - base, amap
+        black = prep(np.zeros((1,) + x_raw.shape[1:]))
+        base = model.forward(black).probs.data[0, cs]
+        amap = model.forward(prep(x_raw)).feature_maps[layer].data
+        masks = minmax_norm(bilinear_upsample(amap, x_raw.shape[2:]))
+        masked = (x_raw[:, None] * masks[:, :, None]).reshape((-1,) + x_raw.shape[1:])
+        scores = pick_classes(model.forward(prep(masked)).probs.data, cs)
+        return scores - base[:, None], amap
 
 
 class AblationCam:
-    """Weights are the relative logit drop when one channel is zeroed. The K
-    maps, each with one channel zeroed, are injected into one forward of the
-    image, so an image costs two forwards; a zero logit gives all-zero weights."""
+    """Weights are the relative logit drop when one channel is zeroed. The
+    N*K maps, each with one channel of one image zeroed, are injected into
+    one forward of the images, so a batch costs two forwards; a zero logit
+    gives all-zero weights."""
 
     name = "ablationcam"
 
-    def weights_and_maps(self, model, x_raw, c, layer, prep=_identity):
-        _check_target(model, c)
+    def weights_and_maps(self, model, x_raw, cs, layer, prep=_identity):
+        cs = _check_targets(model, cs, len(x_raw))
         layer = model.resolve_layer(layer)
-        xn = prep(x_raw)[None]
+        xn = prep(x_raw)
         fwd = model.forward(xn)
-        amap = fwd.feature_maps[layer].data[0]
-        y_c = fwd.logits.data[0, c]
-        k = amap.shape[0]
-        if y_c == 0.0:
-            return np.zeros(k), amap
-        ablated = np.repeat(amap[None], k, axis=0)
-        ablated[np.arange(k), np.arange(k)] = 0.0
-        y_abl = model.forward(xn, inject={layer: ablated}).logits.data[:, c]
-        return (y_c - y_abl) / y_c, amap
+        amap = fwd.feature_maps[layer].data
+        n, k = amap.shape[:2]
+        y_c = pick_classes(fwd.logits.data, cs)
+        ablated = np.repeat(amap[:, None], k, axis=1)
+        ablated[:, np.arange(k), np.arange(k)] = 0.0
+        ablated = ablated.reshape((n * k,) + amap.shape[1:])
+        y_abl = pick_classes(model.forward(xn, inject={layer: ablated}).logits.data, cs)
+        zero = y_c == 0.0
+        return np.where(zero, 0.0, (y_c - y_abl) / np.where(zero, 1.0, y_c)), amap
 
 
 _METHODS = {m.name: m for m in (GradCam, GradCamPP, ScoreCam, AblationCam, AxiomCam)}
@@ -170,8 +186,9 @@ def make_method(name: str):
 
 
 def cam_weights(method, model, x_raw, c, layer, prep=_identity) -> np.ndarray:
-    alpha, _ = method.weights_and_maps(model, x_raw, c, layer, prep)
-    return alpha
+    """Channel weights for one (C,H,W) image and class c."""
+    alpha, _ = method.weights_and_maps(model, x_raw[None], [c], layer, prep)
+    return alpha[0]
 
 
 def compose_saliency(weights, feature_maps, input_hw, target_class=-1, method="") -> SaliencyMap:
@@ -189,9 +206,9 @@ def compose_saliency(weights, feature_maps, input_hw, target_class=-1, method=""
 
 
 def saliency_for(model, x_raw, c, layer, method, prep=_identity) -> SaliencyMap:
-    alpha, amap = method.weights_and_maps(model, x_raw, c, layer, prep)
-    smap = compose_saliency(alpha, amap, x_raw.shape[1:], target_class=c, method=method.name)
-    return smap
+    """The saliency map of one (C,H,W) image for class c."""
+    alpha, amap = method.weights_and_maps(model, x_raw[None], [c], layer, prep)
+    return compose_saliency(alpha[0], amap[0], x_raw.shape[1:], target_class=c, method=method.name)
 
 
 def input_gradient_map(model, x, t, mode: GradMode = GradMode.STANDARD) -> np.ndarray:
@@ -199,7 +216,7 @@ def input_gradient_map(model, x, t, mode: GradMode = GradMode.STANDARD) -> np.nd
 
     x is the model-space input (already normalized); t is the loss target.
     """
-    _check_target(model, t)
+    _check_targets(model, [t], 1)
     ce, _, xw = _forward_ce(model, np.asarray(x)[None], [t])
     (g,) = backward(ce, [xw], mode=mode)
     flat = np.max(np.abs(g.data[0]), axis=0)

@@ -245,7 +245,8 @@ def test_criterion_7_metrics_oracle():
     smap = saliency_for(model, x, 0, "last_conv", GradCam(), prep=split.normalize)
     captured.clear()
     p = real_forward(split.normalize(x)[None]).probs.data[0, 0]
-    causal_curves(model, x, smap, CurveConfig(8, 8, 5, 2.0), 0, split.normalize, p)
+    cfg = CurveConfig(8, 8, 5, 2.0)
+    causal_curves(model, x[None], smap.normalized[None], cfg, [0], split.normalize, [p])
     model.forward = real_forward
     ins_batch, del_batch = captured[0], captured[1]
     p_final = real_forward(ins_batch[-1:]).probs.data[0, 0]

@@ -115,7 +115,7 @@ class TestConfigValidation:
         doc["model"]["widths"] = [0, 6]
         path.write_text(json.dumps(doc))
         assert main(["train", str(path)]) == 2
-        assert "block 0" in capsys.readouterr().err
+        assert "block1:" in capsys.readouterr().err
 
 
 class TestCmdTrain:
@@ -220,7 +220,10 @@ class TestCmdEval:
         doc["metrics"] = {key: value}
         path.write_text(json.dumps(doc))
         assert main(["eval", str(path), str(ckpt)]) == 2
-        assert key in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert f"metrics.{key}" in err
+        # rejected before the checkpoint load and the accuracy pass
+        assert "accuracy:" not in out
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
     def test_architecture_mismatch_exit_2(self, trained, tmp_path):

@@ -4,7 +4,7 @@ the test, and causal curves enumerated by hand on a one-pixel toy model."""
 import numpy as np
 import pytest
 
-from igrad import data, nn
+from igrad import data, metrics, nn
 from igrad.metrics import (
     CurveConfig,
     ImageRecord,
@@ -13,10 +13,11 @@ from igrad.metrics import (
     faithfulness_report,
     gaussian_blur,
     masked_image,
+    target_class,
     write_reports_csv,
     _aggregate,
 )
-from igrad.saliency import GradCam, SaliencyMap
+from igrad.saliency import GradCam, SaliencyMap, make_method
 
 
 def trained_model_and_split(seed=0):
@@ -133,6 +134,74 @@ class TestFaithfulnessOracle:
         assert np.isfinite([ad_p, ad_g]).all()
 
 
+METHODS = ["gradcam", "gradcampp", "axiomcam", "scorecam", "ablationcam"]
+
+
+class TestChunks:
+    """The split is evaluated CHUNK_IMAGES images per forward; 17 images
+    make three chunks at 8."""
+
+    @pytest.fixture
+    def model_and_split(self):
+        split = data.synthetic_shapes(17, hw=8, seed=21)
+        model = nn.build_model(nn.tinycnn((3, 8, 8), 4, (4, 6)), seed=0)
+        return model, split
+
+    @pytest.mark.parametrize("name", METHODS)
+    def test_records_equal_one_image_evaluation(self, model_and_split, monkeypatch, name):
+        model, split = model_and_split
+        cfg = default_curve_config(8)
+
+        def report():
+            return faithfulness_report(
+                model, split, make_method(name), class_policy="ground_truth",
+                curve_cfg=cfg, keep_per_image=True,
+            )
+
+        chunked = report()
+        monkeypatch.setattr(metrics, "CHUNK_IMAGES", 1)
+        single = report()
+        assert [r.index for r in chunked.per_image] == list(range(17))
+        for got, want in zip(chunked.per_image, single.per_image):
+            assert (got.index, got.target) == (want.index, want.target)
+            for k in ("p_original", "p_masked", "insertion", "deletion"):
+                a, b = getattr(got, k), getattr(want, k)
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (got.index, k, a, b)
+
+    def test_forwards_per_chunk(self, model_and_split, monkeypatch):
+        # per chunk: the target classes, the map, the masked images and
+        # one forward per curve kind
+        model, split = model_and_split
+        sizes = []
+        forward = model.forward
+
+        def counting(x, *a, **kw):
+            sizes.append(len(getattr(x, "data", x)))
+            return forward(x, *a, **kw)
+
+        monkeypatch.setattr(model, "forward", counting)
+        faithfulness_report(model, split, GradCam(), curve_cfg=default_curve_config(8))
+        assert sizes == [s for n in (8, 8, 1) for s in (n, n, n, 9 * n, 9 * n)]
+
+    def test_zero_probability_names_the_split_index(self, model_and_split):
+        model, split = model_and_split
+        model.param_by_name("head.w").data[:] = 0.0
+        model.param_by_name("head.b").data[:] = -1e4  # exp(-1e4) underflows to 0
+        model.param_by_name("head.b").data[0] = 0.0
+        for i, img in enumerate(split.images):
+            img.label = 1 if i == 11 else 0
+        with pytest.raises(ValueError, match="image 11: original probability for class 1 is zero"):
+            faithfulness_report(model, split, GradCam(), class_policy="ground_truth")
+
+    def test_misspelt_policy_rejected_before_any_forward(self, model_and_split, monkeypatch):
+        model, split = model_and_split
+        monkeypatch.setattr(model, "forward", lambda *a, **kw: pytest.fail("forward ran"))
+        with pytest.raises(ValueError, match="'predictd'"):
+            faithfulness_report(model, split, GradCam(), class_policy="predictd")
+        with pytest.raises(ValueError, match="'predictd'"):
+            target_class(model, split, [0, 1], "predictd")
+
+
 class OnePixelModel:
     """Probability of class 0 is a logistic read of pixel (0,0), channel 0."""
 
@@ -163,7 +232,9 @@ class TestCausalCurves:
 
         p_orig = model.forward(x[None]).probs.data[0, 0]
         # reproduce the final insertion state by hand: every pixel restored
-        ins, dele = causal_curves(model, x, smap, cfg, 0, prep=lambda v: v, p_orig=p_orig)
+        (ins,), (dele,) = causal_curves(
+            model, x[None], smap.normalized[None], cfg, [0], prep=lambda v: v, p_orig=[p_orig]
+        )
         assert np.isfinite([ins, dele]).all()
 
         # endpoint check via a capturing wrapper
@@ -174,7 +245,7 @@ class TestCausalCurves:
                 captured.append(np.asarray(xb))
                 return super().forward(xb, **kw)
 
-        causal_curves(Capture(), x, smap, cfg, 0, prep=lambda v: v, p_orig=p_orig)
+        causal_curves(Capture(), x[None], smap.normalized[None], cfg, [0], lambda v: v, [p_orig])
         ins_batch = captured[0]  # [0]=insertion steps, [1]=deletion steps
         np.testing.assert_array_equal(ins_batch[-1], x)
         del_batch = captured[1]
@@ -192,7 +263,7 @@ class TestCausalCurves:
         sal[0, 0] = 1.0  # the only pixel the model reads comes first
         cfg = CurveConfig(pixels_per_step=2, steps=8, blur_kernel=3, blur_sigma=1.0)
         p_orig = model.forward(x[None]).probs.data[0, 0]
-        ins, dele = causal_curves(model, x, FakeSmap(sal), cfg, 0, lambda v: v, p_orig)
+        (ins,), (dele,) = causal_curves(model, x[None], sal[None], cfg, [0], lambda v: v, [p_orig])
 
         def prob(img):
             return 1.0 / (1.0 + np.exp(-model.gain * img[0, 0, 0]))
@@ -223,20 +294,26 @@ class TestCausalCurves:
         smap = saliency_for(model, x, 0, "last_conv", GradCam(), prep=split.normalize)
         cfg = default_curve_config(8)
         p = model.forward(split.normalize(x)[None]).probs.data[0, 0]
-        a = causal_curves(model, x, smap, cfg, 0, split.normalize, p)
-        b = causal_curves(model, x, smap, cfg, 0, split.normalize, p)
+        sal = smap.normalized[None]
+
+        def run():
+            (ins,), (dele,) = causal_curves(model, x[None], sal, cfg, [0], split.normalize, [p])
+            return ins, dele
+
+        a = run()
+        b = run()
         assert a == b
 
     def test_coverage_validation(self):
         with pytest.raises(ValueError, match="cover"):
             causal_curves(
                 OnePixelModel(),
+                np.zeros((1, 1, 4, 4)),
                 np.zeros((1, 4, 4)),
-                FakeSmap(np.zeros((4, 4))),
                 CurveConfig(pixels_per_step=2, steps=2),
-                0,
+                [0],
                 lambda v: v,
-                0.5,
+                [0.5],
             )
 
     def test_tie_ranking_lowest_linear_index(self):
@@ -250,7 +327,7 @@ class TestCausalCurves:
 
         x = np.arange(16, dtype=np.float64).reshape(1, 4, 4) / 16 + 0.1
         cfg = CurveConfig(pixels_per_step=4, steps=4, blur_kernel=3, blur_sigma=1.0)
-        causal_curves(Capture(), x, FakeSmap(np.ones((4, 4))), cfg, 0, lambda v: v, 0.5)
+        causal_curves(Capture(), x[None], np.ones((1, 4, 4)), cfg, [0], lambda v: v, [0.5])
         dele = captured[1]
         # after the first deletion step the first four pixels are zeroed
         np.testing.assert_array_equal(dele[1].reshape(-1)[:4], 0.0)

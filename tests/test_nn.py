@@ -55,7 +55,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("widths, block", [((0, 6), 0), ((8, 0), 1), ((8, -3), 1)])
     def test_block_width_below_one_rejected(self, widths, block):
-        with pytest.raises(ValueError, match=f"block {block}: .* need at least 1"):
+        with pytest.raises(ValueError, match=f"block{block + 1}: .* need at least 1"):
             build_model(tinycnn((3, 16, 16), 4, widths), 0)
 
     @pytest.mark.parametrize(

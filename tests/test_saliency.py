@@ -20,6 +20,7 @@ from igrad.saliency import (
     make_method,
     minmax_norm,
     saliency_for,
+    _METHODS,
     _logit_and_activation_grad,
 )
 from igrad.tensor import GradMode
@@ -114,7 +115,8 @@ class TestGradCam:
         # injection of a perturbed map
         c = 1
         layer = "gap_input"
-        amap, grad = _logit_and_activation_grad(model16, x16, c, layer)
+        amaps, grads = _logit_and_activation_grad(model16, x16[None], [c], layer)
+        amap, grad = amaps[0], grads[0]
         h = 1e-5
 
         def logit_with(a):
@@ -151,7 +153,7 @@ class TestGradCam:
         ran = []
         apply = T._apply
         monkeypatch.setattr(T, "_apply", lambda kind, *a: ran.append(kind) or apply(kind, *a))
-        GradCam().weights_and_maps(model16, x16, 1, "last_conv")
+        GradCam().weights_and_maps(model16, x16[None], [1], "last_conv")
         assert ran.count("conv2d") == 2
         assert ran.count("conv2d_kernel_grad") == 0
         assert ran.count("conv2d_input_grad") == 0
@@ -169,7 +171,8 @@ class TestGradCamPP:
     def test_matches_closed_form(self, model16, x16):
         c = 3
         alpha = cam_weights(GradCamPP(), model16, x16, c, "last_conv")
-        amap, g = _logit_and_activation_grad(model16, x16, c, "last_conv")
+        amaps, grads = _logit_and_activation_grad(model16, x16[None], [c], "last_conv")
+        amap, g = amaps[0], grads[0]
         g2, g3 = g * g, g * g * g
         denom = 2.0 * g2 + amap.sum(axis=(1, 2))[:, None, None] * g3
         w = np.where(denom != 0, g2 / np.where(denom == 0, 1.0, denom), 0.0)
@@ -181,7 +184,8 @@ class TestAxiomCam:
     def test_matches_formula(self, model16, x16):
         c = 1
         alpha = cam_weights(AxiomCam(), model16, x16, c, "last_conv")
-        amap, g = _logit_and_activation_grad(model16, x16, c, "last_conv")
+        amaps, grads = _logit_and_activation_grad(model16, x16[None], [c], "last_conv")
+        amap, g = amaps[0], grads[0]
         sums = amap.sum(axis=(1, 2))
         want = np.where(sums != 0, (amap * g).sum(axis=(1, 2)) / np.where(sums == 0, 1, sums), 0)
         np.testing.assert_allclose(alpha, want, atol=1e-12)
@@ -200,6 +204,19 @@ class TestScoreCam:
         cam_weights(method, model16, x16, 0, "last_conv")
         # the black baseline, the map extraction, then one scoring pass per channel
         assert sizes == [1, 1, k]
+
+    def test_one_baseline_per_batch(self, model16, monkeypatch):
+        # a B-image call: one black baseline, one map extraction of the B
+        # images, one scoring pass of the B*K masked images
+        b, k = 3, 16
+        xs = np.random.default_rng(11).uniform(0, 1, size=(b, 3, 16, 16))
+        sizes = []
+        forward = model16.forward
+        monkeypatch.setattr(
+            model16, "forward", lambda x, *a, **kw: sizes.append(len(x)) or forward(x, *a, **kw)
+        )
+        ScoreCam().weights_and_maps(model16, xs, [0, 2, 1], "last_conv")
+        assert sizes == [1, b, b * k]
 
     def test_constant_channel_gets_zero_weight(self, model16, x16):
         # constant upsampled map normalizes to all zeros: masked input is
@@ -258,6 +275,39 @@ class TestAblationCam:
         monkeypatch.setattr(model16, "forward", lambda *a, **kw: calls.append(1) or forward(*a, **kw))
         cam_weights(AblationCam(), model16, x16, 2, "last_conv")
         assert len(calls) == 2
+
+
+class TestBatch:
+    """A batched weights_and_maps against the stacked one-image calls."""
+
+    @pytest.fixture(params=["tinycnn", "miniresnet"])
+    def model(self, request):
+        if request.param == "tinycnn":
+            spec = nn.tinycnn((3, 16, 16), 4, (8, 16))
+        else:
+            spec = nn.miniresnet((3, 16, 16), 4, width=8)
+        m = nn.build_model(spec, seed=1)
+        rng = np.random.default_rng(0)
+        for p in m.params:
+            p.data += 0.05 * rng.normal(size=p.data.shape)
+        return m
+
+    @pytest.mark.parametrize("layer", ["last_conv", "block1"])
+    @pytest.mark.parametrize("name", sorted(_METHODS))
+    def test_batch_equals_one_image_calls(self, model, name, layer):
+        xs = np.random.default_rng(12).uniform(0, 1, size=(5, 3, 16, 16))
+        cs = [0, 3, 1, 3, 2]
+        method = make_method(name)
+        alpha, amap = method.weights_and_maps(model, xs, cs, layer)
+        singles = [method.weights_and_maps(model, x[None], [c], layer) for x, c in zip(xs, cs)]
+        for got, want in ((alpha, np.concatenate([a for a, _ in singles])),
+                          (amap, np.concatenate([m for _, m in singles]))):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    def test_one_class_per_image(self, model16):
+        with pytest.raises(ValueError, match="one class per image"):
+            GradCam().weights_and_maps(model16, np.zeros((2, 3, 16, 16)), [0], "last_conv")
 
 
 class TestInputGradientMap:
