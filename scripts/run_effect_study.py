@@ -16,8 +16,8 @@ def main():
     ap.add_argument("--seeds", default="0,1,2")
     ap.add_argument("--lam", type=float, default=DESK_LAMBDA)
     ap.add_argument("--epochs", type=int, default=30)
-    ap.add_argument("--n-train", type=int, default=2000)
-    ap.add_argument("--n-test", type=int, default=400)
+    ap.add_argument("--n-train", type=int, help="training images (default: the config's)")
+    ap.add_argument("--n-test", type=int, help="held-out images (default: the config's)")
     args = ap.parse_args()
 
     seeds = tuple(int(s) for s in args.seeds.split(","))

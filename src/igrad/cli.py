@@ -79,15 +79,15 @@ def cmd_eval(args) -> int:
 
 def cmd_saliency(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    out, _, test_set, spec = _prepare(cfg, "saliency")
-    model = nn.load_checkpoint(args.checkpoint, spec)
     try:
-        ids = [int(v) for v in args.ids.split(",") if v]
+        ids = [int(v) for v in args.ids.split(",")]
     except ValueError:
         raise ConfigError(f"--ids must be comma-separated integers, got {args.ids!r}")
+    out, _, test_set, spec = _prepare(cfg, "saliency")
     for i in ids:
         if not 0 <= i < len(test_set):
             raise ConfigError(f"id {i} out of range for {len(test_set)} images")
+    model = nn.load_checkpoint(args.checkpoint, spec)
     layer = cfg["saliency"]["layer"]
     for i in ids:
         x_raw = test_set.images[i].pixels

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 from . import data, nn
 from .losses import ErrorFnKind
-from .metrics import CLASS_POLICIES, CurveConfig, default_curve_config
+from .metrics import CLASS_POLICIES, CurveConfig
+from .saliency import METHODS
 from .train import TrainConfig
 
 
@@ -24,8 +25,10 @@ class Field:
     kind: str  # int | float | str | bool | int_list | float_list | str_list
     required: bool = False
     default: object = None
-    choices: tuple | None = None
+    choices: tuple | None = None  # a list field checks each item
 
+
+_RECIPE = TrainConfig()  # the train section's defaults
 
 _SCHEMA = {
     "dataset": {
@@ -48,25 +51,26 @@ _SCHEMA = {
     },
     "train": {
         "epochs": Field("int", required=True),
-        "batch_size": Field("int", default=64),
-        "base_lr": Field("float", default=0.05),
-        "lr_decay_epochs": Field("int_list", default=[15, 22]),
-        "lr_decay_factor": Field("float", default=5.0),
-        "momentum": Field("float", default=0.9),
-        "weight_decay": Field("float", default=5e-4),
-        "lambda": Field("float", default=0.0),
-        "error_fn": Field("str", default="cosine", choices=("mae", "mse", "cosine", "hist")),
-        "seed": Field("int", default=0),
+        "batch_size": Field("int", default=_RECIPE.batch_size),
+        "base_lr": Field("float", default=_RECIPE.base_lr),
+        "lr_decay_epochs": Field("int_list", default=list(_RECIPE.lr_decay_epochs)),
+        "lr_decay_factor": Field("float", default=_RECIPE.lr_decay_factor),
+        "momentum": Field("float", default=_RECIPE.momentum),
+        "weight_decay": Field("float", default=_RECIPE.weight_decay),
+        "lambda": Field("float", default=_RECIPE.lam),
+        "error_fn": Field(
+            "str", default=_RECIPE.error_kind.value, choices=tuple(k.value for k in ErrorFnKind)
+        ),
+        "seed": Field("int", default=_RECIPE.seed),
         "checkpoint_every": Field("int"),
     },
     "saliency": {
-        "methods": Field("str_list", default=["gradcam"]),
+        "methods": Field("str_list", default=["gradcam"], choices=tuple(METHODS)),
         "layer": Field("str", default="last_conv"),
         "class_policy": Field("str", default="predicted", choices=CLASS_POLICIES),
     },
     "metrics": {
         "pixels_per_step": Field("int"),
-        "steps": Field("int"),
         "blur_kernel": Field("int", default=5),
         "blur_sigma": Field("float", default=2.0),
         "fill": Field("float", default=0.0),
@@ -89,18 +93,15 @@ _SCALAR = {
 def _check_type(value, field: Field, path: str):
     kind = field.kind
     item = kind.removesuffix("_list")
-    if kind == item:
-        ok = _SCALAR[kind](value)
-    else:
-        ok = isinstance(value, list) and all(_SCALAR[item](v) for v in value)
-    if not ok:
+    items = [value] if kind == item else value
+    if not (isinstance(items, list) and all(_SCALAR[item](v) for v in items)):
         raise ConfigError(f"{path}: expected {kind}, got {value!r}")
     # json.load reads NaN, Infinity and ints of any size; NaN fails the comparison
-    nums = value if kind == "float_list" else [value] if kind == "float" else []
-    if not all(abs(v) <= sys.float_info.max for v in nums):
+    if item == "float" and not all(abs(v) <= sys.float_info.max for v in items):
         raise ConfigError(f"{path}: expected finite numbers, got {value!r}")
-    if field.choices and value not in field.choices:
-        raise ConfigError(f"{path}: {value!r} not one of {field.choices}")
+    for v in items:
+        if field.choices and v not in field.choices:
+            raise ConfigError(f"{path}: {v!r} not one of {field.choices}")
     return float(value) if kind == "float" else value
 
 
@@ -212,12 +213,9 @@ def train_config(cfg: dict, checkpoint_path=None) -> TrainConfig:
 
 def curve_config(cfg: dict, hw: int) -> CurveConfig:
     mc = cfg["metrics"]
-    pps = mc["pixels_per_step"] or default_curve_config(hw).pixels_per_step
-    steps = mc["steps"] or -(-(hw * hw) // pps)
     try:
         return CurveConfig(
-            pixels_per_step=pps,
-            steps=steps,
+            pixels_per_step=mc["pixels_per_step"] or hw,
             blur_kernel=mc["blur_kernel"],
             blur_sigma=mc["blur_sigma"],
             fill=mc["fill"],

@@ -25,24 +25,17 @@ CLASS_POLICIES = ("predicted", "ground_truth")
 @dataclass(frozen=True)
 class CurveConfig:
     pixels_per_step: int
-    steps: int
     blur_kernel: int = 5
     blur_sigma: float = 2.0
     fill: float = 0.0
 
     def __post_init__(self):
-        for name in ("pixels_per_step", "steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.pixels_per_step < 1:
+            raise ValueError(f"pixels_per_step must be >= 1, got {self.pixels_per_step}")
         if self.blur_kernel < 1 or self.blur_kernel % 2 != 1:
             raise ValueError(f"blur_kernel must be odd and >= 1, got {self.blur_kernel}")
         if not self.blur_sigma > 0.0:  # NaN fails too
             raise ValueError(f"blur_sigma must be > 0, got {self.blur_sigma}")
-
-
-def default_curve_config(hw: int) -> CurveConfig:
-    """One image-row worth of pixels per step."""
-    return CurveConfig(pixels_per_step=hw, steps=hw)
 
 
 @dataclass
@@ -66,14 +59,6 @@ class MetricsReport:
     insertion: float | None = None
     deletion: float | None = None
     per_image: list[ImageRecord] | None = None
-
-
-def masked_image(x: np.ndarray, smap) -> np.ndarray:
-    """Element-wise product of the image with the map's `normalized` array."""
-    sal = smap.normalized
-    if x.shape[1:] != sal.shape:
-        raise ValueError(f"masked_image: {x.shape} does not match map {sal.shape}")
-    return x * sal[None, :, :]
 
 
 def gaussian_blur(x: np.ndarray, kernel: int = 5, sigma: float = 2.0) -> np.ndarray:
@@ -106,13 +91,12 @@ def causal_curves(model, x_raw, sal, cfg: CurveConfig, cs, prep, p_orig):
     lowest linear index. Insertion reveals original pixels over a blurred
     copy; deletion replaces them with the fill value. Each step's score is
     the probability ratio against p_orig; AUC is the trapezoid over the
-    revealed fraction in [0,1]. One forward per curve kind runs all N *
-    (steps + 1) states, image by image.
+    revealed fraction in [0,1]. A curve takes ceil(H*W / pixels_per_step)
+    steps; one forward per curve kind runs all N * (steps + 1) states,
+    image by image.
     """
     n, c_img, h, w = x_raw.shape
     total = h * w
-    if cfg.steps * cfg.pixels_per_step < total:
-        raise ValueError("steps * pixels_per_step must cover the image")
     order = np.argsort(-sal.reshape(n, total), axis=1, kind="stable")
     rank = np.empty((n, total), dtype=np.int64)
     np.put_along_axis(rank, order, np.arange(total)[None], axis=1)
@@ -185,17 +169,14 @@ def faithfulness_report(
                 raise ValueError(f"image {i}: original probability for class {c} is zero")
         x_raw = dataset.stacked()[idx]
         alpha, amap = method.weights_and_maps(model, x_raw, cs, layer, prep=dataset.normalize)
-        smaps = [
-            compose_saliency(a, m, x_raw.shape[2:], target_class=int(c), method=method.name)
-            for a, m, c in zip(alpha, amap, cs)
-        ]
-        masked = np.stack([masked_image(x, smap) for x, smap in zip(x_raw, smaps)])
-        pm = model.forward(dataset.normalize(masked)).probs.data[np.arange(len(cs)), cs]
+        hw = x_raw.shape[2:]
+        sal = np.stack([compose_saliency(a, m, hw).normalized for a, m in zip(alpha, amap)])
+        masked = dataset.normalize(x_raw * sal[:, None])
+        pm = model.forward(masked).probs.data[np.arange(len(cs)), cs]
         chunk = [
             ImageRecord(int(i), int(c), float(p), float(o)) for i, c, p, o in zip(idx, cs, ps, pm)
         ]
         if curve_cfg is not None:
-            sal = np.stack([smap.normalized for smap in smaps])
             ins, dele = causal_curves(model, x_raw, sal, curve_cfg, cs, dataset.normalize, ps)
             for rec, a, d in zip(chunk, ins, dele):
                 rec.insertion, rec.deletion = float(a), float(d)

@@ -176,13 +176,13 @@ class AblationCam:
         return np.where(zero, 0.0, (y_c - y_abl) / np.where(zero, 1.0, y_c)), amap
 
 
-_METHODS = {m.name: m for m in (GradCam, GradCamPP, ScoreCam, AblationCam, AxiomCam)}
+METHODS = {m.name: m for m in (GradCam, GradCamPP, ScoreCam, AblationCam, AxiomCam)}
 
 
 def make_method(name: str):
-    if name not in _METHODS:
-        raise ValueError(f"unknown saliency method {name!r} (have {sorted(_METHODS)})")
-    return _METHODS[name]()
+    if name not in METHODS:
+        raise ValueError(f"unknown saliency method {name!r} (have {sorted(METHODS)})")
+    return METHODS[name]()
 
 
 def cam_weights(method, model, x_raw, c, layer, prep=_identity) -> np.ndarray:

@@ -9,14 +9,14 @@ several seeds; this backs the acceptance gate and the runnable script.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import data, metrics, nn, saliency
+from . import config, metrics, nn, saliency
 from .losses import ErrorFnKind, _forward_ce, _per_example_errors
 from .tensor import GradMode, backward
-from .train import TrainConfig, fit
+from .train import fit
 
 DESK_LAMBDA = 1.0  # chosen by pilot sweep over {1e-3 .. 1}; see README
 ALIGN_BATCH = 64  # images per batch in mean_cosine_alignment
@@ -75,50 +75,43 @@ class StudySummary:
             yield r
 
 
-def _one_run(seed, lam, error_kind, epochs, train_set, test_set) -> RunResult:
-    t0 = time.perf_counter()
-    spec = nn.tinycnn(train_set.images[0].pixels.shape, train_set.num_classes, (8, 16))
-    model = nn.build_model(spec, seed)
-    cfg = TrainConfig(
-        epochs=epochs,
-        batch_size=64,
-        base_lr=0.05,
-        lr_decay_epochs=(15, 22),
-        lr_decay_factor=5.0,
-        lam=lam,
-        error_kind=error_kind,
-        seed=seed,
-    )
-    last = fit(model, train_set, test_set, cfg).records[-1]
-    return RunResult(
-        seed=seed,
-        lam=lam,
-        train_acc=last.train_acc,
-        test_acc=last.test_acc,
-        heldout_cosine=mean_cosine_alignment(model, test_set),
-        gradcam_ad=metrics.faithfulness_report(model, test_set, saliency.GradCam()).ad,
-        seconds=time.perf_counter() - t0,
-    )
-
-
 def effect_study(
     seeds=(0, 1, 2),
     lam: float = DESK_LAMBDA,
-    error_kind: ErrorFnKind = ErrorFnKind.COSINE,
     epochs: int = 30,
-    n_train: int = 2000,
-    n_test: int = 400,
-    hw: int = 16,
-    data_seed: int = 11,
+    n_train: int | None = None,
+    n_test: int | None = None,
     progress=None,
 ) -> StudySummary:
-    train_set = data.synthetic_shapes(n_train, hw=hw, seed=data_seed)
-    test_set = data.synthetic_shapes(n_test, hw=hw, seed=data_seed + 1000)
-    test_set.mean, test_set.std = train_set.mean, train_set.std
+    """Paired lam=0 and lam runs per seed, each a tinycnn trained as
+    `igrad train` trains it from the config's defaults; the seed is both the
+    model's and the shuffle's. Split sizes default to the config's."""
+    cfg = config.validate_config(
+        {
+            "dataset": {"kind": "synthetic", "n_train": n_train, "n_test": n_test},
+            "model": {"architecture": "tinycnn"},
+            "train": {"epochs": epochs},
+        }
+    )
+    train_set, test_set = config.build_datasets(cfg)
+    spec = config.model_spec(cfg, train_set)
+    tc = config.train_config(cfg)
     baseline, regularized = [], []
     for seed in seeds:
         for lam_run, bucket in ((0.0, baseline), (lam, regularized)):
-            run = _one_run(seed, lam_run, error_kind, epochs, train_set, test_set)
+            t0 = time.perf_counter()
+            model = nn.build_model(spec, seed)
+            fit_cfg = replace(tc, lam=lam_run, seed=seed)
+            last = fit(model, train_set, test_set, fit_cfg).records[-1]
+            run = RunResult(
+                seed=seed,
+                lam=lam_run,
+                train_acc=last.train_acc,
+                test_acc=last.test_acc,
+                heldout_cosine=mean_cosine_alignment(model, test_set),
+                gradcam_ad=metrics.faithfulness_report(model, test_set, saliency.GradCam()).ad,
+                seconds=time.perf_counter() - t0,
+            )
             bucket.append(run)
             if progress:
                 progress(run)

@@ -91,21 +91,6 @@ class Tensor:
         tag = "" if self.tape is None else f", tape@{self.idx}"
         return f"Tensor(shape={self.shape}{tag})"
 
-    # arithmetic sugar; python scalars go through the cheaper scale path
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
-
 
 def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape), _copy=False)

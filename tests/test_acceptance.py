@@ -77,7 +77,7 @@ def test_criterion_2_double_backprop_full_loss():
         ce, _, xw = _forward_ce(model, x, targets)
         (d_std,) = backward(ce, [xw], create_graph=True)
         errs = _per_example_errors(kind, d_std, Tensor(frozen))
-        val = (ce + T.scale(T.reduce_sum(errs), 0.5) * lam).item()
+        val = T.add(ce, T.scale(T.scale(T.reduce_sum(errs), 0.5), lam)).item()
         for p, s in zip(model.params, saved):
             p.data = s
         return val
@@ -245,7 +245,7 @@ def test_criterion_7_metrics_oracle():
     smap = saliency_for(model, x, 0, "last_conv", GradCam(), prep=split.normalize)
     captured.clear()
     p = real_forward(split.normalize(x)[None]).probs.data[0, 0]
-    cfg = CurveConfig(8, 8, 5, 2.0)
+    cfg = CurveConfig(8, 5, 2.0)
     causal_curves(model, x[None], smap.normalized[None], cfg, [0], split.normalize, [p])
     model.forward = real_forward
     ins_batch, del_batch = captured[0], captured[1]

@@ -109,6 +109,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"{section}.{key}: expected"):
             validate_config(doc)
 
+    def test_list_items_checked_against_choices(self):
+        doc = {"dataset": {"kind": "synthetic"}, "model": {"architecture": "tinycnn"},
+               "train": {"epochs": 1}, "saliency": {"methods": ["gradcam", "scorecam"]}}
+        assert validate_config(doc)["saliency"]["methods"] == ["gradcam", "scorecam"]
+        doc["saliency"]["methods"] = ["gradcam", "gradcm"]
+        with pytest.raises(ConfigError, match="saliency.methods: 'gradcm' not one of"):
+            validate_config(doc)
+
     def test_zero_block_width_exit_2_naming_the_block(self, tmp_path, capsys):
         path, _ = tiny_config(tmp_path)
         doc = json.loads(path.read_text())
@@ -226,6 +234,17 @@ class TestCmdEval:
         assert "accuracy:" not in out
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
+    def test_unknown_method_exit_2_before_the_checkpoint(self, trained, capsys):
+        path, ckpt, tmp_path = trained
+        doc = json.loads(path.read_text())
+        doc["saliency"]["methods"] = ["gradcam", "gradcm"]
+        path.write_text(json.dumps(doc))
+        assert main(["eval", str(path), str(ckpt)]) == 2
+        out, err = capsys.readouterr()
+        assert "saliency.methods: 'gradcm' not one of" in err
+        assert "accuracy:" not in out
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
     def test_architecture_mismatch_exit_2(self, trained, tmp_path):
         path, ckpt, base = trained
         other = nn.build_model(nn.tinycnn((3, 8, 8), 4, (8, 16)), 0)
@@ -276,6 +295,25 @@ class TestCmdSaliency:
         ckpt = tmp_path / "out" / "model.ckpt"
         assert main(["saliency", str(path), str(ckpt), "--ids", "99"]) == 2
         assert "out of range" in capsys.readouterr().err
+
+
+    def test_empty_ids_exit_2_naming_the_flag(self, tmp_path, capsys):
+        path, cfg = tiny_config(tmp_path)
+        main(["train", str(path)])
+        ckpt = tmp_path / "out" / "model.ckpt"
+        assert main(["saliency", str(path), str(ckpt), "--ids", ""]) == 2
+        assert "--ids" in capsys.readouterr().err
+
+    def test_unknown_method_exit_2_before_any_image(self, tmp_path, capsys):
+        path, cfg = tiny_config(tmp_path)
+        main(["train", str(path)])
+        ckpt = tmp_path / "out" / "model.ckpt"
+        doc = json.loads(path.read_text())
+        doc["saliency"]["methods"] = ["gradcam", "gradcm"]
+        path.write_text(json.dumps(doc))
+        assert main(["saliency", str(path), str(ckpt), "--ids", "0,1"]) == 2
+        assert "saliency.methods: 'gradcm' not one of" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*.ppm"))
 
 
 class TestCmdGradcheck:

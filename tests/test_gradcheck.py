@@ -101,9 +101,10 @@ def test_checked_ops_are_the_ops_the_system_runs(monkeypatch):
             velocity = [np.zeros_like(p.data) for p in model.params]
             train.train_step(model, x, t, train.TrainConfig(lam=1.0, error_kind=kind), 0.01, velocity)
     model = nn.build_model(tiny, 0)
-    for name in saliency._METHODS:
+    for name in saliency.METHODS:
         metrics.faithfulness_report(
-            model, split, saliency.make_method(name), curve_cfg=metrics.default_curve_config(8)
+            model, split, saliency.make_method(name),
+            curve_cfg=metrics.CurveConfig(pixels_per_step=8),
         )
     assert seen == set(T._REGISTRY)
     assert seen <= set(CHECKED_OPS)

@@ -290,7 +290,7 @@ class TestInterpretableLoss:
             ce, _, xw = _forward_ce(m, x, t)
             (d_std,) = backward(ce, [xw], create_graph=True)
             errs = _per_example_errors(kind, d_std, Tensor(frozen))
-            val = (ce + T.scale(T.reduce_sum(errs), 0.5) * lam).item()
+            val = T.add(ce, T.scale(T.scale(T.reduce_sum(errs), 0.5), lam)).item()
             for p, s in zip(m.params, saved):
                 p.data = s
             return val

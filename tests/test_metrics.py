@@ -9,10 +9,8 @@ from igrad.metrics import (
     CurveConfig,
     ImageRecord,
     causal_curves,
-    default_curve_config,
     faithfulness_report,
     gaussian_blur,
-    masked_image,
     target_class,
     write_reports_csv,
     _aggregate,
@@ -32,26 +30,6 @@ class FakeSmap:
         self.normalized = normalized
 
 
-class TestMaskedImage:
-    def test_ones_mask_is_identity(self):
-        x = np.random.default_rng(0).uniform(0, 1, size=(3, 4, 4))
-        np.testing.assert_array_equal(masked_image(x, FakeSmap(np.ones((4, 4)))), x)
-
-    def test_zero_mask_blacks_out(self):
-        x = np.random.default_rng(1).uniform(0, 1, size=(3, 4, 4))
-        np.testing.assert_array_equal(masked_image(x, FakeSmap(np.zeros((4, 4)))), 0.0)
-
-    def test_checkerboard(self):
-        board = np.indices((4, 4)).sum(axis=0) % 2
-        x = np.full((3, 4, 4), 0.8)
-        out = masked_image(x, FakeSmap(board.astype(float)))
-        np.testing.assert_array_equal(out, np.broadcast_to(0.8 * board, (3, 4, 4)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError, match="masked_image"):
-            masked_image(np.zeros((3, 4, 4)), FakeSmap(np.zeros((5, 5))))
-
-
 class TestCurveConfig:
     @pytest.mark.parametrize(
         "kw, match",
@@ -65,11 +43,11 @@ class TestCurveConfig:
     )
     def test_bad_blur_rejected(self, kw, match):
         with pytest.raises(ValueError, match=match):
-            CurveConfig(pixels_per_step=4, steps=4, **kw)
+            CurveConfig(pixels_per_step=4, **kw)
 
     def test_smallest_blur_is_identity(self):
         x = np.random.default_rng(5).uniform(size=(3, 4, 4))
-        cfg = CurveConfig(pixels_per_step=4, steps=4, blur_kernel=1, blur_sigma=1e-3)
+        cfg = CurveConfig(pixels_per_step=4, blur_kernel=1, blur_sigma=1e-3)
         np.testing.assert_array_equal(gaussian_blur(x, cfg.blur_kernel, cfg.blur_sigma), x)
 
 
@@ -150,7 +128,7 @@ class TestChunks:
     @pytest.mark.parametrize("name", METHODS)
     def test_records_equal_one_image_evaluation(self, model_and_split, monkeypatch, name):
         model, split = model_and_split
-        cfg = default_curve_config(8)
+        cfg = CurveConfig(pixels_per_step=8)
 
         def report():
             return faithfulness_report(
@@ -180,7 +158,7 @@ class TestChunks:
             return forward(x, *a, **kw)
 
         monkeypatch.setattr(model, "forward", counting)
-        faithfulness_report(model, split, GradCam(), curve_cfg=default_curve_config(8))
+        faithfulness_report(model, split, GradCam(), curve_cfg=CurveConfig(pixels_per_step=8))
         assert sizes == [s for n in (8, 8, 1) for s in (n, n, n, 9 * n, 9 * n)]
 
     def test_zero_probability_names_the_split_index(self, model_and_split):
@@ -228,7 +206,7 @@ class TestCausalCurves:
         rng = np.random.default_rng(3)
         x = rng.uniform(0.2, 1.0, size=(1, 4, 4))
         smap = FakeSmap(rng.uniform(0, 1, size=(4, 4)))
-        cfg = CurveConfig(pixels_per_step=4, steps=4, blur_kernel=3, blur_sigma=1.0)
+        cfg = CurveConfig(pixels_per_step=4, blur_kernel=3, blur_sigma=1.0)
 
         p_orig = model.forward(x[None]).probs.data[0, 0]
         # reproduce the final insertion state by hand: every pixel restored
@@ -261,7 +239,7 @@ class TestCausalCurves:
         x = rng.uniform(0.3, 1.0, size=(1, 4, 4))
         sal = np.zeros((4, 4))
         sal[0, 0] = 1.0  # the only pixel the model reads comes first
-        cfg = CurveConfig(pixels_per_step=2, steps=8, blur_kernel=3, blur_sigma=1.0)
+        cfg = CurveConfig(pixels_per_step=2, blur_kernel=3, blur_sigma=1.0)
         p_orig = model.forward(x[None]).probs.data[0, 0]
         (ins,), (dele,) = causal_curves(model, x[None], sal[None], cfg, [0], lambda v: v, [p_orig])
 
@@ -292,7 +270,7 @@ class TestCausalCurves:
         from igrad.saliency import saliency_for
 
         smap = saliency_for(model, x, 0, "last_conv", GradCam(), prep=split.normalize)
-        cfg = default_curve_config(8)
+        cfg = CurveConfig(pixels_per_step=8)
         p = model.forward(split.normalize(x)[None]).probs.data[0, 0]
         sal = smap.normalized[None]
 
@@ -304,18 +282,6 @@ class TestCausalCurves:
         b = run()
         assert a == b
 
-    def test_coverage_validation(self):
-        with pytest.raises(ValueError, match="cover"):
-            causal_curves(
-                OnePixelModel(),
-                np.zeros((1, 1, 4, 4)),
-                np.zeros((1, 4, 4)),
-                CurveConfig(pixels_per_step=2, steps=2),
-                [0],
-                lambda v: v,
-                [0.5],
-            )
-
     def test_tie_ranking_lowest_linear_index(self):
         # all-equal saliency: pixels must be taken in linear order
         captured = []
@@ -326,7 +292,7 @@ class TestCausalCurves:
                 return super().forward(xb, **kw)
 
         x = np.arange(16, dtype=np.float64).reshape(1, 4, 4) / 16 + 0.1
-        cfg = CurveConfig(pixels_per_step=4, steps=4, blur_kernel=3, blur_sigma=1.0)
+        cfg = CurveConfig(pixels_per_step=4, blur_kernel=3, blur_sigma=1.0)
         causal_curves(Capture(), x[None], np.ones((1, 4, 4)), cfg, [0], lambda v: v, [0.5])
         dele = captured[1]
         # after the first deletion step the first four pixels are zeroed
@@ -348,14 +314,14 @@ class TestGaussianBlur:
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
-            CurveConfig(pixels_per_step=4, steps=4, blur_kernel=4)
+            CurveConfig(pixels_per_step=4, blur_kernel=4)
 
 
 class TestReport:
     def test_report_and_csv(self, tmp_path):
         model, split = trained_model_and_split()
         rep = faithfulness_report(
-            model, split, GradCam(), curve_cfg=default_curve_config(8), keep_per_image=True
+            model, split, GradCam(), curve_cfg=CurveConfig(pixels_per_step=8), keep_per_image=True
         )
         assert rep.n == 10
         assert 0.0 <= rep.ad <= 100.0

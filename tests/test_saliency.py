@@ -20,7 +20,7 @@ from igrad.saliency import (
     make_method,
     minmax_norm,
     saliency_for,
-    _METHODS,
+    METHODS,
     _logit_and_activation_grad,
 )
 from igrad.tensor import GradMode
@@ -293,7 +293,7 @@ class TestBatch:
         return m
 
     @pytest.mark.parametrize("layer", ["last_conv", "block1"])
-    @pytest.mark.parametrize("name", sorted(_METHODS))
+    @pytest.mark.parametrize("name", sorted(METHODS))
     def test_batch_equals_one_image_calls(self, model, name, layer):
         xs = np.random.default_rng(12).uniform(0, 1, size=(5, 3, 16, 16))
         cs = [0, 3, 1, 3, 2]
