@@ -4,6 +4,7 @@ dotted path so typos in sweep scripts fail fast."""
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import sys
@@ -127,8 +128,8 @@ def validate_config(doc: dict) -> dict:
                 out[key] = _check_type(sub[key], field, f"{section}.{key}")
             elif field.required:
                 raise ConfigError(f"missing required key {section}.{key}")
-            else:
-                out[key] = field.default
+            else:  # a copy, so that editing a resolved list leaves the schema's alone
+                out[key] = copy.copy(field.default)
         resolved[section] = out
     return resolved
 
@@ -215,7 +216,7 @@ def curve_config(cfg: dict, hw: int) -> CurveConfig:
     mc = cfg["metrics"]
     try:
         return CurveConfig(
-            pixels_per_step=mc["pixels_per_step"] or hw,
+            pixels_per_step=hw if mc["pixels_per_step"] is None else mc["pixels_per_step"],
             blur_kernel=mc["blur_kernel"],
             blur_sigma=mc["blur_sigma"],
             fill=mc["fill"],

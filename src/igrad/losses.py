@@ -54,71 +54,42 @@ def _forward_ce(model, x_batch, targets):
     return ce, fwd, x
 
 
-def classification_loss(model, x_batch, targets) -> Tensor:
-    """Mean cross-entropy over the batch (Eq. form: (1/n) sum CE)."""
-    ce, _, _ = _forward_ce(model, x_batch, targets)
-    return ce
-
-
-def _flat_axes(shape):
-    return tuple(range(1, len(shape)))
+def _norm_guard(norm_a: np.ndarray, norm_b: np.ndarray):
+    """Constants (mask, 1 - mask) that zero the terms of the examples whose
+    two norms do not both reach NORM_GUARD, and divide them by 1."""
+    mask = ((norm_a >= NORM_GUARD) & (norm_b >= NORM_GUARD)).astype(np.float64)
+    return Tensor(mask, _copy=False), Tensor(1.0 - mask, _copy=False)
 
 
 def error_fn(kind: ErrorFnKind, d: Tensor, d_ref: Tensor) -> Tensor:
-    """Error between two gradient images; differentiable w.r.t. the first.
+    """Per-example errors between two (N, ...) batches of gradient images,
+    shape (N,), on tape and differentiable w.r.t. the first.
 
     MAE and MSE are mean element-wise distances; cosine and histogram
     intersection are similarities with a negative sign. The reference is
-    detached by the caller. This is the one-example case of
-    `_per_example_errors`, except that a norm the batched form would mask
-    out is an error here.
+    detached by the caller. A cosine (hist) example whose L2 (L1) norm in
+    either input falls under NORM_GUARD contributes exactly 0: dead
+    gradients happen early in training.
     """
     if d.shape != d_ref.shape:
         raise ValueError(f"error_fn: shapes differ {d.shape} vs {d_ref.shape}")
-    if d.size == 0:
-        raise ValueError("error_fn: empty tensors")
-    errs, kept = _guarded_errors(kind, T.reshape(d, (1, -1)), T.reshape(d_ref, (1, -1)))
-    if not kept.all():
-        raise ValueError(f"error_fn: zero-norm input for {kind.name.lower()}")
-    return T.reshape(errs, ())
-
-
-def _per_example_errors(kind: ErrorFnKind, d: Tensor, d_ref: Tensor) -> Tensor:
-    """Batched per-example errors, shape (N,), on tape.
-
-    Cosine/histogram examples whose relevant norm falls under NORM_GUARD
-    contribute exactly zero instead of erroring (dead gradients happen
-    early in training).
-    """
-    return _guarded_errors(kind, d, d_ref)[0]
-
-
-def _norm_guard(norm_a: np.ndarray, norm_b: np.ndarray):
-    """The examples whose two norms both reach NORM_GUARD, and the constants
-    (mask, 1 - mask) that zero the others' terms and divide them by 1."""
-    kept = (norm_a >= NORM_GUARD) & (norm_b >= NORM_GUARD)
-    mask = kept.astype(np.float64)
-    return kept, Tensor(mask, _copy=False), Tensor(1.0 - mask, _copy=False)
-
-
-def _guarded_errors(kind: ErrorFnKind, d: Tensor, d_ref: Tensor):
-    """`_per_example_errors` and the examples its norm guard kept."""
-    axes = _flat_axes(d.shape)
-    m = int(np.prod(d.shape[1:]))
-    kept = np.ones(d.shape[0], dtype=bool)
+    if d.data.ndim < 2 or d.size == 0:
+        raise ValueError(f"error_fn: need nonempty (N, ...) batches, got {d.shape}")
+    axes = tuple(range(1, d.data.ndim))
+    m = d.size // d.shape[0]
     if kind is ErrorFnKind.MAE:
-        return T.scale(T.reduce_sum(T.absolute(T.sub(d, d_ref)), axis=axes), 1.0 / m), kept
+        return T.scale(T.reduce_sum(T.absolute(T.sub(d, d_ref)), axis=axes), 1.0 / m)
     if kind is ErrorFnKind.MSE:
         diff = T.sub(d, d_ref)
-        return T.scale(T.reduce_sum(T.mul(diff, diff), axis=axes), 1.0 / m), kept
+        return T.scale(T.reduce_sum(T.mul(diff, diff), axis=axes), 1.0 / m)
 
     if kind is ErrorFnKind.COSINE:
         sq_a = T.reduce_sum(T.mul(d, d), axis=axes)
         sq_b = T.reduce_sum(T.mul(d_ref, d_ref), axis=axes)
-        kept, mask, offset = _norm_guard(np.sqrt(sq_a.data), np.sqrt(sq_b.data))
+        mask, offset = _norm_guard(np.sqrt(sq_a.data), np.sqrt(sq_b.data))
         prod = T.add(T.mul(T.mul(sq_a, sq_b), mask), offset)
         inner = T.reduce_sum(T.mul(d, d_ref), axis=axes)
-        return T.neg(T.mul(T.div(inner, T.sqrt(prod)), mask)), kept
+        return T.neg(T.mul(T.div(inner, T.sqrt(prod)), mask))
 
     if kind is ErrorFnKind.HIST_INTERSECT:
         # overlap of the two L1-normalized histograms: -1 when equal, and
@@ -126,14 +97,14 @@ def _guarded_errors(kind: ErrorFnKind, d: Tensor, d_ref: Tensor):
         abs_a, abs_b = T.absolute(d), T.absolute(d_ref)
         l1_a = T.reduce_sum(abs_a, axis=axes)
         l1_b = T.reduce_sum(abs_b, axis=axes)
-        kept, mask, offset = _norm_guard(l1_a.data, l1_b.data)
+        mask, offset = _norm_guard(l1_a.data, l1_b.data)
 
         def unit(v, l1):
             l1 = T.reshape(T.add(T.mul(l1, mask), offset), (d.shape[0],) + (1,) * len(axes))
             return T.div(v, T.broadcast_to(l1, v.shape))
 
         overlap = T.reduce_sum(T.minimum(unit(abs_a, l1_a), unit(abs_b, l1_b)), axis=axes)
-        return T.neg(T.mul(overlap, mask)), kept
+        return T.neg(T.mul(overlap, mask))
     raise ValueError(f"unknown error function {kind!r}")
 
 
@@ -163,7 +134,7 @@ def interpretable_loss(
 
     (d_std,) = backward(ce, [x], create_graph=True)
     (d_guided,) = backward(ce, [x], mode=GradMode.GUIDED)
-    errs = _per_example_errors(kind, d_std, d_guided)
+    errs = error_fn(kind, d_std, d_guided)
     loss_r = T.scale(T.reduce_sum(errs), 1.0 / n)
     total = T.add(ce, T.scale(loss_r, lam))
     bd = LossBreakdown(ce.item(), loss_r.item(), total.item())

@@ -169,8 +169,7 @@ def faithfulness_report(
                 raise ValueError(f"image {i}: original probability for class {c} is zero")
         x_raw = dataset.stacked()[idx]
         alpha, amap = method.weights_and_maps(model, x_raw, cs, layer, prep=dataset.normalize)
-        hw = x_raw.shape[2:]
-        sal = np.stack([compose_saliency(a, m, hw).normalized for a, m in zip(alpha, amap)])
+        _, sal = compose_saliency(alpha, amap, x_raw.shape[2:])
         masked = dataset.normalize(x_raw * sal[:, None])
         pm = model.forward(masked).probs.data[np.arange(len(cs)), cs]
         chunk = [

@@ -259,8 +259,11 @@ def save_checkpoint(model: Model, path):
 
 
 def load_checkpoint(path, spec: ArchitectureSpec | None = None) -> Model:
-    with open(path, "rb") as f:
-        raw = f.read()
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as e:  # its message names the path
+        raise CheckpointError(f"cannot read checkpoint: {e}") from None
     off = 0
 
     def pull(n, field):

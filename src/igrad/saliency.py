@@ -21,10 +21,7 @@ from .tensor import GradMode, Tape, Tensor, backward
 @dataclass
 class SaliencyMap:
     raw: np.ndarray         # (Hf, Wf), nonnegative
-    upsampled: np.ndarray   # (H, W)
     normalized: np.ndarray  # (H, W) in [0,1]; all zeros when raw is constant
-    target_class: int
-    method: str
 
 
 def minmax_norm(a: np.ndarray) -> np.ndarray:
@@ -185,30 +182,25 @@ def make_method(name: str):
     return METHODS[name]()
 
 
-def cam_weights(method, model, x_raw, c, layer, prep=_identity) -> np.ndarray:
-    """Channel weights for one (C,H,W) image and class c."""
-    alpha, _ = method.weights_and_maps(model, x_raw[None], [c], layer, prep)
-    return alpha[0]
-
-
-def compose_saliency(weights, feature_maps, input_hw, target_class=-1, method="") -> SaliencyMap:
-    """ReLU-rectified weighted sum of feature maps, upsampled and min-max
-    normalized (constant maps normalize to all zeros)."""
+def compose_saliency(weights, feature_maps, input_hw):
+    """The saliency maps of a batch from its (N,K) channel weights and
+    (N,K,h,w) feature maps: the ReLU-rectified weighted sums, (N,h,w), and
+    those upsampled to input_hw and min-max normalized (a constant map
+    normalizes to all zeros), (N,H,W)."""
     weights = np.asarray(weights, dtype=np.float64)
-    feature_maps = np.asarray(feature_maps, dtype=np.float64)
-    if weights.shape != (feature_maps.shape[0],):
-        raise ValueError(
-            f"need one weight per channel: {weights.shape} vs {feature_maps.shape[0]}"
-        )
-    raw = np.maximum(0.0, np.tensordot(weights, feature_maps, axes=(0, 0)))
-    upsampled = bilinear_upsample(raw, input_hw)
-    return SaliencyMap(raw, upsampled, minmax_norm(upsampled), target_class, method)
+    n, k, h, w = feature_maps.shape
+    if weights.shape != (n, k):
+        raise ValueError(f"need one weight per channel: {weights.shape} vs {(n, k)}")
+    raw = np.matmul(weights[:, None], feature_maps.reshape(n, k, h * w)).reshape(n, h, w)
+    raw = np.maximum(0.0, raw)
+    return raw, minmax_norm(bilinear_upsample(raw, input_hw))
 
 
 def saliency_for(model, x_raw, c, layer, method, prep=_identity) -> SaliencyMap:
     """The saliency map of one (C,H,W) image for class c."""
     alpha, amap = method.weights_and_maps(model, x_raw[None], [c], layer, prep)
-    return compose_saliency(alpha[0], amap[0], x_raw.shape[1:], target_class=c, method=method.name)
+    raw, normalized = compose_saliency(alpha, amap, x_raw.shape[1:])
+    return SaliencyMap(raw[0], normalized[0])
 
 
 def input_gradient_map(model, x, t, mode: GradMode = GradMode.STANDARD) -> np.ndarray:

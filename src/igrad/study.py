@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import config, metrics, nn, saliency
-from .losses import ErrorFnKind, _forward_ce, _per_example_errors
+from .losses import ErrorFnKind, _forward_ce, error_fn
 from .tensor import GradMode, backward
 from .train import fit
 
@@ -34,7 +34,7 @@ def mean_cosine_alignment(model, dataset) -> float:
         ce, _, xw = _forward_ce(model, x, t)
         (d_std,) = backward(ce, [xw])
         (d_gui,) = backward(ce, [xw], mode=GradMode.GUIDED)
-        cos = -_per_example_errors(ErrorFnKind.COSINE, d_std, d_gui).data
+        cos = -error_fn(ErrorFnKind.COSINE, d_std, d_gui).data
         vals.extend(cos.tolist())
     return float(np.mean(vals))
 

@@ -92,14 +92,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}{tag})"
 
 
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape), _copy=False)
-
-
-def ones(shape) -> Tensor:
-    return Tensor(np.ones(shape), _copy=False)
-
-
 def detach(t: Tensor) -> Tensor:
     """Same data and shape, no tape node: a stop-gradient constant."""
     out = Tensor(t.data, _copy=False)
@@ -581,7 +573,7 @@ def backward(
         node = ref()
         if node is not None and any(t.tape is not None and t.idx in live for t in node.inputs):
             live.add(node.idx)
-    adjoint: dict[int, Tensor] = {start: ones(output.shape)} if start in live else {}
+    adjoint = {start: Tensor(np.ones(output.shape), _copy=False)} if start in live else {}
 
     def sweep():
         for idx in range(start, stop, -1):
@@ -614,5 +606,5 @@ def backward(
     results = []
     for t in wrt:
         g = adjoint.get(t.idx)
-        results.append(zeros(t.shape) if g is None else g)
+        results.append(Tensor(np.zeros(t.shape), _copy=False) if g is None else g)
     return results

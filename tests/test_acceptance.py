@@ -22,14 +22,12 @@ from igrad.losses import (
     error_fn,
     interpretable_loss,
     _forward_ce,
-    _per_example_errors,
 )
 from igrad.metrics import CurveConfig, causal_curves, faithfulness_report, gaussian_blur
-from igrad.saliency import GradCam, ScoreCam, cam_weights, compose_saliency, saliency_for
+from igrad.saliency import GradCam, ScoreCam, compose_saliency, saliency_for
 from igrad.study import effect_study
 from igrad.tensor import GradMode, Tape, Tensor, backward
 from igrad.train import TrainConfig, fit, lr_at
-from igrad.losses import classification_loss
 
 
 def report(num, ok, detail):
@@ -76,7 +74,7 @@ def test_criterion_2_double_backprop_full_loss():
             pos += p.data.size
         ce, _, xw = _forward_ce(model, x, targets)
         (d_std,) = backward(ce, [xw], create_graph=True)
-        errs = _per_example_errors(kind, d_std, Tensor(frozen))
+        errs = error_fn(kind, d_std, Tensor(frozen))
         val = T.add(ce, T.scale(T.scale(T.reduce_sum(errs), 0.5), lam)).item()
         for p, s in zip(model.params, saved):
             p.data = s
@@ -134,7 +132,7 @@ def test_criterion_4_lambda_zero_bit_identity():
         for start in range(0, len(train_set), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             x, t = train_set.batch(idx, rng=rng)
-            ce = classification_loss(m_plain, x, t)
+            ce, _, _ = _forward_ce(m_plain, x, t)
             ce2, fwd, _ = _forward_ce(m_plain, x, t)
             assert ce.item() == ce2.item()
             grads = backward(ce2, fwd.params)
@@ -154,8 +152,8 @@ def test_criterion_5_error_function_properties():
     rng = np.random.default_rng(7)
     ok = True
     for _ in range(200):
-        a = Tensor(rng.normal(size=(12,)))
-        b = Tensor(rng.normal(size=(12,)))
+        a = Tensor(rng.normal(size=(1, 12)))
+        b = Tensor(rng.normal(size=(1, 12)))
         for kind in ErrorFnKind:
             e_ab = error_fn(kind, a, b).item()
             e_ba = error_fn(kind, b, a).item()
@@ -183,16 +181,16 @@ def test_criterion_6_cam_equivalence_and_scorecam_passes():
     worst = 0.0
     for c in range(4):
         grad_map = saliency_for(model, x, c, "gap_input", GradCam())
-        fmaps = model.forward(x[None]).feature_maps["gap_input"].data[0]
-        cam_map = compose_saliency(model.param_by_name("head.w").data[c], fmaps, (16, 16))
-        worst = max(worst, float(np.max(np.abs(grad_map.normalized - cam_map.normalized))))
+        fmaps = model.forward(x[None]).feature_maps["gap_input"].data
+        _, cam_map = compose_saliency(model.param_by_name("head.w").data[c][None], fmaps, (16, 16))
+        worst = max(worst, float(np.max(np.abs(grad_map.normalized - cam_map[0]))))
 
     method = ScoreCam()
-    cam_weights(method, model, x, 0, "last_conv")  # no state carries over
+    method.weights_and_maps(model, x[None], [0], "last_conv")  # no state carries over
     sizes = []
     real_forward = model.forward
     model.forward = lambda xb, *a, **kw: sizes.append(len(xb)) or real_forward(xb, *a, **kw)
-    cam_weights(method, model, x, 0, "last_conv")
+    method.weights_and_maps(model, x[None], [0], "last_conv")
     model.forward = real_forward
     # images per forward: the black baseline, the map extraction, the K scoring passes
     k_passes = sizes[-1]

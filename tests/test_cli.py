@@ -117,6 +117,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="saliency.methods: 'gradcm' not one of"):
             validate_config(doc)
 
+    def test_resolved_lists_are_copies_of_the_defaults(self):
+        doc = {"dataset": {"kind": "synthetic"}, "model": {"architecture": "tinycnn"},
+               "train": {"epochs": 1}}
+        first = validate_config(doc)
+        first["saliency"]["methods"].append("scorecam")
+        first["model"]["widths"][0] = 99
+        first["train"]["lr_decay_epochs"].clear()
+        again = validate_config(doc)
+        assert again["saliency"]["methods"] == ["gradcam"]
+        assert again["model"]["widths"] == [8, 16]
+        assert again["train"]["lr_decay_epochs"] == [15, 22]
+
     def test_zero_block_width_exit_2_naming_the_block(self, tmp_path, capsys):
         path, _ = tiny_config(tmp_path)
         doc = json.loads(path.read_text())
@@ -234,6 +246,24 @@ class TestCmdEval:
         assert "accuracy:" not in out
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
+    def test_zero_pixels_per_step_exit_2_naming_the_key(self, trained, capsys):
+        path, ckpt, tmp_path = trained
+        doc = json.loads(path.read_text())
+        doc["metrics"] = {"pixels_per_step": 0}
+        path.write_text(json.dumps(doc))
+        assert main(["eval", str(path), str(ckpt)]) == 2
+        out, err = capsys.readouterr()
+        assert "metrics.pixels_per_step must be >= 1" in err
+        assert "accuracy:" not in out
+
+    @pytest.mark.parametrize("name", ["missing.ckpt", "."])
+    def test_unreadable_checkpoint_exit_2_naming_the_path(self, trained, capsys, name):
+        path, _, tmp_path = trained
+        ckpt = tmp_path / name
+        assert main(["eval", str(path), str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read checkpoint") and str(ckpt) in err
+
     def test_unknown_method_exit_2_before_the_checkpoint(self, trained, capsys):
         path, ckpt, tmp_path = trained
         doc = json.loads(path.read_text())
@@ -303,6 +333,15 @@ class TestCmdSaliency:
         ckpt = tmp_path / "out" / "model.ckpt"
         assert main(["saliency", str(path), str(ckpt), "--ids", ""]) == 2
         assert "--ids" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["missing.ckpt", "."])
+    def test_unreadable_checkpoint_exit_2_naming_the_path(self, tmp_path, capsys, name):
+        path, cfg = tiny_config(tmp_path)
+        ckpt = tmp_path / name
+        assert main(["saliency", str(path), str(ckpt), "--ids", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read checkpoint") and str(ckpt) in err
+        assert not list((tmp_path / "out").glob("*.ppm"))
 
     def test_unknown_method_exit_2_before_any_image(self, tmp_path, capsys):
         path, cfg = tiny_config(tmp_path)

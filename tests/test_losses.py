@@ -15,11 +15,9 @@ from igrad.gradcheck import finite_diff_gradient
 from igrad.losses import (
     NORM_GUARD,
     ErrorFnKind,
-    classification_loss,
     error_fn,
     interpretable_loss,
     _forward_ce,
-    _per_example_errors,
 )
 from igrad.tensor import GradMode, Tensor, backward
 
@@ -58,13 +56,13 @@ class TestClassificationLoss:
         m.param_by_name("head.b").data[:] = [50.0, -50.0, -50.0]
         m.param_by_name("head.w").data[:] = 0.0
         x = np.zeros((1, 3, 8, 8))
-        assert classification_loss(m, x, [0]).item() == pytest.approx(0.0, abs=1e-12)
+        assert _forward_ce(m, x, [0])[0].item() == pytest.approx(0.0, abs=1e-12)
 
     def test_duplicate_example_mean_invariance(self):
         m = small_model()
         x = np.random.default_rng(0).normal(size=(1, 3, 8, 8))
-        single = classification_loss(m, x, [1]).item()
-        double = classification_loss(m, np.concatenate([x, x]), [1, 1]).item()
+        single = _forward_ce(m, x, [1])[0].item()
+        double = _forward_ce(m, np.concatenate([x, x]), [1, 1])[0].item()
         assert double == pytest.approx(single, abs=1e-12)
 
     def test_two_example_mean(self):
@@ -72,9 +70,9 @@ class TestClassificationLoss:
         rng = np.random.default_rng(1)
         xa = rng.normal(size=(1, 3, 8, 8))
         xb = rng.normal(size=(1, 3, 8, 8))
-        la = classification_loss(m, xa, [0]).item()
-        lb = classification_loss(m, xb, [2]).item()
-        lab = classification_loss(m, np.concatenate([xa, xb]), [0, 2]).item()
+        la = _forward_ce(m, xa, [0])[0].item()
+        lb = _forward_ce(m, xb, [2])[0].item()
+        lab = _forward_ce(m, np.concatenate([xa, xb]), [0, 2])[0].item()
         assert lab == pytest.approx((la + lb) / 2, rel=1e-12)
 
     def test_probabilities_stay_off_the_tape(self):
@@ -85,12 +83,12 @@ class TestClassificationLoss:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            classification_loss(small_model(), np.zeros((0, 3, 8, 8)), [])
+            _forward_ce(small_model(), np.zeros((0, 3, 8, 8)), [])
 
 
 class TestErrorFn:
     def test_identity_cases_exact(self):
-        d = Tensor(np.random.default_rng(2).normal(size=(7,)))
+        d = Tensor(np.random.default_rng(2).normal(size=(1, 7)))
         same = Tensor(d.data.copy())
         assert error_fn(ErrorFnKind.MAE, d, same).item() == 0.0
         assert error_fn(ErrorFnKind.MSE, d, same).item() == 0.0
@@ -98,38 +96,50 @@ class TestErrorFn:
         assert error_fn(ErrorFnKind.HIST_INTERSECT, d, same).item() == pytest.approx(-1.0, abs=1e-12)
 
     def test_orthogonal_cosine_zero(self):
-        a = Tensor([1.0, 0.0])
-        b = Tensor([0.0, 1.0])
+        a = Tensor([[1.0, 0.0]])
+        b = Tensor([[0.0, 1.0]])
         assert error_fn(ErrorFnKind.COSINE, a, b).item() == 0.0
 
     def test_antiparallel_cosine_worst(self):
-        d = Tensor([0.3, -0.8, 2.0])
+        d = Tensor([[0.3, -0.8, 2.0]])
         neg = Tensor(-d.data)
         assert error_fn(ErrorFnKind.COSINE, d, neg).item() == pytest.approx(1.0, abs=1e-12)
 
     def test_histogram_intersection_direct(self):
         # -(0.5 + 0.5) / (1 * 1) from the definition
-        d = Tensor([0.5, 0.5])
-        assert error_fn(ErrorFnKind.HIST_INTERSECT, d, Tensor([0.5, 0.5])).item() == -1.0
+        d = Tensor([[0.5, 0.5]])
+        assert error_fn(ErrorFnKind.HIST_INTERSECT, d, Tensor([[0.5, 0.5]])).item() == -1.0
 
-    def test_zero_norm_errors(self):
-        d = Tensor([1.0, 0.0])
-        # exactly zero, and nonzero but under the guard the batched form masks at
-        for z in (Tensor([0.0, 0.0]), Tensor([0.1 * NORM_GUARD, 0.0])):
-            for kind in (ErrorFnKind.COSINE, ErrorFnKind.HIST_INTERSECT):
-                with pytest.raises(ValueError, match="zero-norm"):
-                    error_fn(kind, z, d)
-                with pytest.raises(ValueError, match="zero-norm"):
-                    error_fn(kind, d, z)
+    def test_guarded_rows_score_alone_and_zero(self):
+        # rows 1-3 hold an all-zero gradient, one under NORM_GUARD and one
+        # with a reference under NORM_GUARD; each row's error in the batch is
+        # its error as a batch of one, bit for bit, and the similarities
+        # score the guarded rows exactly 0
+        rng = np.random.default_rng(11)
+        d = rng.normal(size=(4, 2, 3))
+        ref = rng.normal(size=(4, 2, 3))
+        d[1] = 0.0
+        d[2] = 0.0
+        d[2, 0, 1] = 0.1 * NORM_GUARD
+        ref[3] = 0.0
+        ref[3, 1, 2] = -0.1 * NORM_GUARD
+        for kind in ErrorFnKind:
+            batch = error_fn(kind, Tensor(d), Tensor(ref)).data
+            alone = [error_fn(kind, Tensor(d[i : i + 1]), Tensor(ref[i : i + 1])) for i in range(4)]
+            assert batch.shape == (4,)
+            assert batch.tobytes() == np.concatenate([e.data for e in alone]).tobytes()
+            if kind in (ErrorFnKind.COSINE, ErrorFnKind.HIST_INTERSECT):
+                assert (batch[1:] == 0.0).all()
+                assert batch[0] != 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
-            error_fn(ErrorFnKind.MAE, Tensor([1.0]), Tensor([1.0, 2.0]))
+            error_fn(ErrorFnKind.MAE, Tensor([[1.0]]), Tensor([[1.0, 2.0]]))
 
     @settings(max_examples=40)
     @given(
-        hnp.arrays(np.float64, 6, elements=st.floats(-5, 5)),
-        hnp.arrays(np.float64, 6, elements=st.floats(-5, 5)),
+        hnp.arrays(np.float64, (1, 6), elements=st.floats(-5, 5)),
+        hnp.arrays(np.float64, (1, 6), elements=st.floats(-5, 5)),
         st.floats(1e-3, 1e3),
     )
     def test_symmetry_and_bounds(self, a, b, s):
@@ -140,9 +150,7 @@ class TestErrorFn:
         }
         for kind in ErrorFnKind:
             if kind in guarded and min(guarded[kind](a), guarded[kind](b)) < NORM_GUARD:
-                with pytest.raises(ValueError, match="zero-norm"):
-                    error_fn(kind, da, db)
-                continue
+                continue  # scored 0; test_guarded_rows_score_alone_and_zero
             e_ab = error_fn(kind, da, db).item()
             e_ba = error_fn(kind, db, da).item()
             assert e_ab == pytest.approx(e_ba, rel=1e-12, abs=1e-12)
@@ -161,8 +169,8 @@ class TestErrorFn:
 
     def test_differentiable_wrt_first_argument(self):
         rng = np.random.default_rng(3)
-        ref = Tensor(rng.normal(size=(5,)))
-        base = rng.normal(size=(5,))
+        ref = Tensor(rng.normal(size=(1, 5)))
+        base = rng.normal(size=(1, 5))
         for kind in ErrorFnKind:
             tape = T.Tape()
             d = tape.watch(Tensor(base))
@@ -178,7 +186,7 @@ class TestInterpretableLoss:
         x = rng.normal(size=(3, 3, 8, 8))
         t = [0, 1, 2]
         res = interpretable_loss(m, x, t, lam=0.0)
-        plain = classification_loss(m, x, t)
+        plain, _, _ = _forward_ce(m, x, t)
         assert res.breakdown.total == plain.item()
         assert res.breakdown.loss_r == 0.0
         g_interp = backward(res.total, res.params)
@@ -221,7 +229,7 @@ class TestInterpretableLoss:
                 (d_g,) = backward(ce, [xw], mode=GradMode.GUIDED)
             else:
                 d_g = Tensor(guided_source.copy())  # fresh constant, equal values
-            errs = _per_example_errors(ErrorFnKind.COSINE, d_std, d_g)
+            errs = error_fn(ErrorFnKind.COSINE, d_std, d_g)
             total = T.add(ce, T.scale(T.scale(T.reduce_sum(errs), 0.5), lam))
             return [g.data for g in backward(total, fwd.params)], d_g.data
 
@@ -240,7 +248,7 @@ class TestInterpretableLoss:
             for i in range(4):
                 di = Tensor(res.standard_grads.data[i : i + 1].copy())
                 gi = Tensor(res.guided_grads.data[i : i + 1].copy())
-                per.append(_per_example_errors(kind, di, gi).item())
+                per.append(error_fn(kind, di, gi).item())
             assert res.breakdown.loss_r == pytest.approx(np.mean(per), abs=1e-12)
 
     def test_aligned_gradients_give_perfect_scores(self):
@@ -289,7 +297,7 @@ class TestInterpretableLoss:
                 pos += p.data.size
             ce, _, xw = _forward_ce(m, x, t)
             (d_std,) = backward(ce, [xw], create_graph=True)
-            errs = _per_example_errors(kind, d_std, Tensor(frozen))
+            errs = error_fn(kind, d_std, Tensor(frozen))
             val = T.add(ce, T.scale(T.scale(T.reduce_sum(errs), 0.5), lam)).item()
             for p, s in zip(m.params, saved):
                 p.data = s

@@ -14,7 +14,6 @@ from igrad.saliency import (
     ScoreCam,
     SaliencyMap,
     bilinear_upsample,
-    cam_weights,
     compose_saliency,
     input_gradient_map,
     make_method,
@@ -56,9 +55,9 @@ class TestHelpers:
     def test_constant_map_normalizes_to_zeros(self):
         # interpolating equal neighbours must not ripple, or min-max
         # normalization stretches the ripple to [0, 1]
-        smap = compose_saliency([1.0], np.full((1, 8, 8), 0.7), (16, 16))
-        np.testing.assert_array_equal(smap.upsampled, 0.7)
-        np.testing.assert_array_equal(smap.normalized, 0.0)
+        raw, normalized = compose_saliency([[1.0]], np.full((1, 1, 8, 8), 0.7), (16, 16))
+        np.testing.assert_array_equal(bilinear_upsample(raw[0], (16, 16)), 0.7)
+        np.testing.assert_array_equal(normalized[0], 0.0)
 
     def test_bilinear_corners_align(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -70,34 +69,34 @@ class TestHelpers:
 class TestComposeSaliency:
     def test_zero_weights_zero_map(self):
         fmaps = np.random.default_rng(4).uniform(0, 1, size=(6, 4, 4))
-        smap = compose_saliency(np.zeros(6), fmaps, (16, 16))
-        np.testing.assert_array_equal(smap.raw, 0.0)
-        np.testing.assert_array_equal(smap.normalized, 0.0)
+        raw, normalized = compose_saliency(np.zeros((1, 6)), fmaps[None], (16, 16))
+        np.testing.assert_array_equal(raw[0], 0.0)
+        np.testing.assert_array_equal(normalized[0], 0.0)
 
     def test_single_channel_identity(self):
         fmap = np.random.default_rng(5).uniform(0, 1, size=(1, 4, 4))
-        smap = compose_saliency([1.0], fmap, (4, 4))
-        np.testing.assert_array_equal(smap.raw, fmap[0])
+        raw, _ = compose_saliency([[1.0]], fmap[None], (4, 4))
+        np.testing.assert_array_equal(raw[0], fmap[0])
 
     def test_raw_nonnegative(self):
         rng = np.random.default_rng(6)
-        smap = compose_saliency(
-            rng.normal(size=8), rng.uniform(0, 1, size=(8, 4, 4)), (16, 16)
+        raw, _ = compose_saliency(
+            rng.normal(size=(1, 8)), rng.uniform(0, 1, size=(1, 8, 4, 4)), (16, 16)
         )
-        assert smap.raw.min() >= 0.0
+        assert raw[0].min() >= 0.0
 
     def test_weight_count_mismatch(self):
         with pytest.raises(ValueError, match="weight"):
-            compose_saliency([1.0, 2.0], np.zeros((3, 4, 4)), (8, 8))
+            compose_saliency([[1.0, 2.0]], np.zeros((1, 3, 4, 4)), (8, 8))
 
     @settings(max_examples=20)
     @given(st.floats(0.1, 100.0))
     def test_positive_scale_invariance(self, c):
         rng = np.random.default_rng(7)
-        w = rng.normal(size=5)
-        fmaps = rng.uniform(0, 1, size=(5, 4, 4))
-        a = compose_saliency(w, fmaps, (8, 8)).normalized
-        b = compose_saliency(w * c, fmaps, (8, 8)).normalized
+        w = rng.normal(size=(1, 5))
+        fmaps = rng.uniform(0, 1, size=(1, 5, 4, 4))
+        a = compose_saliency(w, fmaps, (8, 8))[1][0]
+        b = compose_saliency(w * c, fmaps, (8, 8))[1][0]
         np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -105,7 +104,7 @@ class TestGradCam:
     def test_gap_linear_head_weights_are_classifier_rows(self, model16, x16):
         # at the GAP input, dy_c/dA_ij == w[c,k]/Z, so alpha == w[c,k]/Z
         c = 2
-        alpha = cam_weights(GradCam(), model16, x16, c, "gap_input")
+        alpha = GradCam().weights_and_maps(model16, x16[None], [c], "gap_input")[0][0]
         w = model16.param_by_name("head.w").data
         z = 4 * 4  # gap_input spatial size for 16x16 tinycnn
         np.testing.assert_allclose(alpha, w[c] / z, atol=1e-12)
@@ -139,11 +138,11 @@ class TestGradCam:
         c = 0
         smap = saliency_for(model16, x16, c, "gap_input", GradCam())
         fwd = model16.forward(x16[None])
-        fmaps = fwd.feature_maps["gap_input"].data[0]
-        cam = compose_saliency(
-            model16.param_by_name("head.w").data[c], fmaps, x16.shape[1:]
+        fmaps = fwd.feature_maps["gap_input"].data
+        _, cam = compose_saliency(
+            model16.param_by_name("head.w").data[c][None], fmaps, x16.shape[1:]
         )
-        np.testing.assert_allclose(smap.normalized, cam.normalized, atol=1e-9)
+        np.testing.assert_allclose(smap.normalized, cam[0], atol=1e-9)
 
     def test_activation_gradient_stops_at_the_map(self, model16, x16, monkeypatch):
         # the backward sweep ends at the feature map, so neither conv layer
@@ -160,17 +159,17 @@ class TestGradCam:
 
     def test_class_out_of_range(self, model16, x16):
         with pytest.raises(ValueError, match="class"):
-            cam_weights(GradCam(), model16, x16, 99, "last_conv")
+            GradCam().weights_and_maps(model16, x16[None], [99], "last_conv")
 
     def test_unknown_layer(self, model16, x16):
         with pytest.raises(ValueError, match="unknown layer"):
-            cam_weights(GradCam(), model16, x16, 0, "blockX")
+            GradCam().weights_and_maps(model16, x16[None], [0], "blockX")
 
 
 class TestGradCamPP:
     def test_matches_closed_form(self, model16, x16):
         c = 3
-        alpha = cam_weights(GradCamPP(), model16, x16, c, "last_conv")
+        alpha = GradCamPP().weights_and_maps(model16, x16[None], [c], "last_conv")[0][0]
         amaps, grads = _logit_and_activation_grad(model16, x16[None], [c], "last_conv")
         amap, g = amaps[0], grads[0]
         g2, g3 = g * g, g * g * g
@@ -183,7 +182,7 @@ class TestGradCamPP:
 class TestAxiomCam:
     def test_matches_formula(self, model16, x16):
         c = 1
-        alpha = cam_weights(AxiomCam(), model16, x16, c, "last_conv")
+        alpha = AxiomCam().weights_and_maps(model16, x16[None], [c], "last_conv")[0][0]
         amaps, grads = _logit_and_activation_grad(model16, x16[None], [c], "last_conv")
         amap, g = amaps[0], grads[0]
         sums = amap.sum(axis=(1, 2))
@@ -195,13 +194,13 @@ class TestScoreCam:
     def test_exactly_k_forward_passes_per_image(self, model16, x16, monkeypatch):
         method = ScoreCam()
         k = 16  # last_conv channels
-        cam_weights(method, model16, x16, 0, "last_conv")  # no state carries over
+        method.weights_and_maps(model16, x16[None], [0], "last_conv")  # no state carries over
         sizes = []
         forward = model16.forward
         monkeypatch.setattr(
             model16, "forward", lambda x, *a, **kw: sizes.append(len(x)) or forward(x, *a, **kw)
         )
-        cam_weights(method, model16, x16, 0, "last_conv")
+        method.weights_and_maps(model16, x16[None], [0], "last_conv")
         # the black baseline, the map extraction, then one scoring pass per channel
         assert sizes == [1, 1, k]
 
@@ -240,17 +239,17 @@ class TestScoreCam:
             def resolve_layer(self, name):
                 return model16.resolve_layer(name)
 
-        alpha = cam_weights(method, Inject(), x16, 0, "last_conv")
+        alpha = method.weights_and_maps(Inject(), x16[None], [0], "last_conv")[0][0]
         assert alpha[3] == 0.0
 
     def test_reused_after_parameter_change_matches_fresh(self, model16, x16):
         # the black-image baseline must follow the parameters, not the object
         method = ScoreCam()
-        cam_weights(method, model16, x16, 0, "last_conv")
+        method.weights_and_maps(model16, x16[None], [0], "last_conv")
         for p in model16.params:
             p.data *= 1.5
-        reused = cam_weights(method, model16, x16, 0, "last_conv")
-        fresh = cam_weights(ScoreCam(), model16, x16, 0, "last_conv")
+        reused = method.weights_and_maps(model16, x16[None], [0], "last_conv")[0][0]
+        fresh = ScoreCam().weights_and_maps(model16, x16[None], [0], "last_conv")[0][0]
         np.testing.assert_array_equal(reused, fresh)
 
 
@@ -258,7 +257,7 @@ class TestAblationCam:
     def test_matches_manual_ablation(self, model16, x16):
         # oracle: zero channel k of the extracted map, one 1-image forward each
         c = 2
-        alpha = cam_weights(AblationCam(), model16, x16, c, "last_conv")
+        alpha = AblationCam().weights_and_maps(model16, x16[None], [c], "last_conv")[0][0]
         fwd = model16.forward(x16[None])
         y = fwd.logits.data[0, c]
         amap = fwd.feature_maps["last_conv"].data
@@ -273,7 +272,7 @@ class TestAblationCam:
         calls = []
         forward = model16.forward
         monkeypatch.setattr(model16, "forward", lambda *a, **kw: calls.append(1) or forward(*a, **kw))
-        cam_weights(AblationCam(), model16, x16, 2, "last_conv")
+        AblationCam().weights_and_maps(model16, x16[None], [2], "last_conv")
         assert len(calls) == 2
 
 
@@ -352,8 +351,5 @@ class TestFactory:
     def test_saliency_map_fields(self, model16, x16):
         smap = saliency_for(model16, x16, 2, "last_conv", GradCam())
         assert isinstance(smap, SaliencyMap)
-        assert smap.method == "gradcam"
-        assert smap.target_class == 2
         assert smap.raw.shape == (8, 8)
-        assert smap.upsampled.shape == (16, 16)
         assert smap.raw.min() >= 0.0

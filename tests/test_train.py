@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from igrad import data, nn, train
-from igrad.losses import ErrorFnKind, classification_loss, _forward_ce
+from igrad.losses import ErrorFnKind, _forward_ce
 from igrad.tensor import backward
 from igrad.train import (
     DivergenceError,
