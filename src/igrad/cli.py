@@ -51,8 +51,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    if args.class_policy:
-        cfg["saliency"]["class_policy"] = args.class_policy
     out, _, test_set, spec = _prepare(cfg, "eval")
     curve_cfg = cfgmod.curve_config(cfg, test_set.images[0].pixels.shape[1])
     model = nn.load_checkpoint(args.checkpoint, spec)
@@ -99,12 +97,12 @@ def cmd_saliency(args) -> int:
                 model, x_raw, c, layer, method, prep=test_set.normalize
             )
             path = os.path.join(out, f"img{i:05d}_{name}.ppm")
-            data.write_image(path, "ppm_overlay", (x_raw, smap.normalized))
+            data.write_overlay(path, x_raw, smap.normalized)
             print(path)
         for mode, tag in ((GradMode.STANDARD, "standard"), (GradMode.GUIDED, "guided")):
             gmap = saliency.input_gradient_map(model, x_norm, c, mode)
             path = os.path.join(out, f"img{i:05d}_grad_{tag}.pgm")
-            data.write_image(path, "pgm_gray", gmap)
+            data.write_pgm(path, gmap)
             print(path)
     return EXIT_OK
 
@@ -136,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     ep = sub.add_parser("eval", help="evaluate saliency metrics for a checkpoint")
     ep.add_argument("config")
     ep.add_argument("checkpoint")
-    ep.add_argument("--class-policy", choices=metrics.CLASS_POLICIES)
     ep.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("saliency", help="export saliency overlays and gradient maps")

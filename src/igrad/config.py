@@ -63,7 +63,6 @@ _SCHEMA = {
             "str", default=_RECIPE.error_kind.value, choices=tuple(k.value for k in ErrorFnKind)
         ),
         "seed": Field("int", default=_RECIPE.seed),
-        "checkpoint_every": Field("int"),
     },
     "saliency": {
         "methods": Field("str_list", default=["gradcam"], choices=tuple(METHODS)),
@@ -72,9 +71,8 @@ _SCHEMA = {
     },
     "metrics": {
         "pixels_per_step": Field("int"),
-        "blur_kernel": Field("int", default=5),
-        "blur_sigma": Field("float", default=2.0),
-        "fill": Field("float", default=0.0),
+        "blur_kernel": Field("int", default=CurveConfig.blur_kernel),
+        "blur_sigma": Field("float", default=CurveConfig.blur_sigma),
     },
     "output": {
         "dir": Field("str", default="out"),
@@ -103,6 +101,8 @@ def _check_type(value, field: Field, path: str):
     for v in items:
         if field.choices and v not in field.choices:
             raise ConfigError(f"{path}: {v!r} not one of {field.choices}")
+    if kind != item:  # a copy, so that the resolved config does not share the document's list
+        return list(value)
     return float(value) if kind == "float" else value
 
 
@@ -151,10 +151,10 @@ def _check_paths(cfg: dict):
     """Referenced input paths must exist before any compute starts."""
     ds = cfg["dataset"]
     if ds["kind"] in ("cifar10", "cifar100"):
-        if not ds["path"]:
-            raise ConfigError("missing required key dataset.path")
         for key in ("path", "test_path"):
-            if ds[key] and not os.path.exists(ds[key]):
+            if not ds[key]:
+                raise ConfigError(f"missing required key dataset.{key}")
+            if not os.path.exists(ds[key]):
                 raise ConfigError(f"dataset.{key}: no such file {ds[key]!r}")
 
 
@@ -165,24 +165,19 @@ def write_resolved(cfg: dict, path):
 
 
 def build_datasets(cfg: dict):
+    """The train and test splits. Training augments CIFAR and not synthetic
+    data, unless dataset.augment says otherwise."""
     ds = cfg["dataset"]
     if ds["kind"] == "synthetic":
         train_split = data.synthetic_shapes(ds["n_train"], hw=ds["hw"], seed=ds["seed"])
         test_split = data.synthetic_shapes(ds["n_test"], hw=ds["hw"], seed=ds["seed"] + 1000)
         test_split.mean, test_split.std = train_split.mean, train_split.std
     else:
-        augment = True if ds["augment"] is None else ds["augment"]
-        train_split = data.parse_cifar(
-            ds["path"], ds["kind"], mean=ds["mean"], std=ds["std"], augment=augment
+        train_split, test_split = (
+            data.parse_cifar(ds[key], ds["kind"], mean=ds["mean"], std=ds["std"])
+            for key in ("path", "test_path")
         )
-        if ds["test_path"]:
-            test_split = data.parse_cifar(
-                ds["test_path"], ds["kind"], mean=ds["mean"], std=ds["std"]
-            )
-        else:
-            test_split = train_split
-    if ds["augment"] is not None:
-        train_split.augment = ds["augment"]
+    train_split.augment = ds["kind"] != "synthetic" if ds["augment"] is None else ds["augment"]
     return train_split, test_split
 
 
@@ -208,7 +203,6 @@ def train_config(cfg: dict, checkpoint_path=None) -> TrainConfig:
         error_kind=ErrorFnKind(tc["error_fn"]),
         seed=tc["seed"],
         checkpoint_path=checkpoint_path,
-        checkpoint_every=tc["checkpoint_every"],
     )
 
 
@@ -219,7 +213,6 @@ def curve_config(cfg: dict, hw: int) -> CurveConfig:
             pixels_per_step=hw if mc["pixels_per_step"] is None else mc["pixels_per_step"],
             blur_kernel=mc["blur_kernel"],
             blur_sigma=mc["blur_sigma"],
-            fill=mc["fill"],
         )
     except ValueError as e:  # CurveConfig's messages start with the field name
         raise ConfigError(f"metrics.{e}") from None

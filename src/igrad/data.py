@@ -20,7 +20,6 @@ SHAPE_CLASSES = ("square", "disk", "cross", "tri")
 class LabeledImage:
     pixels: np.ndarray  # (C,H,W) floats in [0,1] before normalization
     label: int
-    source_id: str
     coarse_label: int | None = None  # cifar100 byte, kept for round-trips
 
 
@@ -95,7 +94,7 @@ _CIFAR_META = {
 }
 
 
-def parse_cifar(path, variant: str, mean=None, std=None, augment=False) -> DatasetSplit:
+def parse_cifar(path, variant: str, mean=None, std=None) -> DatasetSplit:
     """Parse one CIFAR binary batch file, bit-exactly.
 
     cifar10 records are 1 label byte + 3072 pixel bytes; cifar100 records
@@ -119,14 +118,12 @@ def parse_cifar(path, variant: str, mean=None, std=None, augment=False) -> Datas
         if label >= n_classes:
             raise ValueError(f"record {i}: label byte {label} >= {n_classes}")
         planes = rec[label_bytes:].reshape(3, 32, 32)
-        images.append(
-            LabeledImage(planes.astype(np.float64) / 255.0, label, f"{variant}:{i}", coarse)
-        )
+        images.append(LabeledImage(planes.astype(np.float64) / 255.0, label, coarse))
     if mean is None:
         mean = CIFAR10_MEAN if variant == "cifar10" else CIFAR100_MEAN
     if std is None:
         std = CIFAR10_STD if variant == "cifar10" else CIFAR100_STD
-    return DatasetSplit(images, n_classes, mean, std, augment=augment)
+    return DatasetSplit(images, n_classes, mean, std)
 
 
 def serialize_cifar_record(image: LabeledImage, variant: str) -> bytes:
@@ -136,8 +133,7 @@ def serialize_cifar_record(image: LabeledImage, variant: str) -> bytes:
     if label_bytes == 2:
         out.append(image.coarse_label or 0)
     out.append(image.label)
-    quant = np.clip(np.round(image.pixels * 255.0), 0, 255).astype(np.uint8)
-    out.extend(quant.reshape(-1).tobytes())
+    out.extend(_quantize(image.pixels).reshape(-1).tobytes())
     if len(out) != rec_size:
         raise ValueError(f"serialized record is {len(out)} bytes, want {rec_size}")
     return bytes(out)
@@ -147,7 +143,7 @@ def serialize_cifar_record(image: LabeledImage, variant: str) -> bytes:
 # synthetic shapes
 # --------------------------------------------------------------------------
 
-def synthetic_shapes(n: int, hw: int = 16, seed: int = 0) -> DatasetSplit:
+def synthetic_shapes(n: int, hw: int, seed: int) -> DatasetSplit:
     """Deterministic dataset of bright shapes on noisy backgrounds, one
     class per entry of SHAPE_CLASSES.
 
@@ -180,7 +176,7 @@ def synthetic_shapes(n: int, hw: int = 16, seed: int = 0) -> DatasetSplit:
         else:  # tri
             mask = (yy >= cy - r) & (yy <= cy + r) & (np.abs(xx - cx) <= (yy - (cy - r)) / 2)
         img[:, mask] = color[:, None]
-        images.append(LabeledImage(img, label, f"synthetic:{seed}:{i}"))
+        images.append(LabeledImage(img, label))
     stack = np.stack([im.pixels for im in images])
     mean = stack.mean(axis=(0, 2, 3))
     std = stack.std(axis=(0, 2, 3))
@@ -206,30 +202,26 @@ def colormap(v: np.ndarray) -> np.ndarray:
     return np.stack([r, g, b], axis=-1)
 
 
-def write_image(path, kind: str, payload) -> None:
-    """Write a binary netpbm file.
-
-    pgm_gray: payload is an (H,W) map in [0,1].
-    ppm_overlay: payload is (image_chw, saliency_hw); blends the image at
-    weight 0.5 with the colormapped saliency.
-    """
-    if kind == "pgm_gray":
-        arr = np.asarray(payload, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"pgm_gray wants (H,W), got {arr.shape}")
-        header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode()
-        body = _quantize(arr).tobytes()
-    elif kind == "ppm_overlay":
-        image_chw, sal = payload
-        image = np.transpose(np.asarray(image_chw, dtype=np.float64), (1, 2, 0))
-        sal = np.asarray(sal, dtype=np.float64)
-        if image.shape[:2] != sal.shape:
-            raise ValueError(f"overlay shapes differ: {image.shape[:2]} vs {sal.shape}")
-        blend = 0.5 * image + 0.5 * colormap(sal)
-        header = f"P6\n{sal.shape[1]} {sal.shape[0]}\n255\n".encode()
-        body = _quantize(blend).tobytes()
-    else:
-        raise ValueError(f"unknown image kind {kind!r}")
+def _write_netpbm(path, magic: str, values: np.ndarray) -> None:
+    """A binary netpbm file of (H,W) or (H,W,3) values in [0,1]."""
     with open(path, "wb") as f:
-        f.write(header)
-        f.write(body)
+        f.write(f"{magic}\n{values.shape[1]} {values.shape[0]}\n255\n".encode())
+        f.write(_quantize(values).tobytes())
+
+
+def write_pgm(path, gray) -> None:
+    """Write an (H,W) map in [0,1] as a binary PGM."""
+    arr = np.asarray(gray, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"pgm wants (H,W), got {arr.shape}")
+    _write_netpbm(path, "P5", arr)
+
+
+def write_overlay(path, image_chw, sal) -> None:
+    """Write a (C,H,W) image blended at weight 0.5 with the colormapped (H,W)
+    saliency as a binary PPM."""
+    image = np.transpose(np.asarray(image_chw, dtype=np.float64), (1, 2, 0))
+    sal = np.asarray(sal, dtype=np.float64)
+    if image.shape[:2] != sal.shape:
+        raise ValueError(f"overlay shapes differ: {image.shape[:2]} vs {sal.shape}")
+    _write_netpbm(path, "P6", 0.5 * image + 0.5 * colormap(sal))

@@ -34,7 +34,7 @@ def finite_diff_gradient(fn, at: Tensor) -> Tensor:
         lo = _scalar(fn(Tensor(base)))
         flat[i] = orig
         out[i] = (hi - lo) / (2.0 * FD_STEP)
-    return Tensor(out.reshape(at.shape), _copy=False)
+    return Tensor(out.reshape(at.shape))
 
 
 def _scalar(v) -> float:

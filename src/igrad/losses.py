@@ -45,7 +45,7 @@ class InterpLossResult:
 def _forward_ce(model, x_batch, targets):
     """Watch inputs, run the model, return (mean CE, forward result, watched x)."""
     tape = Tape()
-    x = x_batch if isinstance(x_batch, Tensor) else Tensor(np.asarray(x_batch, dtype=np.float64))
+    x = x_batch if isinstance(x_batch, Tensor) else Tensor(x_batch)
     if x.data.ndim != 4 or x.shape[0] == 0:
         raise ValueError("batch must be a nonempty (N,C,H,W) array")
     x = tape.watch(x)
@@ -58,7 +58,7 @@ def _norm_guard(norm_a: np.ndarray, norm_b: np.ndarray):
     """Constants (mask, 1 - mask) that zero the terms of the examples whose
     two norms do not both reach NORM_GUARD, and divide them by 1."""
     mask = ((norm_a >= NORM_GUARD) & (norm_b >= NORM_GUARD)).astype(np.float64)
-    return Tensor(mask, _copy=False), Tensor(1.0 - mask, _copy=False)
+    return Tensor(mask), Tensor(1.0 - mask)
 
 
 def error_fn(kind: ErrorFnKind, d: Tensor, d_ref: Tensor) -> Tensor:

@@ -27,7 +27,6 @@ class CurveConfig:
     pixels_per_step: int
     blur_kernel: int = 5
     blur_sigma: float = 2.0
-    fill: float = 0.0
 
     def __post_init__(self):
         if self.pixels_per_step < 1:
@@ -61,7 +60,7 @@ class MetricsReport:
     per_image: list[ImageRecord] | None = None
 
 
-def gaussian_blur(x: np.ndarray, kernel: int = 5, sigma: float = 2.0) -> np.ndarray:
+def gaussian_blur(x: np.ndarray, kernel: int, sigma: float) -> np.ndarray:
     """Separable Gaussian blur over the last two axes of a (C,H,W) image or
     (N,C,H,W) batch, with reflect borders."""
     rad = kernel // 2
@@ -89,11 +88,10 @@ def causal_curves(model, x_raw, sal, cfg: CurveConfig, cs, prep, p_orig):
     cs the classes and p_orig each original image's nonzero class
     probability. Pixels are ranked by decreasing saliency, ties to the
     lowest linear index. Insertion reveals original pixels over a blurred
-    copy; deletion replaces them with the fill value. Each step's score is
-    the probability ratio against p_orig; AUC is the trapezoid over the
-    revealed fraction in [0,1]. A curve takes ceil(H*W / pixels_per_step)
-    steps; one forward per curve kind runs all N * (steps + 1) states,
-    image by image.
+    copy; deletion replaces them with 0. Each step's score is the
+    probability ratio against p_orig; AUC is the trapezoid over the revealed
+    fraction in [0,1]. A curve takes ceil(H*W / pixels_per_step) steps; one
+    forward per curve kind runs all N * (steps + 1) states, image by image.
     """
     n, c_img, h, w = x_raw.shape
     total = h * w
@@ -116,7 +114,7 @@ def causal_curves(model, x_raw, sal, cfg: CurveConfig, cs, prep, p_orig):
 
     blurred = gaussian_blur(x_raw, cfg.blur_kernel, cfg.blur_sigma)
     insertion = run(blurred, x_raw)
-    deletion = run(x_raw, np.full_like(x_raw, cfg.fill))
+    deletion = run(x_raw, np.zeros_like(x_raw))
     return insertion, deletion
 
 

@@ -43,7 +43,7 @@ class ArchitectureSpec:
     blocks: tuple[ConvBlock, ...]
 
 
-def tinycnn(input_shape=(3, 16, 16), num_classes=4, widths=(8, 16)) -> ArchitectureSpec:
+def tinycnn(input_shape, num_classes, widths) -> ArchitectureSpec:
     name = "tinycnn-{}x{}x{}-c{}-w{}".format(
         *input_shape, num_classes, ".".join(str(w) for w in widths)
     )
@@ -51,7 +51,7 @@ def tinycnn(input_shape=(3, 16, 16), num_classes=4, widths=(8, 16)) -> Architect
     return ArchitectureSpec(name, tuple(input_shape), num_classes, blocks)
 
 
-def miniresnet(input_shape=(3, 16, 16), num_classes=4, width=12) -> ArchitectureSpec:
+def miniresnet(input_shape, num_classes, width) -> ArchitectureSpec:
     name = "miniresnet-{}x{}x{}-c{}-w{}".format(*input_shape, num_classes, width)
     blocks = (
         ConvBlock(width, pool=True),
@@ -165,7 +165,7 @@ class Model:
         (Ablation-CAM's K channel-zeroed maps, activation-space oracles).
         """
         if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x, dtype=np.float64))
+            x = Tensor(x)
         if x.data.ndim != 4 or tuple(x.shape[1:]) != tuple(self.spec.input_shape):
             raise ValueError(
                 f"forward: input {x.shape} does not match spec {self.spec.input_shape}"
@@ -174,9 +174,9 @@ class Model:
             inject = {self.resolve_layer(k): v for k, v in inject.items()}
 
         if tape is not None:
-            watched = [tape.watch(Tensor(p.data, _copy=False)) for p in self.params]
+            watched = [tape.watch(Tensor(p.data)) for p in self.params]
         else:
-            watched = [Tensor(p.data, _copy=False) for p in self.params]
+            watched = [Tensor(p.data) for p in self.params]
         it = iter(watched)
 
         def take():
@@ -186,7 +186,7 @@ class Model:
 
         def expose(name: str, t: Tensor) -> Tensor:
             if inject is not None and name in inject:
-                t = Tensor(np.asarray(inject[name], dtype=np.float64))
+                t = Tensor(inject[name])
             maps[name] = t
             return t
 

@@ -84,7 +84,7 @@ def _logit_and_activation_grad(model, x_norm, cs, layer):
     amap = fwd.feature_maps[layer]
     onehot = np.zeros((len(cs), model.spec.num_classes))
     onehot[np.arange(len(cs)), cs] = 1.0
-    y = T.reduce_sum(T.mul(fwd.logits, Tensor(onehot, _copy=False)))
+    y = T.reduce_sum(T.mul(fwd.logits, Tensor(onehot)))
     (grad,) = backward(y, [amap])
     return amap.data, grad.data
 

@@ -49,7 +49,7 @@ class Tape:
 
     def watch(self, t: "Tensor") -> "Tensor":
         """Return an alias of t registered as a differentiable leaf on this tape."""
-        return self._record(Tensor(t.data, _copy=False), "leaf", (), None)
+        return self._record(Tensor(t.data), "leaf", (), None)
 
     @contextmanager
     def paused(self):
@@ -62,16 +62,14 @@ class Tape:
 
 
 class Tensor:
-    """N-d array of float64 in row-major order, optionally on a tape. A recorded
-    tensor is its own tape node, with `op`, `inputs`, `attrs` and index `idx`."""
+    """N-d array of float64, optionally on a tape; a float64 array is held
+    without a copy, so its owner must not mutate it. A recorded tensor is its
+    own tape node, with `op`, `inputs`, `attrs` and index `idx`."""
 
     __slots__ = ("data", "tape", "op", "inputs", "attrs", "idx", "__weakref__")
 
-    def __init__(self, data, _copy=True):
-        arr = np.asarray(data, dtype=np.float64)
-        if _copy:
-            arr = np.ascontiguousarray(arr).copy()
-        self.data = arr
+    def __init__(self, data):
+        self.data = np.asarray(data, dtype=np.float64)
         self.tape: Tape | None = None
 
     @property
@@ -94,8 +92,7 @@ class Tensor:
 
 def detach(t: Tensor) -> Tensor:
     """Same data and shape, no tape node: a stop-gradient constant."""
-    out = Tensor(t.data, _copy=False)
-    return out
+    return Tensor(t.data)
 
 
 # --------------------------------------------------------------------------
@@ -129,7 +126,7 @@ def _tape_of(inputs) -> Tape | None:
 
 
 def _apply(kind: str, out_data, inputs, attrs=None) -> Tensor:
-    out = Tensor(out_data, _copy=False)
+    out = Tensor(out_data)
     tape = _tape_of(inputs)
     if tape is not None:
         tape._record(out, kind, tuple(inputs), attrs)
@@ -213,8 +210,8 @@ def _minimum_bwd(node, g):
     a, b = node.inputs
     # ties route to the first argument
     return [
-        lambda: mul(g, Tensor((a.data <= b.data).astype(np.float64), _copy=False)),
-        lambda: mul(g, Tensor((b.data < a.data).astype(np.float64), _copy=False)),
+        lambda: mul(g, Tensor((a.data <= b.data).astype(np.float64))),
+        lambda: mul(g, Tensor((b.data < a.data).astype(np.float64))),
     ]
 
 
@@ -226,7 +223,7 @@ def relu(a):
 
 @_rule("relu")
 def _relu_bwd(node, g):
-    gate = Tensor((node.inputs[0].data > 0).astype(np.float64), _copy=False)
+    gate = Tensor((node.inputs[0].data > 0).astype(np.float64))
     return [lambda: mul(g, gate)]
 
 
@@ -237,7 +234,7 @@ def absolute(a):
 @_rule("abs")
 def _abs_bwd(node, g):
     # subgradient 0 at exactly 0
-    sign = Tensor(np.sign(node.inputs[0].data), _copy=False)
+    sign = Tensor(np.sign(node.inputs[0].data))
     return [lambda: mul(g, sign)]
 
 
@@ -526,7 +523,7 @@ def _cross_entropy_logits_bwd(node, g):
         onehot[np.arange(y.shape[0]), node.attrs["targets"]] = 1.0
         p = softmax(y)
         gcol = broadcast_to(reshape(g, (y.shape[0], 1)), y.shape)
-        return mul(sub(p, Tensor(onehot, _copy=False)), gcol)
+        return mul(sub(p, Tensor(onehot)), gcol)
 
     return [make]
 
@@ -573,7 +570,7 @@ def backward(
         node = ref()
         if node is not None and any(t.tape is not None and t.idx in live for t in node.inputs):
             live.add(node.idx)
-    adjoint = {start: Tensor(np.ones(output.shape), _copy=False)} if start in live else {}
+    adjoint = {start: Tensor(np.ones(output.shape))} if start in live else {}
 
     def sweep():
         for idx in range(start, stop, -1):
@@ -606,5 +603,5 @@ def backward(
     results = []
     for t in wrt:
         g = adjoint.get(t.idx)
-        results.append(Tensor(np.zeros(t.shape), _copy=False) if g is None else g)
+        results.append(Tensor(np.zeros(t.shape)) if g is None else g)
     return results

@@ -33,7 +33,6 @@ class TrainConfig:
     error_kind: ErrorFnKind = ErrorFnKind.COSINE
     seed: int = 0
     checkpoint_path: str | None = None
-    checkpoint_every: int | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -145,7 +144,8 @@ def evaluate_accuracy(model, dataset) -> float:
 
 def fit(model, train_set, test_set, cfg: TrainConfig) -> TrainLog:
     """Full training run following the step schedule; shuffles with the
-    seeded generator, logs one record per epoch, checkpoints as configured."""
+    seeded generator, logs one record per epoch, and writes the checkpoint
+    at the end when cfg.checkpoint_path is set."""
     if len(train_set) == 0 or len(test_set) == 0:
         raise ValueError("datasets must be nonempty")
     rng = np.random.default_rng(cfg.seed)
@@ -178,8 +178,6 @@ def fit(model, train_set, test_set, cfg: TrainConfig) -> TrainLog:
             seconds=time.perf_counter() - t0,
         )
         log.records.append(record)
-        if cfg.checkpoint_path and cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
-            nn.save_checkpoint(model, cfg.checkpoint_path)
     if cfg.checkpoint_path:
         nn.save_checkpoint(model, cfg.checkpoint_path)
     return log

@@ -2,13 +2,15 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from igrad import data, nn
 from igrad.cli import main
-from igrad.config import ConfigError, build_datasets, load_config, validate_config
+from igrad.config import ConfigError, build_datasets, load_config, model_spec, validate_config
 from igrad.gradcheck import corrupted_backward
 from igrad.saliency import input_gradient_map
 from igrad.tensor import GradMode
@@ -31,6 +33,14 @@ def tiny_config(tmp_path, **train_overrides):
 def read_csv(path):
     with open(path) as f:
         return list(csv.DictReader(f))
+
+
+def cifar10_file(path, labels, seed):
+    """A CIFAR-10 batch file of random images, one per label."""
+    rng = np.random.default_rng(seed)
+    images = [data.LabeledImage(rng.integers(0, 256, (3, 32, 32)) / 255.0, y) for y in labels]
+    path.write_bytes(b"".join(data.serialize_cifar_record(im, "cifar10") for im in images))
+    return str(path)
 
 
 class TestConfigValidation:
@@ -129,6 +139,40 @@ class TestConfigValidation:
         assert again["model"]["widths"] == [8, 16]
         assert again["train"]["lr_decay_epochs"] == [15, 22]
 
+    def test_resolved_lists_are_copies_of_the_document(self):
+        doc = {"dataset": {"kind": "synthetic"},
+               "model": {"architecture": "tinycnn", "widths": [4, 6]}, "train": {"epochs": 1}}
+        resolved = validate_config(doc)
+        assert resolved["model"]["widths"] is not doc["model"]["widths"]
+        resolved["model"]["widths"][0] = 99
+        assert doc["model"]["widths"] == [4, 6]
+
+    @pytest.mark.parametrize(
+        "section, key, value", [("train", "checkpoint_every", 1), ("metrics", "fill", 0.0)]
+    )
+    def test_removed_keys_exit_2_as_unknown(self, tmp_path, capsys, section, key, value):
+        path, _ = tiny_config(tmp_path)
+        doc = json.loads(path.read_text())
+        doc.setdefault(section, {})[key] = value
+        path.write_text(json.dumps(doc))
+        assert main(["train", str(path)]) == 2
+        assert f"unknown key {section}.{key}" in capsys.readouterr().err
+
+    def test_cifar_without_test_path_exit_2(self, tmp_path, capsys):
+        path, _ = tiny_config(tmp_path)
+        doc = json.loads(path.read_text())
+        train_file = cifar10_file(tmp_path / "train.bin", [0, 1], 0)
+        doc["dataset"] = {"kind": "cifar10", "path": train_file}
+        path.write_text(json.dumps(doc))
+        assert main(["train", str(path)]) == 2
+        assert "missing required key dataset.test_path" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.ckpt").exists()
+
+    def test_readme_config_example_is_valid(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+        validate_config(json.loads(example))
+
     def test_zero_block_width_exit_2_naming_the_block(self, tmp_path, capsys):
         path, _ = tiny_config(tmp_path)
         doc = json.loads(path.read_text())
@@ -136,6 +180,34 @@ class TestConfigValidation:
         path.write_text(json.dumps(doc))
         assert main(["train", str(path)]) == 2
         assert "block1:" in capsys.readouterr().err
+
+
+class TestBuildDatasets:
+    def test_cifar10_test_split_and_augmentation(self, tmp_path):
+        doc = {
+            "dataset": {
+                "kind": "cifar10",
+                "path": cifar10_file(tmp_path / "train.bin", [0, 1, 2], 0),
+                "test_path": cifar10_file(tmp_path / "test.bin", [7, 9], 1),
+            },
+            "model": {"architecture": "tinycnn"},
+            "train": {"epochs": 1},
+        }
+        train_set, test_set = build_datasets(validate_config(doc))
+        assert train_set.labels.tolist() == [0, 1, 2]
+        assert test_set.labels.tolist() == [7, 9]
+        assert train_set.augment and not test_set.augment
+        doc["dataset"]["augment"] = False
+        train_set, _ = build_datasets(validate_config(doc))
+        assert not train_set.augment
+
+    def test_miniresnet_spec_takes_the_width(self):
+        doc = {"dataset": {"kind": "synthetic", "n_train": 8, "n_test": 4, "hw": 8},
+               "model": {"architecture": "miniresnet", "width": 5}, "train": {"epochs": 1}}
+        cfg = validate_config(doc)
+        spec = model_spec(cfg, build_datasets(cfg)[0])
+        assert [b.out_channels for b in spec.blocks] == [5, 5, 5]
+        assert spec.name == "miniresnet-3x8x8-c4-w5"
 
 
 class TestCmdTrain:
@@ -213,11 +285,21 @@ class TestCmdEval:
         assert main(["eval", str(path), str(ckpt)]) == 0
         assert len(built) == 1
 
-    def test_class_policy_flag_echoed(self, trained):
+    def test_class_policy_echoed(self, trained):
         path, ckpt, tmp_path = trained
-        assert main(["eval", str(path), str(ckpt), "--class-policy", "ground_truth"]) == 0
+        doc = json.loads(path.read_text())
+        doc["saliency"]["class_policy"] = "ground_truth"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", str(path), str(ckpt)]) == 0
         rows = read_csv(tmp_path / "out" / "metrics.csv")
         assert all(r["class_policy"] == "ground_truth" for r in rows)
+
+    def test_class_policy_flag_is_a_usage_error(self, trained, capsys):
+        path, ckpt, _ = trained
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(path), str(ckpt), "--class-policy", "ground_truth"])
+        assert exc.value.code == 2
+        assert "--class-policy" in capsys.readouterr().err
 
     def test_zero_probability_fails_naming_the_image(self, trained, capsys):
         # the policy: a zero ground-truth probability fails the whole eval,
@@ -228,9 +310,12 @@ class TestCmdEval:
         model.param_by_name("head.b").data[:] = -1e4  # exp(-1e4) underflows to 0
         model.param_by_name("head.b").data[0] = 0.0
         nn.save_checkpoint(model, ckpt)
+        doc = json.loads(path.read_text())
+        doc["saliency"]["class_policy"] = "ground_truth"
+        path.write_text(json.dumps(doc))
         _, test_set = build_datasets(load_config(path))
         first = next(i for i, img in enumerate(test_set.images) if img.label != 0)
-        assert main(["eval", str(path), str(ckpt), "--class-policy", "ground_truth"]) == 2
+        assert main(["eval", str(path), str(ckpt)]) == 2
         assert f"image {first}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("blur_sigma", 0.0), ("blur_kernel", -1)])

@@ -11,7 +11,8 @@ from igrad.data import (
     parse_cifar,
     serialize_cifar_record,
     synthetic_shapes,
-    write_image,
+    write_overlay,
+    write_pgm,
 )
 
 
@@ -132,7 +133,7 @@ class TestAugmentation:
 
 class TestNormalization:
     def test_bad_stats_rejected(self):
-        img = LabeledImage(np.zeros((3, 8, 8)), 0, "x")
+        img = LabeledImage(np.zeros((3, 8, 8)), 0)
         with pytest.raises(ValueError, match="std"):
             DatasetSplit([img], 4, np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError, match="entries"):
@@ -157,18 +158,18 @@ def parse_pgm(raw: bytes):
 class TestWriteImage:
     def test_zero_map_exact_bytes(self, tmp_path):
         path = tmp_path / "z.pgm"
-        write_image(path, "pgm_gray", np.zeros((2, 2)))
+        write_pgm(path, np.zeros((2, 2)))
         assert path.read_bytes() == b"P5\n2 2\n255\n" + b"\x00" * 4
 
     def test_ones_map(self, tmp_path):
         path = tmp_path / "o.pgm"
-        write_image(path, "pgm_gray", np.ones((2, 2)))
+        write_pgm(path, np.ones((2, 2)))
         assert path.read_bytes().endswith(b"\xff" * 4)
 
     def test_pgm_round_trip_independent_reader(self, tmp_path):
         arr = np.random.default_rng(4).uniform(0, 1, size=(5, 7))
         path = tmp_path / "r.pgm"
-        write_image(path, "pgm_gray", arr)
+        write_pgm(path, arr)
         got = parse_pgm(path.read_bytes())
         want = np.clip(np.round(arr * 255), 0, 255).astype(np.uint8)
         np.testing.assert_array_equal(got, want)
@@ -178,7 +179,7 @@ class TestWriteImage:
         rng = np.random.default_rng(5)
         img = rng.uniform(0, 1, size=(3, 4, 4))
         path = tmp_path / "ov.ppm"
-        write_image(path, "ppm_overlay", (img, np.zeros((4, 4))))
+        write_overlay(path, img, np.zeros((4, 4)))
         raw = path.read_bytes()
         body = np.frombuffer(raw.split(b"\n", 3)[3], dtype=np.uint8).reshape(4, 4, 3)
         want = 0.5 * np.transpose(img, (1, 2, 0)) + 0.5 * np.array([0.0, 0.0, 1.0])
@@ -190,10 +191,8 @@ class TestWriteImage:
         np.testing.assert_allclose(colormap(np.array(0.5)), [0, 1, 0], atol=1e-12)
         np.testing.assert_allclose(colormap(np.array(1.0)), [1, 0, 0], atol=1e-12)
 
-    def test_unknown_kind(self, tmp_path):
-        with pytest.raises(ValueError, match="kind"):
-            write_image(tmp_path / "x.bin", "jpeg", np.zeros((2, 2)))
-
     def test_bad_shapes(self, tmp_path):
-        with pytest.raises(ValueError, match="pgm_gray"):
-            write_image(tmp_path / "x.pgm", "pgm_gray", np.zeros((2, 2, 3)))
+        with pytest.raises(ValueError, match="pgm wants"):
+            write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 3)))
+        with pytest.raises(ValueError, match="overlay shapes differ"):
+            write_overlay(tmp_path / "x.ppm", np.zeros((3, 4, 4)), np.zeros((4, 5)))

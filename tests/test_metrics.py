@@ -303,7 +303,7 @@ class TestCausalCurves:
 class TestGaussianBlur:
     def test_constant_image_unchanged(self):
         x = np.full((3, 8, 8), 0.4)
-        np.testing.assert_allclose(gaussian_blur(x), x, atol=1e-12)
+        np.testing.assert_allclose(gaussian_blur(x, 5, 2.0), x, atol=1e-12)
 
     def test_smooths_impulse(self):
         x = np.zeros((1, 9, 9))

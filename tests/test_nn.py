@@ -61,10 +61,10 @@ class TestBuild:
     @pytest.mark.parametrize(
         "spec",
         [
-            tinycnn((0, 16, 16), 4),
-            tinycnn((3, 0, 16), 4),
-            tinycnn((3, 16, 16), 0),
-            tinycnn(widths=()),
+            tinycnn((0, 16, 16), 4, (8, 16)),
+            tinycnn((3, 0, 16), 4, (8, 16)),
+            tinycnn((3, 16, 16), 0, (8, 16)),
+            tinycnn((3, 16, 16), 4, ()),
         ],
     )
     def test_empty_input_classes_or_blocks_rejected(self, spec):
