@@ -149,38 +149,50 @@ def synthetic_shapes(n: int, hw: int, seed: int) -> DatasetSplit:
 
     Classes are assigned round-robin so any n divisible by the class count is
     exactly balanced. Normalization stats are computed from the generated set.
+    Each image's pixels are a view of the split's one (n, 3, hw, hw) stack.
     """
     if hw < 8:
         raise ValueError("hw must be >= 8")
     if n < len(SHAPE_CLASSES):
         raise ValueError("need at least one image per class")
-    rng = np.random.default_rng(seed)
+    # Generator.uniform(lo, hi) is lo + (hi - lo) * U over the stream in
+    # order, so one row of U per image holds its background, centre (x, y),
+    # radius and colour, in the order a draw per image would take them
+    px = 3 * hw * hw
+    u = np.random.default_rng(seed).random((n, px + 6))
+
+    def uniform(lo, hi, cols):
+        return lo + (hi - lo) * u[:, cols]
+
+    stack = uniform(0.0, 0.35, slice(0, px)).reshape(n, 3, hw, hw)
+    cx, cy = (uniform(0.3, 0.7, slice(px, px + 2)) * hw).T
+    r = uniform(0.18, 0.3, px + 2) * hw
+    color = uniform(0.65, 1.0, slice(px + 3, px + 6))
+    labels = np.arange(n) % len(SHAPE_CLASSES)
     yy, xx = np.mgrid[0:hw, 0:hw].astype(np.float64)
-    images = []
-    for i in range(n):
-        label = i % len(SHAPE_CLASSES)
-        img = rng.uniform(0.0, 0.35, size=(3, hw, hw))
-        cx, cy = rng.uniform(0.3, 0.7, size=2) * hw
-        r = rng.uniform(0.18, 0.3) * hw
-        color = rng.uniform(0.65, 1.0, size=3)
-        kind = SHAPE_CLASSES[label]
+    masks = np.empty((n, hw, hw), dtype=bool)
+    for label, kind in enumerate(SHAPE_CLASSES):
+        sel = labels == label
+        cx_, cy_, r_ = (v[sel, None, None] for v in (cx, cy, r))
         if kind == "square":
-            mask = (np.abs(xx - cx) <= r) & (np.abs(yy - cy) <= r)
+            mask = (np.abs(xx - cx_) <= r_) & (np.abs(yy - cy_) <= r_)
         elif kind == "disk":
-            mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= r**2
+            # r_**2 squares where a float's ** calls libm pow, which can be one
+            # ulp off; a mask moves only if a squared distance falls in that gap
+            mask = (xx - cx_) ** 2 + (yy - cy_) ** 2 <= r_**2
         elif kind == "cross":
-            bar = max(1.0, r / 3.0)
-            mask = ((np.abs(xx - cx) <= bar) & (np.abs(yy - cy) <= r)) | (
-                (np.abs(yy - cy) <= bar) & (np.abs(xx - cx) <= r)
+            bar = np.maximum(1.0, r_ / 3.0)
+            mask = ((np.abs(xx - cx_) <= bar) & (np.abs(yy - cy_) <= r_)) | (
+                (np.abs(yy - cy_) <= bar) & (np.abs(xx - cx_) <= r_)
             )
         else:  # tri
-            mask = (yy >= cy - r) & (yy <= cy + r) & (np.abs(xx - cx) <= (yy - (cy - r)) / 2)
-        img[:, mask] = color[:, None]
-        images.append(LabeledImage(img, label))
-    stack = np.stack([im.pixels for im in images])
+            mask = (yy >= cy_ - r_) & (yy <= cy_ + r_) & (np.abs(xx - cx_) <= (yy - (cy_ - r_)) / 2)
+        masks[sel] = mask
+    stack = np.where(masks[:, None], color[:, :, None, None], stack)
+    images = [LabeledImage(pixels, int(label)) for pixels, label in zip(stack, labels)]
     mean = stack.mean(axis=(0, 2, 3))
     std = stack.std(axis=(0, 2, 3))
-    return DatasetSplit(images, len(SHAPE_CLASSES), mean, std)
+    return DatasetSplit(images, len(SHAPE_CLASSES), mean, std, _stack=stack)
 
 
 # --------------------------------------------------------------------------

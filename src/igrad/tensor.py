@@ -414,34 +414,56 @@ def _conv2d_kernel_grad_bwd(node, g):
     return [lambda: conv2d_input_grad(gout, g, p), lambda: conv2d(x, g, padding=p)]
 
 
-# ---- pooling (non-overlapping POOL x POOL windows; argmax indices are
-# constants under differentiation) ----
+# ---- pooling (non-overlapping POOL x POOL windows). On a recording tape the
+# forward gathers at argmax indices, which its backward rules hold as
+# constants under differentiation; off a tape no backward reads them, so the
+# forward takes each window's maximum directly and records no node ----
 
 POOL = 2
 
 
-def _pool_argmax(x):
-    """Flat h*w index of each window's maximum, shaped like the pooled map."""
-    n, c, hh, ww = x.shape
+def _pool_slices(x):
+    """The POOL*POOL strided slices of an (n, c, H, W) array, one per window
+    offset (i, j) in row-major order, each shaped like the pooled map; an odd
+    last row or column is cropped."""
+    hh, ww = x.shape[2:]
     ho, wo = hh // POOL, ww // POOL
     if ho < 1 or wo < 1:
         raise ValueError(f"maxpool2d: pool {POOL} larger than input {(hh, ww)}")
-    windows = np.empty((n, c, ho, wo, POOL * POOL))
-    offsets = np.empty(POOL * POOL, dtype=np.int64)
-    for i in range(POOL):
-        for j in range(POOL):
-            q = i * POOL + j
-            windows[:, :, :, :, q] = x[:, :, i : POOL * ho : POOL, j : POOL * wo : POOL]
-            offsets[q] = i * ww + j
-    pick = np.argmax(windows, axis=-1)  # first max = lowest linear index
+    return {
+        (i, j): x[:, :, i : POOL * ho : POOL, j : POOL * wo : POOL]
+        for i in range(POOL)
+        for j in range(POOL)
+    }
+
+
+def _pool_argmax(x):
+    """Flat h*w index of each window's maximum, shaped like the pooled map."""
+    slices = _pool_slices(x)
+    # the first maximum, the lowest linear index, wins a tie
+    pick = np.argmax(np.stack(list(slices.values()), axis=-1), axis=-1)
+    ho, wo, ww = pick.shape[2], pick.shape[3], x.shape[3]
+    offsets = np.array([i * ww + j for i, j in slices])
     base = np.arange(ho)[:, None] * POOL * ww + np.arange(wo)[None, :] * POOL
     return base + offsets[pick]
 
 
 def maxpool2d(x):
-    """Maxima of non-overlapping POOL x POOL windows, as a pool_gather at
-    argmax indices taken once, here."""
-    return pool_gather(x, _pool_argmax(x.data))
+    """Maxima of non-overlapping POOL x POOL windows. On a recording tape, a
+    pool_gather at argmax indices taken once, here; off one, the elementwise
+    maximum of the window slices, with no node and no indices. Both keep the
+    first of tied values (so -0.0 vs +0.0 resolve alike), which makes their
+    outputs bit-identical on NaN-free input; with NaNs, the same outputs are
+    NaN, but a window holding both +nan and -nan may keep either sign."""
+    if _tape_of([x]) is not None:
+        return pool_gather(x, _pool_argmax(x.data))
+    first, *rest = _pool_slices(x.data).values()
+    out = first.copy()
+    for s in rest:
+        # the running maximum is the second operand: np.maximum returns its
+        # second operand on ties, so an earlier window value is kept
+        np.maximum(s, out, out=out)
+    return Tensor(out)
 
 
 def pool_gather(x, indices):

@@ -84,7 +84,52 @@ class TestParseCifar:
         assert [im.label for im in split.images] == [i % 10 for i in range(n)]
 
 
+def _synthetic_shapes_per_image(n, hw, seed):
+    """The per-image generator synthetic_shapes replaced, kept as its oracle:
+    images, labels, mean and std."""
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:hw, 0:hw].astype(np.float64)
+    images, labels = [], []
+    for i in range(n):
+        label = i % len(SHAPE_CLASSES)
+        img = rng.uniform(0.0, 0.35, size=(3, hw, hw))
+        cx, cy = rng.uniform(0.3, 0.7, size=2) * hw
+        r = rng.uniform(0.18, 0.3) * hw
+        color = rng.uniform(0.65, 1.0, size=3)
+        kind = SHAPE_CLASSES[label]
+        if kind == "square":
+            mask = (np.abs(xx - cx) <= r) & (np.abs(yy - cy) <= r)
+        elif kind == "disk":
+            mask = (xx - cx) ** 2 + (yy - cy) ** 2 <= r**2
+        elif kind == "cross":
+            bar = max(1.0, r / 3.0)
+            mask = ((np.abs(xx - cx) <= bar) & (np.abs(yy - cy) <= r)) | (
+                (np.abs(yy - cy) <= bar) & (np.abs(xx - cx) <= r)
+            )
+        else:  # tri
+            mask = (yy >= cy - r) & (yy <= cy + r) & (np.abs(xx - cx) <= (yy - (cy - r)) / 2)
+        img[:, mask] = color[:, None]
+        images.append(img)
+        labels.append(label)
+    stack = np.stack(images)
+    return images, labels, stack.mean(axis=(0, 2, 3)), stack.std(axis=(0, 2, 3))
+
+
 class TestSyntheticShapes:
+    @pytest.mark.parametrize(
+        "n, hw, seed", [(1024, 16, 11), (16, 16, 1), (37, 9, 5), (256, 32, 0), (64, 8, 2)]
+    )
+    def test_matches_per_image_generator(self, n, hw, seed):
+        images, labels, mean, std = _synthetic_shapes_per_image(n, hw, seed)
+        split = synthetic_shapes(n, hw=hw, seed=seed)
+        assert [im.label for im in split.images] == labels
+        assert all(type(im.label) is int for im in split.images)
+        for im, want in zip(split.images, images):
+            assert im.pixels.tobytes() == want.tobytes()
+        assert split.stacked().tobytes() == np.stack(images).tobytes()
+        assert split.mean.tobytes() == mean.tobytes()
+        assert split.std.tobytes() == std.tobytes()
+
     def test_same_seed_bit_identical(self):
         a = synthetic_shapes(12, hw=16, seed=9)
         b = synthetic_shapes(12, hw=16, seed=9)

@@ -359,6 +359,64 @@ class TestOpSemantics:
         train.train_step(model, x, t, cfg, 0.01, velocity)
         assert len(calls) == 2  # tinycnn has two pooling layers
 
+    def test_untaped_maxpool_records_no_node_and_takes_no_argmax(self, monkeypatch):
+        def no_argmax(x):
+            raise AssertionError("untaped maxpool2d took an argmax")
+
+        monkeypatch.setattr(T, "_pool_argmax", no_argmax)
+        x = np.arange(32.0).reshape(2, 1, 4, 4)
+        want = x[:, :, 1::2, 1::2]
+        out = T.maxpool2d(Tensor(x))
+        assert out.tape is None
+        np.testing.assert_array_equal(out.data, want)
+        tape = Tape()
+        xt = watched(tape, x)
+        with tape.paused():
+            out = T.maxpool2d(xt)
+        assert out.tape is None and len(tape) == 1  # the leaf alone
+        np.testing.assert_array_equal(out.data, want)
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_maxpool_rejects_input_smaller_than_pool(self, record):
+        x = Tensor(np.ones((1, 1, 1, 5)))
+        with pytest.raises(ValueError, match="larger than input"):
+            T.maxpool2d(Tape().watch(x) if record else x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.integers(1, 4),
+        hh=st.integers(2, 11),
+        ww=st.integers(2, 11),
+        special=st.sampled_from(["zeros", "infs", "nans"]),
+        tie_frac=st.sampled_from([0.0, 0.5, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_untaped_maxpool_matches_taped(self, c, hh, ww, special, tie_frac, seed):
+        # the elementwise maximum off the tape and the gather at the argmax on
+        # it agree bit for bit: exact ties, -0.0 against +0.0 and infinities
+        # resolve to the first window value. At least 1,000 elements, so
+        # numpy's vectorized loops run; odd H and W crop the last row/column.
+        rng = np.random.default_rng(seed)
+        n = -(-1000 // (c * hh * ww)) + int(rng.integers(0, 3))
+        palette = {
+            "zeros": [0.0, -0.0, 1.0],
+            "infs": [np.inf, -np.inf, 0.0, -0.0],
+            "nans": [np.nan, -np.nan, np.inf, -0.0, 0.0],
+        }[special]
+        x = rng.normal(size=(n, c, hh, ww))
+        tied = rng.random(x.shape) < tie_frac
+        x[tied] = rng.choice(palette, size=int(tied.sum()))
+        untaped = T.maxpool2d(Tensor(x)).data
+        taped = T.maxpool2d(Tape().watch(Tensor(x))).data
+        assert untaped.shape == taped.shape == (n, c, hh // 2, ww // 2)
+        nan = np.isnan(taped)
+        np.testing.assert_array_equal(np.isnan(untaped), nan)
+        # NaN-free: every byte. With NaNs: every non-NaN byte (a window that
+        # holds both +nan and -nan may keep either sign)
+        if special != "nans":
+            assert not nan.any()
+        assert untaped[~nan].tobytes() == taped[~nan].tobytes()
+
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=20))
     def test_relu_matches_definition(self, vals):
         out = T.relu(Tensor(vals)).data
