@@ -22,7 +22,6 @@ import weakref
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 class GradMode(enum.Enum):
@@ -338,31 +337,64 @@ def _linear_bwd(node, g):
     ]
 
 
-# ---- convolution family (a mutually adjoint triple, each one correlation) ----
+# ---- convolution family (a mutually adjoint triple). Each op builds the
+# zero-padded columns of one operand once and contracts them with one matmul;
+# every matmul operand is C-contiguous, so the bytes do not depend on the
+# memory layout of the inputs ----
 
-def _correlate(a, k):
-    """Valid cross-correlation of an (n, c, H, W) stack with an (o, c, kh, kw)
-    bank: out[n, o, y, x] = sum over c, i, j of a[n, c, y + i, x + j] k[o, c, i, j]."""
-    windows = sliding_window_view(a, k.shape[2:], axis=(2, 3))
-    return np.einsum("ncyxij,ocij->noyx", windows, k, optimize=True)
+def _span(size, out, pad, i):
+    """The output positions [lo, hi) whose input position o + i - pad lies in
+    [0, size): the rows or columns that kernel offset i reads from the input."""
+    lo = max(0, pad - i)
+    return lo, max(lo, min(out, size + pad - i))
 
 
-def _pad(a, ph, pw):
-    return np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+def _columns(a, kh, kw, ph, pw):
+    """The im2col of an (n, c, H, W) stack for a kh x kw kernel, padded by
+    (ph, pw): a C-contiguous (c, kh, kw, n, ho, wo) buffer whose [:, i, j]
+    slab is the input shifted by (i - ph, j - pw), zero past its border."""
+    n, c, hh, ww = a.shape
+    ho, wo = hh + 2 * ph - kh + 1, ww + 2 * pw - kw + 1
+    cols = np.zeros((c, kh, kw, n, ho, wo))
+    src = a.transpose(1, 0, 2, 3)
+    for i in range(kh):
+        y0, y1 = _span(hh, ho, ph, i)
+        for j in range(kw):
+            x0, x1 = _span(ww, wo, pw, j)
+            cols[:, i, j, :, y0:y1, x0:x1] = src[:, :, y0 + i - ph : y1 + i - ph, x0 + j - pw : x1 + j - pw]
+    return cols
+
+
+def _correlate(a, k, ph, pw):
+    """Cross-correlation of an (n, c, H, W) stack, zero-padded by (ph, pw),
+    with an (o, c, kh, kw) bank: out[n, o, y, x] = sum over c, i, j of
+    a[n, c, y + i - ph, x + j - pw] k[o, c, i, j]."""
+    o, c, kh, kw = k.shape
+    cols = _columns(a, kh, kw, ph, pw)
+    out = np.ascontiguousarray(k).reshape(o, -1) @ cols.reshape(c * kh * kw, -1)
+    return out.reshape(o, a.shape[0], *cols.shape[4:]).transpose(1, 0, 2, 3)
+
+
+def _check_conv(kind, a, k, ph, pw):
+    """Raise, naming the op, unless the (n, c, H, W) stack a meets the
+    (o, c, kh, kw) bank k in its channels and covers the kernel once padded."""
+    if a.ndim != 4 or a.shape[1] != k.shape[1]:
+        raise _shape_err(kind, a.shape, k.shape)
+    if a.shape[2] + 2 * ph < k.shape[2] or a.shape[3] + 2 * pw < k.shape[3]:
+        raise ValueError(f"{kind}: kernel {k.shape[2:]} larger than padded input "
+                         f"{(a.shape[2] + 2 * ph, a.shape[3] + 2 * pw)}")
 
 
 def conv2d(x, w, b=None, padding=0):
     padding = int(padding)
-    co, ci, kh, kw = w.shape
-    if x.shape[1] != ci:
+    if len(w.shape) != 4:
         raise _shape_err("conv2d", x.shape, w.shape)
+    co, _, kh, kw = w.shape
     # the input adjoint pads g by k - 1 - padding, which must not be negative
     if not 0 <= padding < min(kh, kw):
         raise ValueError(f"conv2d: padding {padding} outside 0..{min(kh, kw) - 1}")
-    xp = _pad(x.data, padding, padding)
-    if xp.shape[2] < kh or xp.shape[3] < kw:
-        raise ValueError(f"conv2d: kernel {(kh, kw)} larger than padded input {xp.shape[2:]}")
-    out = _correlate(xp, w.data)
+    _check_conv("conv2d", x.data, w.data, padding, padding)
+    out = _correlate(x.data, w.data, padding, padding)
     if b is None:
         return _apply("conv2d", out, [x, w], {"padding": padding})
     if b.shape != (co,):
@@ -385,9 +417,13 @@ def _conv2d_bwd(node, g):
 def conv2d_input_grad(g, w, padding):
     """Adjoint of conv2d in x: the gradient of sum(conv2d(x, w) * g) w.r.t. x,
     the full correlation of g with the flipped, channel-swapped kernel."""
+    if len(w.shape) != 4:
+        raise _shape_err("conv2d_input_grad", g.shape, w.shape)
     kh, kw = w.shape[2:]
-    gp = _pad(g.data, kh - 1 - padding, kw - 1 - padding)
-    gx = _correlate(gp, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    flipped = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    ph, pw = kh - 1 - padding, kw - 1 - padding
+    _check_conv("conv2d_input_grad", g.data, flipped, ph, pw)
+    gx = _correlate(g.data, flipped, ph, pw)
     return _apply("conv2d_input_grad", gx, [g, w], {"padding": padding})
 
 
@@ -402,9 +438,17 @@ def _conv2d_input_grad_bwd(node, g):
 def conv2d_kernel_grad(x, g, padding):
     """Adjoint of conv2d in w: the gradient of sum(conv2d(x, w) * g) w.r.t. w,
     the correlation of the padded input with g over the batch."""
-    xp = _pad(x.data, padding, padding)
-    gw = _correlate(xp.transpose(1, 0, 2, 3), g.data.transpose(1, 0, 2, 3))
-    return _apply("conv2d_kernel_grad", gw.transpose(1, 0, 2, 3), [x, g], {"padding": padding})
+    xd, gd = x.data, g.data
+    if xd.ndim != 4 or gd.ndim != 4 or xd.shape[0] != gd.shape[0]:
+        raise _shape_err("conv2d_kernel_grad", xd.shape, gd.shape)
+    kh, kw = xd.shape[2] + 2 * padding - gd.shape[2] + 1, xd.shape[3] + 2 * padding - gd.shape[3] + 1
+    if kh < 1 or kw < 1:
+        raise _shape_err("conv2d_kernel_grad", xd.shape, gd.shape)
+    c, o = xd.shape[1], gd.shape[1]
+    cols = _columns(xd, kh, kw, padding, padding)
+    gmat = np.ascontiguousarray(gd.transpose(0, 2, 3, 1)).reshape(-1, o)
+    gw = (cols.reshape(c * kh * kw, -1) @ gmat).reshape(c, kh, kw, o).transpose(3, 0, 1, 2)
+    return _apply("conv2d_kernel_grad", gw, [x, g], {"padding": padding})
 
 
 @_rule("conv2d_kernel_grad")

@@ -13,7 +13,10 @@ from . import nn
 from .losses import ErrorFnKind, LossBreakdown, interpretable_loss
 from .tensor import backward
 
-EVAL_BATCH = 256  # images per forward in evaluate_accuracy
+# images per forward in evaluate_accuracy. Its first convolution's columns
+# (3x3 kernel over RGB 16x16 images: 7 MB at 128 images) are the largest
+# transient of a training run, so this sets the run's peak memory
+EVAL_BATCH = 128
 
 
 class DivergenceError(RuntimeError):

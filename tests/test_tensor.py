@@ -27,19 +27,28 @@ class TestForwardPrimitives:
         np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
 
     def test_conv2d_matches_offset_loop(self):
-        # the definition, one kernel offset at a time, on a non-square kernel
+        # the definitions, one kernel offset at a time, on a non-square kernel:
+        # the forward and both of its adjoints
         rng = np.random.default_rng(2)
         x, w, b = rng.normal(size=(3, 2, 5, 6)), rng.normal(size=(4, 2, 3, 2)), rng.normal(size=4)
         for padding in (0, 1):
             xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
             ho, wo = xp.shape[2] - 2, xp.shape[3] - 1
+            g = rng.normal(size=(3, 4, ho, wo))
             want = np.zeros((3, 4, ho, wo)) + b[None, :, None, None]
+            want_gxp, want_gw = np.zeros_like(xp), np.zeros_like(w)
             for i in range(3):
                 for j in range(2):
                     patch = xp[:, :, i : i + ho, j : j + wo]
                     want += np.einsum("ncyx,oc->noyx", patch, w[:, :, i, j])
+                    want_gxp[:, :, i : i + ho, j : j + wo] += np.einsum("noyx,oc->ncyx", g, w[:, :, i, j])
+                    want_gw[:, :, i, j] = np.einsum("noyx,ncyx->oc", g, patch)
+            want_gx = want_gxp[:, :, padding : padding + 5, padding : padding + 6]
             got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            got_gx = T.conv2d_input_grad(Tensor(g), Tensor(w), padding).data
+            got_gw = T.conv2d_kernel_grad(Tensor(x), Tensor(g), padding).data
+            for have, expect in ((got, want), (got_gx, want_gx), (got_gw, want_gw)):
+                np.testing.assert_allclose(have, expect, rtol=1e-12, atol=1e-12)
 
     def test_softmax_symmetry(self):
         out = T.softmax(Tensor([[0.0, 0.0]]))
@@ -57,6 +66,25 @@ class TestForwardPrimitives:
     def test_conv_kernel_too_large(self):
         with pytest.raises(ValueError, match="conv2d"):
             T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 4, 4))))
+
+    def test_conv_bad_operands_name_the_op(self):
+        def ones(*shape):
+            return Tensor(np.ones(shape))
+
+        w = ones(4, 2, 3, 3)
+        # a 3-D x whose axis 1 matches the kernel's input channels
+        with pytest.raises(ValueError, match="^conv2d:"):
+            T.conv2d(ones(1, 2, 5), w)
+        # g has 5 channels, w 4 output channels; a 3-D g
+        for g in (ones(1, 5, 3, 3), ones(4, 3, 3)):
+            with pytest.raises(ValueError, match="^conv2d_input_grad:"):
+                T.conv2d_input_grad(g, w, 0)
+        # batches of 2 and 3; a cotangent larger than the padded input; a 3-D g
+        for x, g in ((ones(2, 2, 5, 5), ones(3, 4, 3, 3)),
+                     (ones(1, 2, 3, 3), ones(1, 4, 6, 6)),
+                     (ones(1, 2, 5, 5), ones(4, 3, 3))):
+            with pytest.raises(ValueError, match="^conv2d_kernel_grad:"):
+                T.conv2d_kernel_grad(x, g, 0)
 
     def test_conv_padding_outside_kernel_rejected(self):
         # the input adjoint pads g by k - 1 - padding, so padding runs 0..k-1
@@ -429,6 +457,38 @@ class TestOpSemantics:
         p = T.softmax(Tensor(x)).data
         assert p.min() >= 0
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 17),
+        ci=st.integers(1, 4),
+        co=st.integers(1, 4),
+        kh=st.sampled_from([2, 3]),
+        kw=st.sampled_from([2, 3]),
+        padding=st.integers(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_conv_triple_ignores_memory_layout(self, n, ci, co, kh, kw, padding, seed):
+        # the same values held C-ordered, channel-major, with reversed strides
+        # and with axis 0 innermost (the layout conv2d_kernel_grad returns)
+        # give the same bytes from each op
+        rng = np.random.default_rng(seed)
+        x, w = rng.normal(size=(n, ci, 6, 7)), rng.normal(size=(co, ci, kh, kw))
+        g = rng.normal(size=T.conv2d(Tensor(x), Tensor(w), padding=padding).shape)
+        layouts = (
+            lambda a: a,
+            lambda a: np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3),
+            lambda a: a[::-1, ::-1, ::-1, ::-1].copy()[::-1, ::-1, ::-1, ::-1],
+            lambda a: np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2),
+        )
+        ops = (
+            lambda x, w, g: T.conv2d(x, w, padding=padding),
+            lambda x, w, g: T.conv2d_input_grad(g, w, padding),
+            lambda x, w, g: T.conv2d_kernel_grad(x, g, padding),
+        )
+        for op in ops:
+            outs = {op(*(Tensor(lay(a)) for a in (x, w, g))).data.tobytes() for lay in layouts}
+            assert len(outs) == 1
 
 
 def _assert_adjoint(lhs_pair, rhs_pair):
