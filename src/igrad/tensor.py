@@ -337,10 +337,17 @@ def _linear_bwd(node, g):
     ]
 
 
-# ---- convolution family (a mutually adjoint triple). Each op builds the
-# zero-padded columns of one operand once and contracts them with one matmul;
-# every matmul operand is C-contiguous, so the bytes do not depend on the
-# memory layout of the inputs ----
+# ---- convolution family (a mutually adjoint triple). conv2d and
+# conv2d_input_grad build the zero-padded columns of their operand one block
+# of images at a time and contract each block with one matmul;
+# conv2d_kernel_grad contracts over the images, so it builds all their
+# columns at once. Every matmul operand is C-contiguous, so the bytes do not
+# depend on the memory layout of the inputs ----
+
+# bytes of columns per block in _correlate: half of a 2 MiB per-core L2
+# cache, so each block's matmul reads its columns from cache, not memory
+COL_BUDGET = 1 << 20
+
 
 def _span(size, out, pad, i):
     """The output positions [lo, hi) whose input position o + i - pad lies in
@@ -349,13 +356,13 @@ def _span(size, out, pad, i):
     return lo, max(lo, min(out, size + pad - i))
 
 
-def _columns(a, kh, kw, ph, pw):
-    """The im2col of an (n, c, H, W) stack for a kh x kw kernel, padded by
-    (ph, pw): a C-contiguous (c, kh, kw, n, ho, wo) buffer whose [:, i, j]
-    slab is the input shifted by (i - ph, j - pw), zero past its border."""
-    n, c, hh, ww = a.shape
-    ho, wo = hh + 2 * ph - kh + 1, ww + 2 * pw - kw + 1
-    cols = np.zeros((c, kh, kw, n, ho, wo))
+def _fill_columns(cols, a, ph, pw):
+    """Write the im2col of an (n, c, H, W) stack, padded by (ph, pw), into
+    cols, a C-contiguous (c, kh, kw, n, ho, wo) buffer: its [:, i, j] slab is
+    the input shifted by (i - ph, j - pw). Only positions inside the input
+    are written, so a zero-filled buffer keeps its zero border, the padding."""
+    hh, ww = a.shape[2:]
+    _, kh, kw, _, ho, wo = cols.shape
     src = a.transpose(1, 0, 2, 3)
     for i in range(kh):
         y0, y1 = _span(hh, ho, ph, i)
@@ -368,11 +375,24 @@ def _columns(a, kh, kw, ph, pw):
 def _correlate(a, k, ph, pw):
     """Cross-correlation of an (n, c, H, W) stack, zero-padded by (ph, pw),
     with an (o, c, kh, kw) bank: out[n, o, y, x] = sum over c, i, j of
-    a[n, c, y + i - ph, x + j - pw] k[o, c, i, j]."""
+    a[n, c, y + i - ph, x + j - pw] k[o, c, i, j]. Each block of images'
+    matmul writes its own images of one (o, n, ho, wo) output."""
     o, c, kh, kw = k.shape
-    cols = _columns(a, kh, kw, ph, pw)
-    out = np.ascontiguousarray(k).reshape(o, -1) @ cols.reshape(c * kh * kw, -1)
-    return out.reshape(o, a.shape[0], *cols.shape[4:]).transpose(1, 0, 2, 3)
+    n, _, hh, ww = a.shape
+    ho, wo = hh + 2 * ph - kh + 1, ww + 2 * pw - kw + 1
+    km = np.ascontiguousarray(k).reshape(o, -1)
+    m = max(1, COL_BUDGET // (8 * c * kh * kw * ho * wo))
+    out = np.empty((o, n * ho * wo))
+    # zero-filled once and reused by every full block; a shorter last
+    # block takes a buffer of its own size
+    cols = np.zeros((c, kh, kw, min(m, n), ho, wo))
+    for s in range(0, n, m):
+        blk = a[s : s + m]
+        if len(blk) < cols.shape[3]:
+            cols = np.zeros((c, kh, kw, len(blk), ho, wo))
+        _fill_columns(cols, blk, ph, pw)
+        np.matmul(km, cols.reshape(c * kh * kw, -1), out=out[:, s * ho * wo : (s + len(blk)) * ho * wo])
+    return out.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
 
 
 def _check_conv(kind, a, k, ph, pw):
@@ -445,7 +465,7 @@ def conv2d_kernel_grad(x, g, padding):
     if kh < 1 or kw < 1:
         raise _shape_err("conv2d_kernel_grad", xd.shape, gd.shape)
     c, o = xd.shape[1], gd.shape[1]
-    cols = _columns(xd, kh, kw, padding, padding)
+    cols = _fill_columns(np.zeros((c, kh, kw, xd.shape[0], *gd.shape[2:])), xd, padding, padding)
     gmat = np.ascontiguousarray(gd.transpose(0, 2, 3, 1)).reshape(-1, o)
     gw = (cols.reshape(c * kh * kw, -1) @ gmat).reshape(c, kh, kw, o).transpose(3, 0, 1, 2)
     return _apply("conv2d_kernel_grad", gw, [x, g], {"padding": padding})

@@ -13,9 +13,11 @@ from . import nn
 from .losses import ErrorFnKind, LossBreakdown, interpretable_loss
 from .tensor import backward
 
-# images per forward in evaluate_accuracy. Its first convolution's columns
-# (3x3 kernel over RGB 16x16 images: 7 MB at 128 images) are the largest
-# transient of a training run, so this sets the run's peak memory
+# images per forward in evaluate_accuracy. Its convolutions build their
+# columns one block of about 1 MiB at a time, so a pass no longer sets a
+# training run's peak memory: in perfbench's train_reg, ru_maxrss
+# read around each op stops rising once the splits are drawn (a
+# synthetic_shapes call peaks at about 20 MB of transients for a 6.3 MB split)
 EVAL_BATCH = 128
 
 

@@ -1,5 +1,7 @@
 """Engine-level tests: primitive ops, tape recording, backward modes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -491,6 +493,69 @@ class TestOpSemantics:
             assert len(outs) == 1
 
 
+def _full_column_correlate(a, k, ph, pw):
+    """The correlation T._correlate computes, as one matmul over the columns
+    of every image at once."""
+    o, c, kh, kw = k.shape
+    ap = np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    ho, wo = ap.shape[2] - kh + 1, ap.shape[3] - kw + 1
+    cols = np.stack([ap[:, :, i : i + ho, j : j + wo] for i in range(kh) for j in range(kw)], axis=2)
+    out = k.reshape(o, -1) @ cols.transpose(1, 2, 0, 3, 4).reshape(c * kh * kw, -1)
+    return out.reshape(o, len(a), ho, wo).transpose(1, 0, 2, 3)
+
+
+class TestConvBlocks:
+    """conv2d and conv2d_input_grad build their columns one block of images
+    at a time, at most T.COL_BUDGET bytes of columns per block unless one
+    image's columns are larger."""
+
+    @pytest.mark.parametrize("blocks", [[1] * 7, [3, 3, 1]])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_blocks_match_full_columns(self, monkeypatch, blocks, padding):
+        # 7 images in blocks of one, or of 3, 3 and a shorter last 1
+        rng = np.random.default_rng(5)
+        x, w = rng.normal(size=(7, 2, 5, 6)), rng.normal(size=(3, 2, 3, 2))
+        ho, wo = 5 + 2 * padding - 2, 6 + 2 * padding - 1
+        g = rng.normal(size=(7, 3, ho, wo))
+        flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        filled = []
+        fill = T._fill_columns
+
+        def counted_fill(cols, *rest):
+            filled.append(cols.shape[3])
+            return fill(cols, *rest)
+
+        monkeypatch.setattr(T, "_fill_columns", counted_fill)
+        # each op with the reference and the bytes of one image's columns
+        cases = (
+            (lambda: T.conv2d(Tensor(x), Tensor(w), padding=padding),
+             _full_column_correlate(x, w, padding, padding), 8 * 2 * 3 * 2 * ho * wo),
+            (lambda: T.conv2d_input_grad(Tensor(g), Tensor(w), padding),
+             _full_column_correlate(g, flipped, 2 - padding, 1 - padding), 8 * 3 * 3 * 2 * 5 * 6),
+        )
+        for op, want, image_bytes in cases:
+            monkeypatch.setattr(T, "COL_BUDGET", image_bytes * blocks[0])
+            filled.clear()
+            np.testing.assert_allclose(op().data, want, rtol=1e-12, atol=1e-12)
+            assert filled == blocks
+
+    def test_peak_memory_is_output_plus_two_blocks(self):
+        # a 256-image forward's columns would be 14.2 MB and layer 1's input
+        # adjoint's 9.4 MB at batch 64; a block's are at most 1 MiB, and a
+        # shorter last block is allocated while the full one is alive
+        rng = np.random.default_rng(0)
+        w = Tensor(rng.normal(size=(8, 3, 3, 3)))
+        x, g = Tensor(rng.normal(size=(256, 3, 16, 16))), Tensor(rng.normal(size=(64, 8, 16, 16)))
+        for op in (lambda: T.conv2d(x, w, padding=1), lambda: T.conv2d_input_grad(g, w, 1)):
+            tracemalloc.start()
+            try:
+                out = op()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < out.data.nbytes + 2 * 2**20
+
+
 def _assert_adjoint(lhs_pair, rhs_pair):
     """<A u, v> == <u, A* v> to 1e-13 of the larger product of the norms."""
     (au, v), (u, atv) = lhs_pair, rhs_pair
@@ -523,6 +588,36 @@ class TestAdjointIdentities:
         gx = T.conv2d_input_grad(Tensor(g), Tensor(w), padding).data
         gw = T.conv2d_kernel_grad(Tensor(x), Tensor(g), padding).data
         assert gx.shape == x.shape and gw.shape == w.shape
+        _assert_adjoint((y, g), (x, gx))
+        _assert_adjoint((y, g), (w, gw))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        ci=st.integers(1, 4),
+        co=st.integers(1, 4),
+        kh=st.sampled_from([2, 3]),
+        kw=st.sampled_from([2, 3]),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_conv_triple_in_small_blocks(self, n, ci, co, kh, kw, data, seed):
+        # the identities above with the forward's columns in blocks of m
+        # images (the input adjoint's blocks follow from the same budget), so
+        # most draws run several blocks and many a shorter last one
+        padding = data.draw(st.integers(0, min(kh, kw) - 1), label="padding")
+        hh = data.draw(st.integers(max(1, kh - 2 * padding), 9), label="hh")
+        ww = data.draw(st.integers(max(1, kw - 2 * padding), 9), label="ww")
+        m = data.draw(st.integers(1, n), label="m")
+        rng = np.random.default_rng(seed)
+        x, w = rng.normal(size=(n, ci, hh, ww)), rng.normal(size=(co, ci, kh, kw))
+        ho, wo = hh + 2 * padding - kh + 1, ww + 2 * padding - kw + 1
+        g = rng.normal(size=(n, co, ho, wo))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "COL_BUDGET", 8 * ci * kh * kw * ho * wo * m)
+            y = T.conv2d(Tensor(x), Tensor(w), padding=padding).data
+            gx = T.conv2d_input_grad(Tensor(g), Tensor(w), padding).data
+        gw = T.conv2d_kernel_grad(Tensor(x), Tensor(g), padding).data
         _assert_adjoint((y, g), (x, gx))
         _assert_adjoint((y, g), (w, gw))
 
