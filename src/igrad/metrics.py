@@ -20,6 +20,11 @@ from .saliency import compose_saliency, pick_classes
 # the curve forwards of a chunk hold CHUNK_IMAGES * (steps + 1) images.
 CHUNK_IMAGES = 8
 CLASS_POLICIES = ("predicted", "ground_truth")
+# Curve pixels are ranked on a grid of 1 / RANK_GRID (1.5e-11 of a map's
+# [0, 1] range). Upsampled CAM maps hold exact ties and 1e-17 near-ties;
+# ranked exactly, a rounding-level change of a map could swap two of them
+# across a step and move a curve far more than the rounding.
+RANK_GRID = 2.0**36
 
 
 @dataclass(frozen=True)
@@ -86,16 +91,17 @@ def causal_curves(model, x_raw, sal, cfg: CurveConfig, cs, prep, p_orig):
 
     x_raw is the (N,C,H,W) batch, sal its (N,H,W) normalized saliency maps,
     cs the classes and p_orig each original image's nonzero class
-    probability. Pixels are ranked by decreasing saliency, ties to the
-    lowest linear index. Insertion reveals original pixels over a blurred
-    copy; deletion replaces them with 0. Each step's score is the
-    probability ratio against p_orig; AUC is the trapezoid over the revealed
-    fraction in [0,1]. A curve takes ceil(H*W / pixels_per_step) steps; one
-    forward per curve kind runs all N * (steps + 1) states, image by image.
+    probability. Pixels are ranked by decreasing saliency rounded to a grid
+    of 1 / RANK_GRID, ties to the lowest linear index. Insertion reveals
+    original pixels over a blurred copy; deletion replaces them with 0. Each
+    step's score is the probability ratio against p_orig; AUC is the
+    trapezoid over the revealed fraction in [0,1]. A curve takes
+    ceil(H*W / pixels_per_step) steps; one forward per curve kind runs all
+    N * (steps + 1) states, image by image.
     """
     n, c_img, h, w = x_raw.shape
     total = h * w
-    order = np.argsort(-sal.reshape(n, total), axis=1, kind="stable")
+    order = np.argsort(-np.round(sal.reshape(n, total) * RANK_GRID), axis=1, kind="stable")
     rank = np.empty((n, total), dtype=np.int64)
     np.put_along_axis(rank, order, np.arange(total)[None], axis=1)
     n_steps = -(-total // cfg.pixels_per_step)

@@ -274,7 +274,9 @@ def _broadcast_to_bwd(node, g):
 
 
 def reduce_sum(a, axis=None, keepdims=False):
-    out = np.asarray(np.sum(a.data, axis=axis, keepdims=keepdims))
+    # numpy adds in memory order, so the sum of a C-ordered copy gives the
+    # same bytes whatever the layout of a (a conv output is channel-major)
+    out = np.asarray(np.sum(np.ascontiguousarray(a.data), axis=axis, keepdims=keepdims))
     return _apply("sum", out, [a], {"axis": axis, "keepdims": keepdims})
 
 
@@ -337,15 +339,16 @@ def _linear_bwd(node, g):
     ]
 
 
-# ---- convolution family (a mutually adjoint triple). conv2d and
-# conv2d_input_grad build the zero-padded columns of their operand one block
-# of images at a time and contract each block with one matmul;
-# conv2d_kernel_grad contracts over the images, so it builds all their
-# columns at once. Every matmul operand is C-contiguous, so the bytes do not
-# depend on the memory layout of the inputs ----
+# ---- convolution family (a mutually adjoint triple). Each op builds the
+# zero-padded columns of its operand one block of images at a time, all
+# blocks cut from one buffer per call: conv2d and conv2d_input_grad contract
+# each block into its images of the output, conv2d_kernel_grad sums the
+# blocks' contractions with the cotangent. Every matmul operand is
+# C-contiguous, so the bytes do not depend on the memory layout of the
+# inputs ----
 
-# bytes of columns per block in _correlate: half of a 2 MiB per-core L2
-# cache, so each block's matmul reads its columns from cache, not memory
+# bytes of columns per block: half of a 2 MiB per-core L2 cache, so each
+# block's matmul reads its columns from cache, not memory
 COL_BUDGET = 1 << 20
 
 
@@ -372,26 +375,38 @@ def _fill_columns(cols, a, ph, pw):
     return cols
 
 
+def _blocks(a, kh, kw, ph, pw, ho, wo):
+    """Yield (s, e, cols) over an (n, c, H, W) stack padded by (ph, pw): cols
+    is the C-contiguous (c, kh, kw, e - s, ho, wo) im2col of images [s, e).
+    The ceil(n / m) blocks, where m images' columns fit in COL_BUDGET bytes,
+    hold equal counts but a shorter last. All are cut from one zero-filled
+    buffer; a shorter last block zeroes its prefix again, because its
+    padding lies elsewhere in the smaller shape."""
+    n, c = a.shape[:2]
+    image = c * kh * kw * ho * wo
+    blocks = max(1, -(-n // max(1, COL_BUDGET // (8 * image))))
+    m = max(1, -(-n // blocks))
+    flat = np.zeros(image * m)
+    for s in range(0, n, m):
+        e = min(n, s + m)
+        cols = flat[: image * (e - s)].reshape(c, kh, kw, e - s, ho, wo)
+        if e - s < m:
+            cols.fill(0.0)
+        yield s, e, _fill_columns(cols, a[s:e], ph, pw)
+
+
 def _correlate(a, k, ph, pw):
     """Cross-correlation of an (n, c, H, W) stack, zero-padded by (ph, pw),
     with an (o, c, kh, kw) bank: out[n, o, y, x] = sum over c, i, j of
-    a[n, c, y + i - ph, x + j - pw] k[o, c, i, j]. Each block of images'
-    matmul writes its own images of one (o, n, ho, wo) output."""
+    a[n, c, y + i - ph, x + j - pw] k[o, c, i, j]. Each block's matmul writes
+    its own images of one (o, n, ho, wo) output."""
     o, c, kh, kw = k.shape
     n, _, hh, ww = a.shape
     ho, wo = hh + 2 * ph - kh + 1, ww + 2 * pw - kw + 1
     km = np.ascontiguousarray(k).reshape(o, -1)
-    m = max(1, COL_BUDGET // (8 * c * kh * kw * ho * wo))
     out = np.empty((o, n * ho * wo))
-    # zero-filled once and reused by every full block; a shorter last
-    # block takes a buffer of its own size
-    cols = np.zeros((c, kh, kw, min(m, n), ho, wo))
-    for s in range(0, n, m):
-        blk = a[s : s + m]
-        if len(blk) < cols.shape[3]:
-            cols = np.zeros((c, kh, kw, len(blk), ho, wo))
-        _fill_columns(cols, blk, ph, pw)
-        np.matmul(km, cols.reshape(c * kh * kw, -1), out=out[:, s * ho * wo : (s + len(blk)) * ho * wo])
+    for s, e, cols in _blocks(a, kh, kw, ph, pw, ho, wo):
+        np.matmul(km, cols.reshape(c * kh * kw, -1), out=out[:, s * ho * wo : e * ho * wo])
     return out.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
 
 
@@ -457,7 +472,8 @@ def _conv2d_input_grad_bwd(node, g):
 
 def conv2d_kernel_grad(x, g, padding):
     """Adjoint of conv2d in w: the gradient of sum(conv2d(x, w) * g) w.r.t. w,
-    the correlation of the padded input with g over the batch."""
+    the correlation of the padded input with g over the batch: the sum of
+    each block of images' contraction."""
     xd, gd = x.data, g.data
     if xd.ndim != 4 or gd.ndim != 4 or xd.shape[0] != gd.shape[0]:
         raise _shape_err("conv2d_kernel_grad", xd.shape, gd.shape)
@@ -465,9 +481,13 @@ def conv2d_kernel_grad(x, g, padding):
     if kh < 1 or kw < 1:
         raise _shape_err("conv2d_kernel_grad", xd.shape, gd.shape)
     c, o = xd.shape[1], gd.shape[1]
-    cols = _fill_columns(np.zeros((c, kh, kw, xd.shape[0], *gd.shape[2:])), xd, padding, padding)
-    gmat = np.ascontiguousarray(gd.transpose(0, 2, 3, 1)).reshape(-1, o)
-    gw = (cols.reshape(c * kh * kw, -1) @ gmat).reshape(c, kh, kw, o).transpose(3, 0, 1, 2)
+    acc = np.zeros((c * kh * kw, o))
+    for s, e, cols in _blocks(xd, kh, kw, padding, padding, *gd.shape[2:]):
+        # the block's C-ordered cotangent is a temporary of this statement,
+        # so one block's is alive at a time
+        g_blk = gd[s:e].transpose(0, 2, 3, 1)
+        acc += cols.reshape(c * kh * kw, -1) @ np.ascontiguousarray(g_blk).reshape(-1, o)
+    gw = acc.reshape(c, kh, kw, o).transpose(3, 0, 1, 2)
     return _apply("conv2d_kernel_grad", gw, [x, g], {"padding": padding})
 
 

@@ -3,6 +3,8 @@ the test, and causal curves enumerated by hand on a one-pixel toy model."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from igrad import data, metrics, nn
 from igrad.metrics import (
@@ -200,7 +202,51 @@ class OnePixelModel:
         return r
 
 
+class PixelWeightModel:
+    """Probability of class 0 is a logistic read of a fixed weighting of
+    every pixel, so revealing any pixel earlier or later moves a curve."""
+
+    def __init__(self, shape, seed):
+        self.w = np.random.default_rng(seed).normal(size=shape)
+
+    def forward(self, x, **kwargs):
+        p0 = 1.0 / (1.0 + np.exp(-(np.asarray(x) * self.w).sum(axis=(1, 2, 3))))
+        return type("R", (), {"probs": type("T", (), {"data": np.stack([p0, 1.0 - p0], axis=1)})()})()
+
+
 class TestCausalCurves:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        hw=st.integers(3, 6),
+        pixels_per_step=st.integers(1, 4),
+        levels=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        eps=st.floats(0.0, 1e-14),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rounding_cannot_reorder_curve_pixels(self, n, hw, pixels_per_step, levels, eps, seed):
+        # maps of a few levels hold exact ties, and nudging pixels up by one
+        # to three ulps adds near-ties (1e-17 near 0.1); changing each pixel
+        # by its own relative rounding of at most eps must leave both curves'
+        # bytes alone. A value within eps of a midpoint between two grid
+        # points can still round either way, so the levels keep clear of them
+        rng = np.random.default_rng(seed)
+        sal = np.asarray(levels)[rng.integers(0, len(levels), size=(n, hw, hw))]
+        for _ in range(rng.integers(0, hw * hw)):
+            i = (rng.integers(n), rng.integers(hw), rng.integers(hw))
+            for _ in range(rng.integers(1, 4)):
+                sal[i] = np.nextafter(sal[i], 2.0)
+        assume((np.abs((sal * 2.0**36) % 1.0 - 0.5) > 1e-3).all())
+        x = rng.uniform(0.2, 1.0, size=(n, 2, hw, hw))
+        model = PixelWeightModel((1, 2, hw, hw), seed)
+        cfg = CurveConfig(pixels_per_step=pixels_per_step, blur_kernel=3, blur_sigma=1.0)
+        p = model.forward(x).probs.data[:, 0]
+
+        def curves(s):
+            return tuple(c.tobytes() for c in causal_curves(model, x, s, cfg, [0] * n, lambda v: v, p))
+
+        assert curves(sal) == curves(sal * (1.0 + rng.uniform(-eps, eps, size=sal.shape)))
+
     def test_insertion_endpoint_ratio_is_one(self):
         model = OnePixelModel()
         rng = np.random.default_rng(3)

@@ -492,6 +492,23 @@ class TestOpSemantics:
             outs = {op(*(Tensor(lay(a)) for a in (x, w, g))).data.tobytes() for lay in layouts}
             assert len(outs) == 1
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 5), st.integers(1, 9), st.integers(1, 9)),
+        axis=st.sampled_from([None, 1, (1, 2, 3), (0, 2, 3)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reduce_sum_ignores_memory_layout(self, shape, axis, seed):
+        # numpy adds in memory order; a conv output is channel-major, and the
+        # guided input gradient a loss compares against is one
+        a = np.random.default_rng(seed).normal(size=shape)
+        layouts = (
+            a,
+            np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3),
+            np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2),
+        )
+        assert len({T.reduce_sum(Tensor(lay), axis=axis).data.tobytes() for lay in layouts}) == 1
+
 
 def _full_column_correlate(a, k, ph, pw):
     """The correlation T._correlate computes, as one matmul over the columns
@@ -504,10 +521,21 @@ def _full_column_correlate(a, k, ph, pw):
     return out.reshape(o, len(a), ho, wo).transpose(1, 0, 2, 3)
 
 
+def _full_column_kernel_grad(x, g, padding):
+    """The kernel adjoint T.conv2d_kernel_grad computes, as one matmul over
+    the columns of every image at once."""
+    (n, c), (o, ho, wo) = x.shape[:2], g.shape[1:]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    kh, kw = xp.shape[2] - ho + 1, xp.shape[3] - wo + 1
+    cols = np.stack([xp[:, :, i : i + ho, j : j + wo] for i in range(kh) for j in range(kw)], axis=2)
+    out = cols.transpose(1, 2, 0, 3, 4).reshape(c * kh * kw, -1) @ g.transpose(0, 2, 3, 1).reshape(-1, o)
+    return out.reshape(c, kh, kw, o).transpose(3, 0, 1, 2)
+
+
 class TestConvBlocks:
-    """conv2d and conv2d_input_grad build their columns one block of images
-    at a time, at most T.COL_BUDGET bytes of columns per block unless one
-    image's columns are larger."""
+    """Each op of the conv triple builds its columns one block of images at a
+    time, at most T.COL_BUDGET bytes of columns per block unless one image's
+    columns are larger, every block cut from one buffer per call."""
 
     @pytest.mark.parametrize("blocks", [[1] * 7, [3, 3, 1]])
     @pytest.mark.parametrize("padding", [0, 1])
@@ -532,6 +560,8 @@ class TestConvBlocks:
              _full_column_correlate(x, w, padding, padding), 8 * 2 * 3 * 2 * ho * wo),
             (lambda: T.conv2d_input_grad(Tensor(g), Tensor(w), padding),
              _full_column_correlate(g, flipped, 2 - padding, 1 - padding), 8 * 3 * 3 * 2 * 5 * 6),
+            (lambda: T.conv2d_kernel_grad(Tensor(x), Tensor(g), padding),
+             _full_column_kernel_grad(x, g, padding), 8 * 2 * 3 * 2 * ho * wo),
         )
         for op, want, image_bytes in cases:
             monkeypatch.setattr(T, "COL_BUDGET", image_bytes * blocks[0])
@@ -539,10 +569,51 @@ class TestConvBlocks:
             np.testing.assert_allclose(op().data, want, rtol=1e-12, atol=1e-12)
             assert filled == blocks
 
+    def test_short_last_block_reuses_the_buffer(self, monkeypatch):
+        # 7 images in blocks of 3, 3 and 1, all at one address: the last is a
+        # re-zeroed prefix of the call's one buffer (the test above checks its
+        # values), not a fresh buffer
+        rng = np.random.default_rng(6)
+        x, w, g = rng.normal(size=(7, 2, 5, 6)), rng.normal(size=(3, 2, 3, 2)), rng.normal(size=(7, 3, 5, 7))
+        starts = []
+        fill = T._fill_columns
+
+        def recorded_fill(cols, *rest):
+            starts.append((cols.__array_interface__["data"][0], cols.shape[3]))
+            return fill(cols, *rest)
+
+        monkeypatch.setattr(T, "_fill_columns", recorded_fill)
+        cases = (
+            (lambda: T.conv2d(Tensor(x), Tensor(w), padding=1), 8 * 2 * 3 * 2 * 5 * 7),
+            (lambda: T.conv2d_input_grad(Tensor(g), Tensor(w), 1), 8 * 3 * 3 * 2 * 5 * 6),
+            (lambda: T.conv2d_kernel_grad(Tensor(x), Tensor(g), 1), 8 * 2 * 3 * 2 * 5 * 7),
+        )
+        for op, image_bytes in cases:
+            monkeypatch.setattr(T, "COL_BUDGET", 3 * image_bytes)
+            starts.clear()
+            op()
+            assert [m for _, m in starts] == [3, 3, 1]
+            assert len({address for address, _ in starts}) == 1
+
+    def test_kernel_grad_peak_memory_is_one_block(self):
+        # all of layer 1's columns at batch 64 would be 3.5 MB; only one
+        # block of columns and that block's slice of the cotangent may be
+        # alive with the output
+        rng = np.random.default_rng(1)
+        x, g = Tensor(rng.normal(size=(64, 3, 16, 16))), Tensor(rng.normal(size=(64, 8, 16, 16)))
+        per_block = T.COL_BUDGET // (8 * 3 * 3 * 3 * 16 * 16)
+        tracemalloc.start()
+        try:
+            out = T.conv2d_kernel_grad(x, g, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.data.nbytes + T.COL_BUDGET + per_block * 8 * 8 * 16 * 16
+
     def test_peak_memory_is_output_plus_two_blocks(self):
         # a 256-image forward's columns would be 14.2 MB and layer 1's input
         # adjoint's 9.4 MB at batch 64; a block's are at most 1 MiB, and a
-        # shorter last block is allocated while the full one is alive
+        # shorter last block reuses the full block's buffer
         rng = np.random.default_rng(0)
         w = Tensor(rng.normal(size=(8, 3, 3, 3)))
         x, g = Tensor(rng.normal(size=(256, 3, 16, 16))), Tensor(rng.normal(size=(64, 8, 16, 16)))
@@ -554,6 +625,100 @@ class TestConvBlocks:
             finally:
                 tracemalloc.stop()
             assert peak < out.data.nbytes + 2 * 2**20
+
+
+LD = np.longdouble
+
+
+def _gamma(k, u):
+    """Higham's gamma_k = k u / (1 - k u), which bounds the relative error of
+    a k-term dot product in any summation order at unit roundoff u."""
+    return k * u / (1 - k * u)
+
+
+def _assert_within_dot_bound(got, ref, absref, k):
+    """got lies within gamma_K * sum|a||b| of the longdouble reference, K the
+    contraction length, widened by the reference's own gamma_K at longdouble
+    precision (about 1/2,000 of the bound)."""
+    u, u_ld = 2.0**-53, float(np.finfo(LD).eps) / 2
+    err = np.abs(got.astype(LD) - ref)
+    bound = (LD(_gamma(k, u)) + LD(_gamma(k, u_ld))) * absref
+    assert (err <= bound).all(), float(np.max(err / np.where(bound > 0, bound, 1)))
+
+
+def _ld_columns(a, kh, kw, ph, pw, ho, wo):
+    """The (c * kh * kw, n * ho * wo) im2col of a, padded, in longdouble."""
+    n, c = a.shape[:2]
+    return T._fill_columns(np.zeros((c, kh, kw, n, ho, wo), dtype=LD), a, ph, pw).reshape(c * kh * kw, -1)
+
+
+def _check_conv_triple_bound(x, w, b, g, padding):
+    """Each op of the conv triple against its longdouble reference: conv2d
+    (with its bias, one more rounding) over K = c kh kw, conv2d_input_grad
+    over K = o kh kw and conv2d_kernel_grad over K = n ho wo."""
+    (n, c, hh, ww), (o, _, kh, kw) = x.shape, w.shape
+    ho, wo = g.shape[2:]
+    cols, wm = _ld_columns(x, kh, kw, padding, padding, ho, wo), w.astype(LD).reshape(o, -1)
+    ref, absref = wm @ cols + b.astype(LD)[:, None], np.abs(wm) @ np.abs(cols) + np.abs(b).astype(LD)[:, None]
+    got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data.transpose(1, 0, 2, 3).reshape(o, -1)
+    _assert_within_dot_bound(got, ref, absref, c * kh * kw + 1)
+
+    flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).astype(LD).reshape(c, -1)
+    gcols = _ld_columns(g, kh, kw, kh - 1 - padding, kw - 1 - padding, hh, ww)
+    got = T.conv2d_input_grad(Tensor(g), Tensor(w), padding).data.transpose(1, 0, 2, 3).reshape(c, -1)
+    _assert_within_dot_bound(got, flipped @ gcols, np.abs(flipped) @ np.abs(gcols), o * kh * kw)
+
+    gm = g.transpose(0, 2, 3, 1).astype(LD).reshape(-1, o)
+    got = T.conv2d_kernel_grad(Tensor(x), Tensor(g), padding).data.transpose(1, 2, 3, 0).reshape(-1, o)
+    _assert_within_dot_bound(got, cols @ gm, np.abs(cols) @ np.abs(gm), n * ho * wo)
+
+
+@pytest.mark.skipif(np.finfo(LD).nmant < 63, reason="the reference needs an extended-precision long double")
+class TestConvRoundingBound:
+    """Each op of the conv triple is a dot product per output entry, so any
+    summation order and any BLAS kernel keeps it within the standard bound
+    gamma_K * sum|a||b| of the exact value (Higham, Accuracy and Stability of
+    Numerical Algorithms, 3.1). The reference fills a longdouble buffer with
+    the same columns and contracts it in longdouble."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 24),
+        c=st.integers(1, 5),
+        o=st.integers(1, 5),
+        kh=st.integers(1, 3),
+        kw=st.integers(1, 3),
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_conv_triple_within_dot_bound(self, n, c, o, kh, kw, data, seed):
+        padding = data.draw(st.integers(0, min(kh, kw) - 1), label="padding")
+        hh = data.draw(st.integers(max(1, kh - 2 * padding), 10), label="hh")
+        ww = data.draw(st.integers(max(1, kw - 2 * padding), 10), label="ww")
+        # the forward's and the kernel adjoint's columns in blocks of about m
+        # images (the input adjoint's follow from the same budget), so most
+        # draws run several blocks and many a shorter last one
+        m = data.draw(st.integers(1, n), label="m")
+        ho, wo = hh + 2 * padding - kh + 1, ww + 2 * padding - kw + 1
+        rng = np.random.default_rng(seed)
+        # entries over six decades, so the terms of a sum differ in size
+        x = rng.normal(size=(n, c, hh, ww)) * 10.0 ** rng.uniform(-3, 3, size=(n, c, hh, ww))
+        w, b = rng.normal(size=(o, c, kh, kw)), rng.normal(size=o)
+        g = rng.normal(size=(n, o, ho, wo))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(T, "COL_BUDGET", 8 * c * kh * kw * ho * wo * m)
+            _check_conv_triple_bound(x, w, b, g, padding)
+
+    @pytest.mark.parametrize("n", [1, 8, 16, 44, 64, 80, 128, 136])
+    @pytest.mark.parametrize("c, o, hw", [(3, 8, 16), (8, 16, 8)])
+    def test_recipe_shapes_within_dot_bound(self, n, c, o, hw):
+        # tinycnn(8, 16)'s two convolutions on 16x16 images at the batch
+        # sizes the bench and desk recipes run: training batches of 64 and
+        # their last 16 or 44, accuracy passes of 128 and their last 80,
+        # and eval's forwards of 8 to 136 images
+        rng = np.random.default_rng(n * 100 + c)
+        x, w, b = rng.normal(size=(n, c, hw, hw)), rng.normal(size=(o, c, 3, 3)), rng.normal(size=o)
+        _check_conv_triple_bound(x, w, b, rng.normal(size=(n, o, hw, hw)), 1)
 
 
 def _assert_adjoint(lhs_pair, rhs_pair):
