@@ -52,7 +52,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = cfgmod.load_config(args.config)
     out, _, test_set, spec = _prepare(cfg, "eval")
-    curve_cfg = cfgmod.curve_config(cfg, test_set.images[0].pixels.shape[1])
+    curve_cfg = cfgmod.curve_config(cfg, test_set.pixels.shape[2])
     model = nn.load_checkpoint(args.checkpoint, spec)
     acc = evaluate_accuracy(model, test_set)
     print(f"accuracy: {acc:.4f} ({len(test_set)} images)")
@@ -88,7 +88,7 @@ def cmd_saliency(args) -> int:
     model = nn.load_checkpoint(args.checkpoint, spec)
     layer = cfg["saliency"]["layer"]
     for i in ids:
-        x_raw = test_set.images[i].pixels
+        x_raw = test_set.pixels[i]
         x_norm = test_set.normalize(x_raw)
         (c,), _ = metrics.target_class(model, test_set, [i], cfg["saliency"]["class_policy"])
         for name in cfg["saliency"]["methods"]:

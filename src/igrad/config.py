@@ -183,7 +183,7 @@ def build_datasets(cfg: dict):
 
 def model_spec(cfg: dict, dataset) -> nn.ArchitectureSpec:
     mc = cfg["model"]
-    input_shape = dataset.images[0].pixels.shape
+    input_shape = dataset.pixels.shape[1:]
     if mc["architecture"] == "tinycnn":
         return nn.tinycnn(input_shape, dataset.num_classes, tuple(mc["widths"]))
     return nn.miniresnet(input_shape, dataset.num_classes, mc["width"])

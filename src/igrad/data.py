@@ -3,7 +3,7 @@ shape dataset for desk-scale runs, normalization, and PGM/PPM export."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,7 @@ CIFAR100_STD = (0.2673, 0.2564, 0.2762)
 SHAPE_CLASSES = ("square", "disk", "cross", "tri")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabeledImage:
     pixels: np.ndarray  # (C,H,W) floats in [0,1] before normalization
     label: int
@@ -25,36 +25,44 @@ class LabeledImage:
 
 @dataclass
 class DatasetSplit:
-    images: list[LabeledImage]
+    pixels: np.ndarray  # (N,C,H,W) floats in [0,1] before normalization
+    labels: np.ndarray  # (N,) int64
     num_classes: int
     mean: np.ndarray  # (C,)
     std: np.ndarray   # (C,)
     augment: bool = False
-    _stack: np.ndarray | None = field(default=None, repr=False)
+    coarse: np.ndarray | None = None  # (N,) cifar100 coarse bytes, kept for round-trips
 
     def __post_init__(self):
-        if not self.images:
+        self.pixels = np.asarray(self.pixels, dtype=np.float64)
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.pixels.ndim != 4:
+            raise ValueError(f"pixels must be (N,C,H,W), got shape {self.pixels.shape}")
+        if not len(self.pixels):
             raise ValueError("dataset split must be nonempty")
+        if self.labels.shape != self.pixels.shape[:1]:
+            raise ValueError(f"labels must have shape ({len(self.pixels)},), got {self.labels.shape}")
+        bad = np.flatnonzero((self.labels < 0) | (self.labels >= self.num_classes))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"record {i}: label {self.labels[i]} not in 0..{self.num_classes - 1}")
         self.mean = np.asarray(self.mean, dtype=np.float64)
         self.std = np.asarray(self.std, dtype=np.float64)
-        c = self.images[0].pixels.shape[0]
+        c = self.pixels.shape[1]
         if self.mean.shape != (c,) or self.std.shape != (c,):
             raise ValueError(f"stats must have {c} entries per channel")
         if (self.std <= 0).any():
             raise ValueError("std entries must be positive")
 
     def __len__(self):
-        return len(self.images)
+        return len(self.labels)
 
     @property
-    def labels(self) -> np.ndarray:
-        return np.array([im.label for im in self.images], dtype=np.int64)
-
-    def stacked(self) -> np.ndarray:
-        """All raw pixels as one (N,C,H,W) array (cached)."""
-        if self._stack is None:
-            self._stack = np.stack([im.pixels for im in self.images])
-        return self._stack
+    def images(self) -> list[LabeledImage]:
+        """One read-only record per image, its pixels a view of `pixels`.
+        Built anew on each access, in O(N): for reading single images."""
+        coarse = [None] * len(self) if self.coarse is None else self.coarse.tolist()
+        return list(map(LabeledImage, self.pixels, self.labels.tolist(), coarse))
 
     def normalize(self, pixels: np.ndarray) -> np.ndarray:
         m = self.mean.reshape(-1, 1, 1)
@@ -64,7 +72,7 @@ class DatasetSplit:
     def batch(self, indices, rng: np.random.Generator | None = None):
         """Normalized (n,C,H,W) inputs and labels; augments when configured."""
         idx = np.asarray(indices)
-        raw = self.stacked()[idx]
+        raw = self.pixels[idx]
         if self.augment and rng is not None:
             raw = _augment_flip_crop(raw, rng)
         return self.normalize(raw), self.labels[idx]
@@ -105,25 +113,21 @@ def parse_cifar(path, variant: str, mean=None, std=None) -> DatasetSplit:
         raise ValueError(f"unknown CIFAR variant {variant!r}")
     rec_size, n_classes, label_bytes = _CIFAR_META[variant]
     raw = np.fromfile(path, dtype=np.uint8)
+    if raw.size == 0:
+        raise ValueError(f"{path}: no records")
     if raw.size % rec_size != 0:
         raise ValueError(
             f"{path}: length {raw.size} is not a multiple of record size "
             f"{rec_size} (remainder {raw.size % rec_size})"
         )
     records = raw.reshape(-1, rec_size)
-    images = []
-    for i, rec in enumerate(records):
-        coarse = int(rec[0]) if label_bytes == 2 else None
-        label = int(rec[label_bytes - 1])
-        if label >= n_classes:
-            raise ValueError(f"record {i}: label byte {label} >= {n_classes}")
-        planes = rec[label_bytes:].reshape(3, 32, 32)
-        images.append(LabeledImage(planes.astype(np.float64) / 255.0, label, coarse))
+    pixels = records[:, label_bytes:].reshape(-1, 3, 32, 32) / 255.0
+    coarse = records[:, 0].copy() if label_bytes == 2 else None
     if mean is None:
         mean = CIFAR10_MEAN if variant == "cifar10" else CIFAR100_MEAN
     if std is None:
         std = CIFAR10_STD if variant == "cifar10" else CIFAR100_STD
-    return DatasetSplit(images, n_classes, mean, std)
+    return DatasetSplit(pixels, records[:, label_bytes - 1], n_classes, mean, std, coarse=coarse)
 
 
 def serialize_cifar_record(image: LabeledImage, variant: str) -> bytes:
@@ -149,7 +153,6 @@ def synthetic_shapes(n: int, hw: int, seed: int) -> DatasetSplit:
 
     Classes are assigned round-robin so any n divisible by the class count is
     exactly balanced. Normalization stats are computed from the generated set.
-    Each image's pixels are a view of the split's one (n, 3, hw, hw) stack.
     """
     if hw < 8:
         raise ValueError("hw must be >= 8")
@@ -189,10 +192,9 @@ def synthetic_shapes(n: int, hw: int, seed: int) -> DatasetSplit:
             mask = (yy >= cy_ - r_) & (yy <= cy_ + r_) & (np.abs(xx - cx_) <= (yy - (cy_ - r_)) / 2)
         masks[sel] = mask
     stack = np.where(masks[:, None], color[:, :, None, None], stack)
-    images = [LabeledImage(pixels, int(label)) for pixels, label in zip(stack, labels)]
     mean = stack.mean(axis=(0, 2, 3))
     std = stack.std(axis=(0, 2, 3))
-    return DatasetSplit(images, len(SHAPE_CLASSES), mean, std, _stack=stack)
+    return DatasetSplit(stack, labels, len(SHAPE_CLASSES), mean, std)
 
 
 # --------------------------------------------------------------------------

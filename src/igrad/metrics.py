@@ -130,11 +130,11 @@ def target_class(model, split, indices, class_policy) -> tuple[np.ndarray, np.nd
     the model's probability for each, from one forward."""
     if class_policy not in CLASS_POLICIES:
         raise ValueError(f"class_policy {class_policy!r} not one of {CLASS_POLICIES}")
-    probs = model.forward(split.normalize(split.stacked()[indices])).probs.data
+    probs = model.forward(split.normalize(split.pixels[indices])).probs.data
     if class_policy == "predicted":
         cs = np.argmax(probs, axis=1)
     else:
-        cs = np.array([split.images[i].label for i in indices], dtype=np.int64)
+        cs = split.labels[indices]
     return cs, probs[np.arange(len(cs)), cs]
 
 
@@ -162,8 +162,6 @@ def faithfulness_report(
     """AD/AG/AI percentages over the split for one saliency method, plus the
     mean insertion/deletion AUCs when `curve_cfg` is given. An image whose
     probability for its class is zero fails the whole report, naming it."""
-    if len(dataset) == 0:
-        raise ValueError("dataset must be nonempty")
     recs = []
     for start in range(0, len(dataset), CHUNK_IMAGES):
         idx = np.arange(start, min(start + CHUNK_IMAGES, len(dataset)))
@@ -171,7 +169,7 @@ def faithfulness_report(
         for i, c, p in zip(idx, cs, ps):
             if p == 0.0:
                 raise ValueError(f"image {i}: original probability for class {c} is zero")
-        x_raw = dataset.stacked()[idx]
+        x_raw = dataset.pixels[idx]
         alpha, amap = method.weights_and_maps(model, x_raw, cs, layer, prep=dataset.normalize)
         _, sal = compose_saliency(alpha, amap, x_raw.shape[2:])
         masked = dataset.normalize(x_raw * sal[:, None])

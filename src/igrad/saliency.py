@@ -67,7 +67,7 @@ def _check_targets(model, cs, n: int) -> np.ndarray:
 
 
 def pick_classes(rows: np.ndarray, cs) -> np.ndarray:
-    """Column cs[b] of image b's rows, from rows stacked image by image with
+    """Column cs[b] of image b's rows, from rows laid out image by image with
     the same count for each of the len(cs) images: (images, rows per image)."""
     n = len(cs)
     return rows.reshape(n, -1, rows.shape[-1])[np.arange(n), :, cs]

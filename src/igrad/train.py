@@ -136,8 +136,6 @@ def evaluate_accuracy(model, dataset) -> float:
     """Top-1 accuracy, EVAL_BATCH images per forward; argmax ties resolve to
     the lowest class index."""
     n = len(dataset)
-    if n == 0:
-        raise ValueError("dataset must be nonempty")
     hits = 0
     for start in range(0, n, EVAL_BATCH):
         idx = np.arange(start, min(start + EVAL_BATCH, n))
@@ -151,8 +149,6 @@ def fit(model, train_set, test_set, cfg: TrainConfig) -> TrainLog:
     """Full training run following the step schedule; shuffles with the
     seeded generator, logs one record per epoch, and writes the checkpoint
     at the end when cfg.checkpoint_path is set."""
-    if len(train_set) == 0 or len(test_set) == 0:
-        raise ValueError("datasets must be nonempty")
     rng = np.random.default_rng(cfg.seed)
     velocity = [np.zeros_like(p.data) for p in model.params]
     log = TrainLog()

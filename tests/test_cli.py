@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from igrad import data, nn
+from igrad import config, data, nn
 from igrad.cli import main
 from igrad.config import ConfigError, build_datasets, load_config, model_spec, validate_config
 from igrad.gradcheck import corrupted_backward
@@ -168,6 +168,18 @@ class TestConfigValidation:
         assert "missing required key dataset.test_path" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.ckpt").exists()
 
+    def test_empty_cifar_file_exit_2_naming_the_path(self, tmp_path, capsys):
+        path, _ = tiny_config(tmp_path)
+        doc = json.loads(path.read_text())
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        test_file = cifar10_file(tmp_path / "test.bin", [0, 1], 1)
+        doc["dataset"] = {"kind": "cifar10", "path": str(empty), "test_path": test_file}
+        path.write_text(json.dumps(doc))
+        assert main(["train", str(path)]) == 2
+        assert f"{empty}: no records" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "model.ckpt").exists()
+
     def test_readme_config_example_is_valid(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
@@ -208,6 +220,43 @@ class TestBuildDatasets:
         spec = model_spec(cfg, build_datasets(cfg)[0])
         assert [b.out_channels for b in spec.blocks] == [5, 5, 5]
         assert spec.name == "miniresnet-3x8x8-c4-w5"
+
+
+class TestCifarEndToEnd:
+    def test_train_eval_saliency_on_32px_cifar(self, tmp_path, monkeypatch):
+        path, _ = tiny_config(tmp_path, epochs=1, batch_size=4)
+        doc = json.loads(path.read_text())
+        doc["dataset"] = {
+            "kind": "cifar10",
+            "path": cifar10_file(tmp_path / "train.bin", [0, 1, 2, 3, 4, 5, 6, 7], 0),
+            "test_path": cifar10_file(tmp_path / "test.bin", [3, 8, 9], 1),
+        }
+        doc["saliency"]["methods"] = ["gradcam", "scorecam"]
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["train", str(path)]) == 0
+        assert len(read_csv(out / "train_log.csv")) == 1
+
+        curve_hw = []
+        curve_config = config.curve_config
+        monkeypatch.setattr(
+            config, "curve_config", lambda c, hw: curve_hw.append(hw) or curve_config(c, hw)
+        )
+        assert main(["eval", str(path), str(out / "model.ckpt")]) == 0
+        assert curve_hw == [32]
+        rows = read_csv(out / "metrics.csv")
+        assert [r["method"] for r in rows] == ["gradcam", "scorecam"]
+        assert all(r["n"] == "3" and float(r["insertion"]) >= 0.0 for r in rows)
+
+        assert main(["saliency", str(path), str(out / "model.ckpt"), "--ids", "0"]) == 0
+        names = sorted(p.name for p in out.glob("img00000_*"))
+        assert names == [
+            "img00000_grad_guided.pgm",
+            "img00000_grad_standard.pgm",
+            "img00000_gradcam.ppm",
+            "img00000_scorecam.ppm",
+        ]
+        assert (out / "img00000_gradcam.ppm").read_bytes().startswith(b"P6\n32 32\n255\n")
 
 
 class TestCmdTrain:

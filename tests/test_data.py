@@ -1,11 +1,13 @@
 """Dataset parsing, synthetic generation, normalization, and image export."""
 
+import re
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from igrad.data import (
     DatasetSplit,
-    LabeledImage,
     SHAPE_CLASSES,
     colormap,
     parse_cifar,
@@ -48,6 +50,34 @@ class TestParseCifar:
         path.write_bytes(make_cifar10_bytes([(2, 0), (11, 0)]))
         with pytest.raises(ValueError, match="record 1"):
             parse_cifar(path, "cifar10")
+
+    def test_first_of_two_bad_labels_named(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(make_cifar10_bytes([(2, 0), (12, 0), (11, 0)]))
+        with pytest.raises(ValueError, match="record 1: label 12 "):
+            parse_cifar(path, "cifar10")
+
+    def test_empty_file_names_its_path(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no records")):
+            parse_cifar(path, "cifar10")
+
+    def test_writes_to_an_image_view_reach_the_next_batch(self, tmp_path):
+        path = tmp_path / "b.bin"
+        path.write_bytes(make_cifar10_bytes([(3, 10), (4, 20), (5, 30)]))
+        split = parse_cifar(path, "cifar10")
+        split.batch([0, 1, 2])
+        split.images[1].pixels[:] = 1.0
+        x, _ = split.batch([1])
+        np.testing.assert_array_equal(x[0], split.normalize(np.ones((3, 32, 32))))
+        split.pixels[2, 0] = 0.0
+        x, y = split.batch([1, 2])
+        np.testing.assert_array_equal(x[1, 0], -split.mean[0] / split.std[0])
+        assert y.tolist() == [4, 5]
+        with pytest.raises(FrozenInstanceError):
+            split.images[0].label = 7
+        assert split.labels.tolist() == [3, 4, 5]
 
     def test_round_trip_cifar10(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -126,7 +156,7 @@ class TestSyntheticShapes:
         assert all(type(im.label) is int for im in split.images)
         for im, want in zip(split.images, images):
             assert im.pixels.tobytes() == want.tobytes()
-        assert split.stacked().tobytes() == np.stack(images).tobytes()
+        assert split.pixels.tobytes() == np.stack(images).tobytes()
         assert split.mean.tobytes() == mean.tobytes()
         assert split.std.tobytes() == std.tobytes()
 
@@ -144,7 +174,7 @@ class TestSyntheticShapes:
 
     def test_pixel_bounds(self):
         split = synthetic_shapes(20, hw=16, seed=3)
-        stack = split.stacked()
+        stack = split.pixels
         assert stack.min() >= 0.0 and stack.max() <= 1.0
 
     def test_validation(self):
@@ -173,20 +203,31 @@ class TestAugmentation:
         split = synthetic_shapes(4, hw=16, seed=4)
         split.augment = True
         plain, _ = split.batch(np.arange(4))
-        np.testing.assert_array_equal(plain, split.normalize(split.stacked()[:4]))
+        np.testing.assert_array_equal(plain, split.normalize(split.pixels[:4]))
 
 
 class TestNormalization:
     def test_bad_stats_rejected(self):
-        img = LabeledImage(np.zeros((3, 8, 8)), 0)
+        pixels, labels = np.zeros((1, 3, 8, 8)), np.zeros(1, dtype=np.int64)
         with pytest.raises(ValueError, match="std"):
-            DatasetSplit([img], 4, np.zeros(3), np.zeros(3))
+            DatasetSplit(pixels, labels, 4, np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError, match="entries"):
-            DatasetSplit([img], 4, np.zeros(2), np.ones(2))
+            DatasetSplit(pixels, labels, 4, np.zeros(2), np.ones(2))
+
+    def test_labels_checked_against_pixels_and_classes(self):
+        mean, std = np.zeros(3), np.ones(3)
+        with pytest.raises(ValueError, match="record 0: label 7 not in 0..3"):
+            DatasetSplit(np.zeros((1, 3, 8, 8)), [7], 4, mean, std)
+        with pytest.raises(ValueError, match="record 1: label -1 "):
+            DatasetSplit(np.zeros((3, 3, 8, 8)), [0, -1, 4], 4, mean, std)
+        with pytest.raises(ValueError, match=re.escape("labels must have shape (2,)")):
+            DatasetSplit(np.zeros((2, 3, 8, 8)), [0], 4, mean, std)
+        with pytest.raises(ValueError, match=re.escape("pixels must be (N,C,H,W)")):
+            DatasetSplit(np.zeros((3, 8, 8)), [0, 0, 0], 4, mean, std)
 
     def test_empty_split_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            DatasetSplit([], 4, np.zeros(3), np.ones(3))
+            DatasetSplit(np.zeros((0, 3, 8, 8)), np.zeros(0, dtype=np.int64), 4, np.zeros(3), np.ones(3))
 
 
 def parse_pgm(raw: bytes):

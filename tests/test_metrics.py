@@ -168,8 +168,8 @@ class TestChunks:
         model.param_by_name("head.w").data[:] = 0.0
         model.param_by_name("head.b").data[:] = -1e4  # exp(-1e4) underflows to 0
         model.param_by_name("head.b").data[0] = 0.0
-        for i, img in enumerate(split.images):
-            img.label = 1 if i == 11 else 0
+        split.labels[:] = 0
+        split.labels[11] = 1
         with pytest.raises(ValueError, match="image 11: original probability for class 1 is zero"):
             faithfulness_report(model, split, GradCam(), class_policy="ground_truth")
 

@@ -203,7 +203,7 @@ class TestEvaluateAccuracy:
         m.param_by_name("head.w").data[:] = 0.0
         m.param_by_name("head.b").data[:] = 0.0
         # uniform predictor: argmax is class 0 everywhere
-        only_zero = data.DatasetSplit([tr.images[0]], tr.num_classes, tr.mean, tr.std)
+        only_zero = data.DatasetSplit(tr.pixels[:1], tr.labels[:1], tr.num_classes, tr.mean, tr.std)
         assert tr.images[0].label == 0
         assert evaluate_accuracy(m, only_zero) == 1.0
 
