@@ -33,11 +33,21 @@ def _prepare(cfg, command):
     return out, train_set, test_set, cfgmod.model_spec(cfg, train_set)
 
 
+def _load_model(cfg, checkpoint, spec):
+    """The checkpoint's model, with saliency.layer checked against its maps."""
+    model = nn.load_checkpoint(checkpoint, spec)
+    try:
+        model.resolve_layer(cfg["saliency"]["layer"])
+    except ValueError as e:
+        raise ConfigError(f"saliency.layer: {e}") from None
+    return model
+
+
 def cmd_train(args) -> int:
     cfg = cfgmod.load_config(args.config)
+    tc = cfgmod.train_config(cfg, checkpoint_path=os.path.join(cfg["output"]["dir"], "model.ckpt"))
     out, train_set, test_set, spec = _prepare(cfg, "train")
     model = nn.build_model(spec, cfg["model"]["seed"])
-    tc = cfgmod.train_config(cfg, checkpoint_path=os.path.join(out, "model.ckpt"))
     log = fit(model, train_set, test_set, tc)
     log.write_csv(os.path.join(out, "train_log.csv"))
     last = log.records[-1]
@@ -53,7 +63,7 @@ def cmd_eval(args) -> int:
     cfg = cfgmod.load_config(args.config)
     out, _, test_set, spec = _prepare(cfg, "eval")
     curve_cfg = cfgmod.curve_config(cfg, test_set.pixels.shape[2])
-    model = nn.load_checkpoint(args.checkpoint, spec)
+    model = _load_model(cfg, args.checkpoint, spec)
     acc = evaluate_accuracy(model, test_set)
     print(f"accuracy: {acc:.4f} ({len(test_set)} images)")
     layer = cfg["saliency"]["layer"]
@@ -85,7 +95,7 @@ def cmd_saliency(args) -> int:
     for i in ids:
         if not 0 <= i < len(test_set):
             raise ConfigError(f"id {i} out of range for {len(test_set)} images")
-    model = nn.load_checkpoint(args.checkpoint, spec)
+    model = _load_model(cfg, args.checkpoint, spec)
     layer = cfg["saliency"]["layer"]
     for i in ids:
         x_raw = test_set.pixels[i]

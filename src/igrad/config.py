@@ -191,19 +191,22 @@ def model_spec(cfg: dict, dataset) -> nn.ArchitectureSpec:
 
 def train_config(cfg: dict, checkpoint_path=None) -> TrainConfig:
     tc = cfg["train"]
-    return TrainConfig(
-        epochs=tc["epochs"],
-        batch_size=tc["batch_size"],
-        base_lr=tc["base_lr"],
-        lr_decay_epochs=tuple(tc["lr_decay_epochs"]),
-        lr_decay_factor=tc["lr_decay_factor"],
-        momentum=tc["momentum"],
-        weight_decay=tc["weight_decay"],
-        lam=tc["lambda"],
-        error_kind=ErrorFnKind(tc["error_fn"]),
-        seed=tc["seed"],
-        checkpoint_path=checkpoint_path,
-    )
+    try:
+        return TrainConfig(
+            epochs=tc["epochs"],
+            batch_size=tc["batch_size"],
+            base_lr=tc["base_lr"],
+            lr_decay_epochs=tuple(tc["lr_decay_epochs"]),
+            lr_decay_factor=tc["lr_decay_factor"],
+            momentum=tc["momentum"],
+            weight_decay=tc["weight_decay"],
+            lam=tc["lambda"],
+            error_kind=ErrorFnKind(tc["error_fn"]),
+            seed=tc["seed"],
+            checkpoint_path=checkpoint_path,
+        )
+    except ValueError as e:  # TrainConfig's messages start with the config key
+        raise ConfigError(f"train.{e}") from None
 
 
 def curve_config(cfg: dict, hw: int) -> CurveConfig:

@@ -76,12 +76,11 @@ def error_fn(kind: ErrorFnKind, d: Tensor, d_ref: Tensor) -> Tensor:
     if d.data.ndim < 2 or d.size == 0:
         raise ValueError(f"error_fn: need nonempty (N, ...) batches, got {d.shape}")
     axes = tuple(range(1, d.data.ndim))
-    m = d.size // d.shape[0]
     if kind is ErrorFnKind.MAE:
-        return T.scale(T.reduce_sum(T.absolute(T.sub(d, d_ref)), axis=axes), 1.0 / m)
+        return T.mean(T.absolute(T.sub(d, d_ref)), axis=axes)
     if kind is ErrorFnKind.MSE:
         diff = T.sub(d, d_ref)
-        return T.scale(T.reduce_sum(T.mul(diff, diff), axis=axes), 1.0 / m)
+        return T.mean(T.mul(diff, diff), axis=axes)
 
     if kind is ErrorFnKind.COSINE:
         sq_a = T.reduce_sum(T.mul(d, d), axis=axes)
@@ -126,7 +125,6 @@ def interpretable_loss(
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     ce, fwd, x = _forward_ce(model, x_batch, targets)
-    n = x.shape[0]
 
     if lam == 0.0:
         bd = LossBreakdown(ce.item(), 0.0, ce.item())
@@ -135,7 +133,7 @@ def interpretable_loss(
     (d_std,) = backward(ce, [x], create_graph=True)
     (d_guided,) = backward(ce, [x], mode=GradMode.GUIDED)
     errs = error_fn(kind, d_std, d_guided)
-    loss_r = T.scale(T.reduce_sum(errs), 1.0 / n)
+    loss_r = T.mean(errs)
     total = T.add(ce, T.scale(loss_r, lam))
     bd = LossBreakdown(ce.item(), loss_r.item(), total.item())
     return InterpLossResult(bd, total, fwd.params, d_std, d_guided)

@@ -135,19 +135,16 @@ def target_class(model, split, indices, class_policy) -> tuple[np.ndarray, np.nd
         cs = np.argmax(probs, axis=1)
     else:
         cs = split.labels[indices]
-    return cs, probs[np.arange(len(cs)), cs]
+    return cs, pick_classes(probs, cs)[:, 0]
 
 
-def _aggregate(recs):
-    n = len(recs)
-    ad = 100.0 / n * sum(max(0.0, r.p_original - r.p_masked) / r.p_original for r in recs)
-    ag = 100.0 / n * sum(max(0.0, r.p_masked - r.p_original) / r.p_original for r in recs)
-    ai = 100.0 / n * sum(1.0 for r in recs if r.p_original < r.p_masked)
-    ins = (
-        sum(r.insertion for r in recs) / n if recs[0].insertion is not None else None
-    )
-    dele = sum(r.deletion for r in recs) / n if recs[0].deletion is not None else None
-    return ad, ag, ai, ins, dele
+def _aggregate(p_original, p_masked):
+    """AD, AG and AI in percent from (N,) arrays of each image's original
+    and masked class probability."""
+    ad = 100.0 * np.mean(np.maximum(0.0, p_original - p_masked) / p_original)
+    ag = 100.0 * np.mean(np.maximum(0.0, p_masked - p_original) / p_original)
+    ai = 100.0 * np.mean(p_original < p_masked)
+    return float(ad), float(ag), float(ai)
 
 
 def faithfulness_report(
@@ -162,37 +159,30 @@ def faithfulness_report(
     """AD/AG/AI percentages over the split for one saliency method, plus the
     mean insertion/deletion AUCs when `curve_cfg` is given. An image whose
     probability for its class is zero fails the whole report, naming it."""
-    recs = []
+    chunks = []
     for start in range(0, len(dataset), CHUNK_IMAGES):
         idx = np.arange(start, min(start + CHUNK_IMAGES, len(dataset)))
         cs, ps = target_class(model, dataset, idx, class_policy)
-        for i, c, p in zip(idx, cs, ps):
-            if p == 0.0:
-                raise ValueError(f"image {i}: original probability for class {c} is zero")
+        if (ps == 0.0).any():
+            i = np.argmax(ps == 0.0)
+            raise ValueError(f"image {idx[i]}: original probability for class {cs[i]} is zero")
         x_raw = dataset.pixels[idx]
         alpha, amap = method.weights_and_maps(model, x_raw, cs, layer, prep=dataset.normalize)
         _, sal = compose_saliency(alpha, amap, x_raw.shape[2:])
-        masked = dataset.normalize(x_raw * sal[:, None])
-        pm = model.forward(masked).probs.data[np.arange(len(cs)), cs]
-        chunk = [
-            ImageRecord(int(i), int(c), float(p), float(o)) for i, c, p, o in zip(idx, cs, ps, pm)
-        ]
+        probs = model.forward(dataset.normalize(x_raw * sal[:, None])).probs.data
+        chunk = (cs, ps, pick_classes(probs, cs)[:, 0])
         if curve_cfg is not None:
-            ins, dele = causal_curves(model, x_raw, sal, curve_cfg, cs, dataset.normalize, ps)
-            for rec, a, d in zip(chunk, ins, dele):
-                rec.insertion, rec.deletion = float(a), float(d)
-        recs += chunk
-    ad, ag, ai, ins, dele = _aggregate(recs)
+            chunk += causal_curves(model, x_raw, sal, curve_cfg, cs, dataset.normalize, ps)
+        chunks.append(chunk)
+    cs, po, pm, *curves = (np.concatenate(c) for c in zip(*chunks))
+    ins, dele = (float(np.mean(c)) for c in curves) if curves else (None, None)
+    per_image = None
+    if keep_per_image:
+        rows = zip(cs.tolist(), po.tolist(), pm.tolist(), *(c.tolist() for c in curves))
+        per_image = [ImageRecord(i, *row) for i, row in enumerate(rows)]
     return MetricsReport(
-        method=method.name,
-        class_policy=class_policy,
-        n=len(recs),
-        ad=ad,
-        ag=ag,
-        ai=ai,
-        insertion=ins,
-        deletion=dele,
-        per_image=recs if keep_per_image else None,
+        method.name, class_policy, len(cs), *_aggregate(po, pm),
+        insertion=ins, deletion=dele, per_image=per_image,
     )
 
 

@@ -224,9 +224,8 @@ def build_model(spec: ArchitectureSpec, seed: int) -> Model:
     for i, blk in enumerate(spec.blocks, start=1):
         n_convs = 2 if blk.residual else 1
         for j in range(n_convs):
-            cin = c if j == 0 or blk.residual else blk.out_channels
-            shape = (blk.out_channels, cin, 3, 3)
-            params.append(Parameter(f"block{i}.conv{j}.w", kaiming(shape, cin * 9)))
+            shape = (blk.out_channels, c, 3, 3)
+            params.append(Parameter(f"block{i}.conv{j}.w", kaiming(shape, c * 9)))
             params.append(Parameter(f"block{i}.conv{j}.b", np.zeros(blk.out_channels)))
         c = blk.out_channels
 

@@ -50,7 +50,7 @@ class TrainConfig:
         if not self.lr_decay_factor > 1:
             raise ValueError("lr_decay_factor must be > 1")
         if not self.lam >= 0:
-            raise ValueError("lam must be >= 0")
+            raise ValueError("lambda must be >= 0")
 
 
 def reference_recipe() -> TrainConfig:

@@ -185,6 +185,17 @@ class TestConfigValidation:
         (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
         validate_config(json.loads(example))
 
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [("lambda", -1, ">= 0"), ("epochs", 0, ">= 1"), ("batch_size", 0, ">= 1"),
+         ("base_lr", 0, "positive"), ("lr_decay_factor", 1, "> 1")],
+    )
+    def test_bad_train_value_exit_2_before_any_output(self, tmp_path, capsys, key, value, rule):
+        path, _ = tiny_config(tmp_path, **{key: value})
+        assert main(["train", str(path)]) == 2
+        assert f"error: train.{key} must be {rule}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_block_width_exit_2_naming_the_block(self, tmp_path, capsys):
         path, _ = tiny_config(tmp_path)
         doc = json.loads(path.read_text())
@@ -380,6 +391,17 @@ class TestCmdEval:
         assert "accuracy:" not in out
         assert not (tmp_path / "out" / "metrics.csv").exists()
 
+    def test_unknown_layer_exit_2_before_the_accuracy_pass(self, trained, capsys):
+        path, ckpt, tmp_path = trained
+        doc = json.loads(path.read_text())
+        doc["saliency"]["layer"] = "block9"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", str(path), str(ckpt)]) == 2
+        out, err = capsys.readouterr()
+        assert "saliency.layer: unknown layer 'block9'" in err
+        assert "accuracy:" not in out
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
     def test_zero_pixels_per_step_exit_2_naming_the_key(self, trained, capsys):
         path, ckpt, tmp_path = trained
         doc = json.loads(path.read_text())
@@ -460,6 +482,17 @@ class TestCmdSaliency:
         assert main(["saliency", str(path), str(ckpt), "--ids", "99"]) == 2
         assert "out of range" in capsys.readouterr().err
 
+
+    def test_unknown_layer_exit_2_before_any_image(self, tmp_path, capsys):
+        path, cfg = tiny_config(tmp_path)
+        main(["train", str(path)])
+        ckpt = tmp_path / "out" / "model.ckpt"
+        doc = json.loads(path.read_text())
+        doc["saliency"]["layer"] = "block9"
+        path.write_text(json.dumps(doc))
+        assert main(["saliency", str(path), str(ckpt), "--ids", "0"]) == 2
+        assert "saliency.layer: unknown layer 'block9'" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("img*"))
 
     def test_empty_ids_exit_2_naming_the_flag(self, tmp_path, capsys):
         path, cfg = tiny_config(tmp_path)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from igrad import data, metrics, nn
 from igrad.metrics import (
     CurveConfig,
-    ImageRecord,
     causal_curves,
     faithfulness_report,
     gaussian_blur,
@@ -55,28 +54,24 @@ class TestCurveConfig:
 
 class TestAggregate:
     def test_direct_formula_single_image(self):
-        ad, ag, ai, _, _ = _aggregate([ImageRecord(0, 1, 0.8, 0.4)])
+        ad, ag, ai = _aggregate(np.array([0.8]), np.array([0.4]))
         assert ad == pytest.approx(50.0, abs=1e-12)
         assert ag == 0.0
         assert ai == 0.0
 
     def test_identity_masking_all_zero(self):
-        recs = [ImageRecord(i, 0, 0.5, 0.5) for i in range(4)]
-        ad, ag, ai, _, _ = _aggregate(recs)
+        ad, ag, ai = _aggregate(np.full(4, 0.5), np.full(4, 0.5))
         assert (ad, ag, ai) == (0.0, 0.0, 0.0)
 
     def test_ad_ag_mutually_exclusive_per_image(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             p, o = rng.uniform(0.01, 1.0, size=2)
-            rec = ImageRecord(0, 0, p, o)
-            ad, ag, _, _, _ = _aggregate([rec])
+            ad, ag, _ = _aggregate(np.array([p]), np.array([o]))
             assert ad == 0.0 or ag == 0.0
 
     def test_ai_counts_strict_increase_only(self):
-        ad, ag, ai, _, _ = _aggregate(
-            [ImageRecord(0, 0, 0.5, 0.5), ImageRecord(1, 0, 0.5, 0.6)]
-        )
+        ad, ag, ai = _aggregate(np.array([0.5, 0.5]), np.array([0.5, 0.6]))
         assert ai == 50.0
 
 
@@ -147,6 +142,37 @@ class TestChunks:
             for k in ("p_original", "p_masked", "insertion", "deletion"):
                 a, b = getattr(got, k), getattr(want, k)
                 assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), (got.index, k, a, b)
+
+    @pytest.mark.parametrize("name", METHODS)
+    def test_aggregates_are_numpy_means_of_the_records(self, model_and_split, name):
+        # exactly the expressions the benchmark's eval check recomputes, so
+        # no cell depends on Python's float sum (compensated since 3.12)
+        model, split = model_and_split
+        rep = faithfulness_report(
+            model, split, make_method(name), class_policy="ground_truth",
+            curve_cfg=CurveConfig(pixels_per_step=8), keep_per_image=True,
+        )
+        for r in rep.per_image:
+            assert [type(v) for v in vars(r).values()] == [int, int] + [float] * 4
+        po, pm, ins, dele = (
+            np.array([getattr(r, k) for r in rep.per_image])
+            for k in ("p_original", "p_masked", "insertion", "deletion")
+        )
+        assert rep.ad == 100.0 * np.mean(np.maximum(0.0, po - pm) / po)
+        assert rep.ag == 100.0 * np.mean(np.maximum(0.0, pm - po) / po)
+        assert rep.ai == 100.0 * np.mean(po < pm)
+        assert (rep.insertion, rep.deletion) == (np.mean(ins), np.mean(dele))
+        cells = (rep.ad, rep.ag, rep.ai, rep.insertion, rep.deletion)
+        assert all(type(v) is float for v in cells)  # repr'd into metrics.csv
+
+    def test_records_without_curves(self, model_and_split):
+        model, split = model_and_split
+        rep = faithfulness_report(model, split, GradCam(), keep_per_image=True)
+        assert (rep.insertion, rep.deletion) == (None, None)
+        assert [r.index for r in rep.per_image] == list(range(17))
+        for r in rep.per_image:
+            assert [type(v) for v in vars(r).values()] == [int, int, float, float, type(None), type(None)]
+        assert faithfulness_report(model, split, GradCam()).per_image is None
 
     def test_forwards_per_chunk(self, model_and_split, monkeypatch):
         # per chunk: the target classes, the map, the masked images and
