@@ -14,7 +14,6 @@ from . import config as cfgmod
 from . import data, gradcheck, metrics, nn, saliency
 from .config import ConfigError
 from .nn import CheckpointError
-from .tensor import GradMode
 from .train import DivergenceError, evaluate_accuracy, fit
 
 EXIT_OK = 0
@@ -23,14 +22,19 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
-def _prepare(cfg, command):
+def _prepare(cfg):
+    """Both splits and the model spec."""
+    train_set, test_set = cfgmod.build_datasets(cfg)
+    return train_set, test_set, cfgmod.model_spec(cfg, train_set)
+
+
+def _open_output(cfg, command):
     """Make the output directory and write `<command>.resolved.json` in it;
-    return it with both splits and the model spec."""
+    called once the command's last check has passed."""
     out = cfg["output"]["dir"]
     os.makedirs(out, exist_ok=True)
     cfgmod.write_resolved(cfg, os.path.join(out, f"{command}.resolved.json"))
-    train_set, test_set = cfgmod.build_datasets(cfg)
-    return out, train_set, test_set, cfgmod.model_spec(cfg, train_set)
+    return out
 
 
 def _load_model(cfg, checkpoint, spec):
@@ -46,8 +50,9 @@ def _load_model(cfg, checkpoint, spec):
 def cmd_train(args) -> int:
     cfg = cfgmod.load_config(args.config)
     tc = cfgmod.train_config(cfg, checkpoint_path=os.path.join(cfg["output"]["dir"], "model.ckpt"))
-    out, train_set, test_set, spec = _prepare(cfg, "train")
+    train_set, test_set, spec = _prepare(cfg)
     model = nn.build_model(spec, cfg["model"]["seed"])
+    out = _open_output(cfg, "train")
     log = fit(model, train_set, test_set, tc)
     log.write_csv(os.path.join(out, "train_log.csv"))
     last = log.records[-1]
@@ -61,9 +66,10 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    out, _, test_set, spec = _prepare(cfg, "eval")
+    _, test_set, spec = _prepare(cfg)
     curve_cfg = cfgmod.curve_config(cfg, test_set.pixels.shape[2])
     model = _load_model(cfg, args.checkpoint, spec)
+    out = _open_output(cfg, "eval")
     acc = evaluate_accuracy(model, test_set)
     print(f"accuracy: {acc:.4f} ({len(test_set)} images)")
     layer = cfg["saliency"]["layer"]
@@ -91,15 +97,15 @@ def cmd_saliency(args) -> int:
         ids = [int(v) for v in args.ids.split(",")]
     except ValueError:
         raise ConfigError(f"--ids must be comma-separated integers, got {args.ids!r}")
-    out, _, test_set, spec = _prepare(cfg, "saliency")
+    _, test_set, spec = _prepare(cfg)
     for i in ids:
         if not 0 <= i < len(test_set):
-            raise ConfigError(f"id {i} out of range for {len(test_set)} images")
+            raise ConfigError(f"--ids: id {i} out of range for {len(test_set)} images")
     model = _load_model(cfg, args.checkpoint, spec)
+    out = _open_output(cfg, "saliency")
     layer = cfg["saliency"]["layer"]
     for i in ids:
         x_raw = test_set.pixels[i]
-        x_norm = test_set.normalize(x_raw)
         (c,), _ = metrics.target_class(model, test_set, [i], cfg["saliency"]["class_policy"])
         for name in cfg["saliency"]["methods"]:
             method = saliency.make_method(name)
@@ -109,8 +115,8 @@ def cmd_saliency(args) -> int:
             path = os.path.join(out, f"img{i:05d}_{name}.ppm")
             data.write_overlay(path, x_raw, smap.normalized)
             print(path)
-        for mode, tag in ((GradMode.STANDARD, "standard"), (GradMode.GUIDED, "guided")):
-            gmap = saliency.input_gradient_map(model, x_norm, c, mode)
+        gmaps = saliency.input_gradient_maps(model, test_set.normalize(x_raw), c)
+        for tag, gmap in zip(("standard", "guided"), gmaps):
             path = os.path.join(out, f"img{i:05d}_grad_{tag}.pgm")
             data.write_pgm(path, gmap)
             print(path)

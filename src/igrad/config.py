@@ -169,8 +169,8 @@ def build_datasets(cfg: dict):
     data, unless dataset.augment says otherwise."""
     ds = cfg["dataset"]
     if ds["kind"] == "synthetic":
-        train_split = data.synthetic_shapes(ds["n_train"], hw=ds["hw"], seed=ds["seed"])
-        test_split = data.synthetic_shapes(ds["n_test"], hw=ds["hw"], seed=ds["seed"] + 1000)
+        train_split = _synthetic(ds, "n_train", ds["seed"])
+        test_split = _synthetic(ds, "n_test", ds["seed"] + 1000)
         test_split.mean, test_split.std = train_split.mean, train_split.std
     else:
         train_split, test_split = (
@@ -179,6 +179,15 @@ def build_datasets(cfg: dict):
         )
     train_split.augment = ds["kind"] != "synthetic" if ds["augment"] is None else ds["augment"]
     return train_split, test_split
+
+
+def _synthetic(ds: dict, n_key: str, seed: int):
+    """A synthetic split of ds[n_key] images; a bad size names its key."""
+    try:
+        return data.synthetic_shapes(ds[n_key], hw=ds["hw"], seed=seed)
+    except ValueError as e:  # synthetic_shapes' messages start with its argument, n or hw
+        arg, _, rule = str(e).partition(" ")
+        raise ConfigError(f"dataset.{n_key if arg == 'n' else arg} {rule}") from None
 
 
 def model_spec(cfg: dict, dataset) -> nn.ArchitectureSpec:

@@ -157,7 +157,7 @@ def synthetic_shapes(n: int, hw: int, seed: int) -> DatasetSplit:
     if hw < 8:
         raise ValueError("hw must be >= 8")
     if n < len(SHAPE_CLASSES):
-        raise ValueError("need at least one image per class")
+        raise ValueError(f"n must be >= {len(SHAPE_CLASSES)} (one image per class)")
     # Generator.uniform(lo, hi) is lo + (hi - lo) * U over the stream in
     # order, so one row of U per image holds its background, centre (x, y),
     # radius and colour, in the order a draw per image would take them

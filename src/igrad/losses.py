@@ -54,6 +54,15 @@ def _forward_ce(model, x_batch, targets):
     return ce, fwd, x
 
 
+def _gradient_pair(model, x_batch, targets, create_graph=False):
+    """(mean CE, forward result, standard and guided input-gradients of the CE)
+    from one forward: the pair the regularizer aligns; the guided one is detached."""
+    ce, fwd, x = _forward_ce(model, x_batch, targets)
+    (d_std,) = backward(ce, [x], create_graph=create_graph)
+    (d_guided,) = backward(ce, [x], mode=GradMode.GUIDED)
+    return ce, fwd, d_std, d_guided
+
+
 def _norm_guard(norm_a: np.ndarray, norm_b: np.ndarray):
     """Constants (mask, 1 - mask) that zero the terms of the examples whose
     two norms do not both reach NORM_GUARD, and divide them by 1."""
@@ -124,14 +133,12 @@ def interpretable_loss(
     """
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
-    ce, fwd, x = _forward_ce(model, x_batch, targets)
-
     if lam == 0.0:
+        ce, fwd, _ = _forward_ce(model, x_batch, targets)
         bd = LossBreakdown(ce.item(), 0.0, ce.item())
         return InterpLossResult(bd, ce, fwd.params, None, None)
 
-    (d_std,) = backward(ce, [x], create_graph=True)
-    (d_guided,) = backward(ce, [x], mode=GradMode.GUIDED)
+    ce, fwd, d_std, d_guided = _gradient_pair(model, x_batch, targets, create_graph=True)
     errs = error_fn(kind, d_std, d_guided)
     loss_r = T.mean(errs)
     total = T.add(ce, T.scale(loss_r, lam))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .losses import _forward_ce
-from .tensor import GradMode, Tape, Tensor, backward
+from .losses import _gradient_pair
+from .tensor import Tape, Tensor, backward
 
 
 @dataclass
@@ -203,13 +203,10 @@ def saliency_for(model, x_raw, c, layer, method, prep=_identity) -> SaliencyMap:
     return SaliencyMap(raw[0], normalized[0])
 
 
-def input_gradient_map(model, x, t, mode: GradMode = GradMode.STANDARD) -> np.ndarray:
-    """Per-pixel max over channels of |dL_C/dx|, min-max normalized to [0,1].
-
-    x is the model-space input (already normalized); t is the loss target.
-    """
+def input_gradient_maps(model, x, t) -> tuple[np.ndarray, np.ndarray]:
+    """The standard and guided maps of one model-space (already normalized)
+    (C,H,W) input for loss target t, from one forward: per pixel, the max
+    over channels of |dL_C/dx|, min-max normalized to [0,1]."""
     _check_targets(model, [t], 1)
-    ce, _, xw = _forward_ce(model, np.asarray(x)[None], [t])
-    (g,) = backward(ce, [xw], mode=mode)
-    flat = np.max(np.abs(g.data[0]), axis=0)
-    return minmax_norm(flat)
+    _, _, d_std, d_guided = _gradient_pair(model, np.asarray(x)[None], [t])
+    return tuple(minmax_norm(np.max(np.abs(g.data[0]), axis=0)) for g in (d_std, d_guided))

@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import config, metrics, nn, saliency
-from .losses import ErrorFnKind, _forward_ce, error_fn
-from .tensor import GradMode, backward
+from .losses import ErrorFnKind, _gradient_pair, error_fn
 from .train import fit
 
 DESK_LAMBDA = 1.0  # chosen by pilot sweep over {1e-3 .. 1}; see README
@@ -26,17 +25,14 @@ def mean_cosine_alignment(model, dataset) -> float:
     """Mean over examples of cos(standard grad, guided grad) of the batch CE
     loss w.r.t. the input, in batches of ALIGN_BATCH; examples with a norm
     under NORM_GUARD contribute 0."""
-    vals = []
+    cos = []
     n = len(dataset)
     for start in range(0, n, ALIGN_BATCH):
         idx = np.arange(start, min(start + ALIGN_BATCH, n))
         x, t = dataset.batch(idx)
-        ce, _, xw = _forward_ce(model, x, t)
-        (d_std,) = backward(ce, [xw])
-        (d_gui,) = backward(ce, [xw], mode=GradMode.GUIDED)
-        cos = -error_fn(ErrorFnKind.COSINE, d_std, d_gui).data
-        vals.extend(cos.tolist())
-    return float(np.mean(vals))
+        _, _, d_std, d_gui = _gradient_pair(model, x, t)
+        cos.append(-error_fn(ErrorFnKind.COSINE, d_std, d_gui).data)
+    return float(np.mean(np.concatenate(cos)))
 
 
 @dataclass

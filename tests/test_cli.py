@@ -12,8 +12,7 @@ from igrad import config, data, nn
 from igrad.cli import main
 from igrad.config import ConfigError, build_datasets, load_config, model_spec, validate_config
 from igrad.gradcheck import corrupted_backward
-from igrad.saliency import input_gradient_map
-from igrad.tensor import GradMode
+from igrad.saliency import input_gradient_maps
 
 
 def tiny_config(tmp_path, **train_overrides):
@@ -203,6 +202,42 @@ class TestConfigValidation:
         path.write_text(json.dumps(doc))
         assert main(["train", str(path)]) == 2
         assert "block1:" in capsys.readouterr().err
+
+
+class TestNoOutputOnError:
+    @pytest.mark.parametrize(
+        "command, section, key, value, named",
+        [
+            ("train", "dataset", "n_test", 0, "dataset.n_test"),
+            ("eval", "dataset", "hw", 4, "dataset.hw"),
+            ("eval", "metrics", "blur_sigma", 0.0, "metrics.blur_sigma"),
+            ("saliency", None, None, None, "--ids"),
+            ("train", "model", "widths", [0, 6], "block1:"),
+            ("eval", "saliency", "layer", "block9", "saliency.layer"),
+        ],
+        ids=["n_test", "hw", "blur_sigma", "ids", "widths", "layer"],
+    )
+    def test_exit_2_before_the_output_directory(
+        self, tmp_path, capsys, command, section, key, value, named
+    ):
+        path, _ = tiny_config(tmp_path)
+        ckpt = tmp_path / "out" / "model.ckpt"
+        if command != "train":
+            main(["train", str(path)])
+        doc = json.loads(path.read_text())
+        doc["output"]["dir"] = str(tmp_path / "fresh")
+        if section:
+            doc.setdefault(section, {})[key] = value
+        path.write_text(json.dumps(doc))
+        argv = {
+            "train": ["train", str(path)],
+            "eval": ["eval", str(path), str(ckpt)],
+            "saliency": ["saliency", str(path), str(ckpt), "--ids", "0,99"],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "fresh").exists()
 
 
 class TestBuildDatasets:
@@ -470,10 +505,10 @@ class TestCmdSaliency:
         test_set.mean, test_set.std = train_set.mean, train_set.std
         x_norm = test_set.normalize(test_set.images[0].pixels)
         c = int(np.argmax(model.forward(x_norm[None]).probs.data[0]))
-        want = input_gradient_map(model, x_norm, c, GradMode.STANDARD)
-        quant = np.clip(np.round(want * 255), 0, 255).astype(np.uint8)
-        raw = (tmp_path / "out" / "img00000_grad_standard.pgm").read_bytes()
-        assert raw.split(b"\n", 3)[3] == quant.tobytes()
+        for tag, want in zip(("standard", "guided"), input_gradient_maps(model, x_norm, c)):
+            quant = np.clip(np.round(want * 255), 0, 255).astype(np.uint8)
+            raw = (tmp_path / "out" / f"img00000_grad_{tag}.pgm").read_bytes()
+            assert raw.split(b"\n", 3)[3] == quant.tobytes()
 
     def test_id_out_of_range_exit_2(self, tmp_path, capsys):
         path, cfg = tiny_config(tmp_path)

@@ -15,14 +15,13 @@ from igrad.saliency import (
     SaliencyMap,
     bilinear_upsample,
     compose_saliency,
-    input_gradient_map,
+    input_gradient_maps,
     make_method,
     minmax_norm,
     saliency_for,
     METHODS,
     _logit_and_activation_grad,
 )
-from igrad.tensor import GradMode
 
 
 @pytest.fixture
@@ -311,8 +310,7 @@ class TestBatch:
 
 class TestInputGradientMap:
     def test_values_in_unit_range(self, model16, x16):
-        for mode in (GradMode.STANDARD, GradMode.GUIDED):
-            gmap = input_gradient_map(model16, x16, 1, mode)
+        for gmap in input_gradient_maps(model16, x16, 1):
             assert gmap.shape == (16, 16)
             assert gmap.min() >= 0.0 and gmap.max() <= 1.0
 
@@ -320,7 +318,7 @@ class TestInputGradientMap:
         # head weights zero: CE gradient w.r.t. the input vanishes everywhere
         m = nn.build_model(nn.tinycnn((3, 16, 16), 4, (8, 16)), seed=1)
         m.param_by_name("head.w").data[:] = 0.0
-        gmap = input_gradient_map(m, np.zeros((3, 16, 16)), 0)
+        gmap = input_gradient_maps(m, np.zeros((3, 16, 16)), 0)[0]
         np.testing.assert_array_equal(gmap, 0.0)
 
     def test_guided_equals_standard_on_positive_path(self):
@@ -334,9 +332,20 @@ class TestInputGradientMap:
         head.data[0, :] = 0.0
         m.param_by_name("head.b").data[:] = 0.0
         x = np.random.default_rng(9).uniform(0.2, 1.0, size=(1, 8, 8))
-        g_std = input_gradient_map(m, x, 0, GradMode.STANDARD)
-        g_gui = input_gradient_map(m, x, 0, GradMode.GUIDED)
+        g_std, g_gui = input_gradient_maps(m, x, 0)
         np.testing.assert_array_equal(g_std, g_gui)
+
+    def test_both_maps_from_one_forward(self, model16, x16, monkeypatch):
+        sizes = []
+        forward = model16.forward
+
+        def counting(x, *a, **kw):
+            sizes.append(len(getattr(x, "data", x)))
+            return forward(x, *a, **kw)
+
+        monkeypatch.setattr(model16, "forward", counting)
+        input_gradient_maps(model16, x16, 1)
+        assert sizes == [1]
 
 
 class TestFactory:
