@@ -22,24 +22,22 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
-def _prepare(cfg):
-    """Both splits and the model spec."""
-    train_set, test_set = cfgmod.build_datasets(cfg)
-    return train_set, test_set, cfgmod.model_spec(cfg, train_set)
-
-
 def _open_output(cfg, command):
     """Make the output directory and write `<command>.resolved.json` in it;
     called once the command's last check has passed."""
     out = cfg["output"]["dir"]
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as e:  # its message names the path
+        raise ConfigError(f"output.dir: {e}") from None
     cfgmod.write_resolved(cfg, os.path.join(out, f"{command}.resolved.json"))
     return out
 
 
-def _load_model(cfg, checkpoint, spec):
-    """The checkpoint's model, with saliency.layer checked against its maps."""
-    model = nn.load_checkpoint(checkpoint, spec)
+def _load_model(cfg, checkpoint, test_set):
+    """The checkpoint's model, with saliency.layer checked against its maps;
+    the test split has the training split's image shape and classes."""
+    model = nn.load_checkpoint(checkpoint, cfgmod.model_spec(cfg, test_set))
     try:
         model.resolve_layer(cfg["saliency"]["layer"])
     except ValueError as e:
@@ -50,8 +48,8 @@ def _load_model(cfg, checkpoint, spec):
 def cmd_train(args) -> int:
     cfg = cfgmod.load_config(args.config)
     tc = cfgmod.train_config(cfg, checkpoint_path=os.path.join(cfg["output"]["dir"], "model.ckpt"))
-    train_set, test_set, spec = _prepare(cfg)
-    model = nn.build_model(spec, cfg["model"]["seed"])
+    train_set, test_set = cfgmod.build_datasets(cfg)
+    model = nn.build_model(cfgmod.model_spec(cfg, train_set), cfg["model"]["seed"])
     out = _open_output(cfg, "train")
     log = fit(model, train_set, test_set, tc)
     log.write_csv(os.path.join(out, "train_log.csv"))
@@ -66,9 +64,9 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = cfgmod.load_config(args.config)
-    _, test_set, spec = _prepare(cfg)
+    test_set = cfgmod.build_test_split(cfg)
     curve_cfg = cfgmod.curve_config(cfg, test_set.pixels.shape[2])
-    model = _load_model(cfg, args.checkpoint, spec)
+    model = _load_model(cfg, args.checkpoint, test_set)
     out = _open_output(cfg, "eval")
     acc = evaluate_accuracy(model, test_set)
     print(f"accuracy: {acc:.4f} ({len(test_set)} images)")
@@ -97,11 +95,11 @@ def cmd_saliency(args) -> int:
         ids = [int(v) for v in args.ids.split(",")]
     except ValueError:
         raise ConfigError(f"--ids must be comma-separated integers, got {args.ids!r}")
-    _, test_set, spec = _prepare(cfg)
+    test_set = cfgmod.build_test_split(cfg)
     for i in ids:
         if not 0 <= i < len(test_set):
             raise ConfigError(f"--ids: id {i} out of range for {len(test_set)} images")
-    model = _load_model(cfg, args.checkpoint, spec)
+    model = _load_model(cfg, args.checkpoint, test_set)
     out = _open_output(cfg, "saliency")
     layer = cfg["saliency"]["layer"]
     for i in ids:

@@ -131,6 +131,11 @@ def validate_config(doc: dict) -> dict:
             else:  # a copy, so that editing a resolved list leaves the schema's alone
                 out[key] = copy.copy(field.default)
         resolved[section] = out
+    ds = resolved["dataset"]
+    if ds["kind"] == "synthetic":  # after the type checks, whose errors come first
+        for key in ("path", "test_path", "mean", "std"):
+            if ds[key] is not None:
+                raise ConfigError(f"dataset.{key}: synthetic data does not read it")
     return resolved
 
 
@@ -173,12 +178,25 @@ def build_datasets(cfg: dict):
         test_split = _synthetic(ds, "n_test", ds["seed"] + 1000)
         test_split.mean, test_split.std = train_split.mean, train_split.std
     else:
-        train_split, test_split = (
-            data.parse_cifar(ds[key], ds["kind"], mean=ds["mean"], std=ds["std"])
-            for key in ("path", "test_path")
-        )
+        train_split, test_split = _cifar(ds, "path"), _cifar(ds, "test_path")
     train_split.augment = ds["kind"] != "synthetic" if ds["augment"] is None else ds["augment"]
     return train_split, test_split
+
+
+def build_test_split(cfg: dict):
+    """The test split alone: on CIFAR only `test_path` is parsed, while
+    synthetic data still draws the training split for its mean and std."""
+    if cfg["dataset"]["kind"] == "synthetic":
+        return build_datasets(cfg)[1]
+    return _cifar(cfg["dataset"], "test_path")
+
+
+def _cifar(ds: dict, key: str):
+    """The CIFAR split at ds[key]; a file that cannot be read names its key."""
+    try:
+        return data.parse_cifar(ds[key], ds["kind"], mean=ds["mean"], std=ds["std"])
+    except OSError as e:  # its message names the path
+        raise ConfigError(f"dataset.{key}: {e}") from None
 
 
 def _synthetic(ds: dict, n_key: str, seed: int):

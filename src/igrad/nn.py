@@ -9,6 +9,7 @@ guided backward rule applies throughout.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -77,14 +78,17 @@ def spec_from_name(name: str) -> ArchitectureSpec:
     raise CheckpointError(f"architecture: cannot rebuild spec from name {name!r}")
 
 
-def _validate_spec(spec: ArchitectureSpec):
-    """Channels and spatial size after the last block; only pools change the size."""
+def _layout(spec: ArchitectureSpec) -> list[tuple[str, tuple[int, ...], int | None]]:
+    """Check the spec and list each parameter's name, shape and fan-in (None
+    for a bias, which starts at zero), in the order the forward takes them
+    and a checkpoint stores them. Only pools change the spatial size."""
     c, h, w = spec.input_shape
     if min(c, h, w, spec.num_classes) < 1 or not spec.blocks:
         raise ValueError(
             f"{spec.name}: input {spec.input_shape}, {spec.num_classes} classes and "
             f"{len(spec.blocks)} blocks must all be at least 1"
         )
+    layout = []
     for i, blk in enumerate(spec.blocks, start=1):
         if blk.out_channels < 1:
             raise ValueError(f"block{i}: {blk.out_channels} output channels, need at least 1")
@@ -92,12 +96,15 @@ def _validate_spec(spec: ArchitectureSpec):
             raise ValueError(
                 f"block{i}: residual needs matching channels ({c} -> {blk.out_channels})"
             )
+        for j in range(2 if blk.residual else 1):
+            layout.append((f"block{i}.conv{j}.w", (blk.out_channels, c, 3, 3), c * 9))
+            layout.append((f"block{i}.conv{j}.b", (blk.out_channels,), None))
         c = blk.out_channels
         if blk.pool:
             if h < T.POOL or w < T.POOL:
                 raise ValueError(f"block{i}: pool {T.POOL} larger than map {h}x{w}")
             h, w = h // T.POOL, w // T.POOL
-    return c, h, w
+    return layout + [("head.w", (spec.num_classes, c), c), ("head.b", (spec.num_classes,), None)]
 
 
 class Parameter:
@@ -212,25 +219,15 @@ class Model:
 
 def build_model(spec: ArchitectureSpec, seed: int) -> Model:
     """Kaiming-uniform fan-in init (zero biases) from one seeded generator."""
-    c_out, h_out, w_out = _validate_spec(spec)
+    layout = _layout(spec)
     rng = np.random.default_rng(seed)
-    params: list[Parameter] = []
-    c = spec.input_shape[0]
-
-    def kaiming(shape, fan_in):
-        bound = np.sqrt(6.0 / fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    for i, blk in enumerate(spec.blocks, start=1):
-        n_convs = 2 if blk.residual else 1
-        for j in range(n_convs):
-            shape = (blk.out_channels, c, 3, 3)
-            params.append(Parameter(f"block{i}.conv{j}.w", kaiming(shape, c * 9)))
-            params.append(Parameter(f"block{i}.conv{j}.b", np.zeros(blk.out_channels)))
-        c = blk.out_channels
-
-    params.append(Parameter("head.w", kaiming((spec.num_classes, c_out), c_out)))
-    params.append(Parameter("head.b", np.zeros(spec.num_classes)))
+    params = []
+    for name, shape, fan_in in layout:
+        if fan_in is None:
+            params.append(Parameter(name, np.zeros(shape)))
+        else:
+            bound = np.sqrt(6.0 / fan_in)
+            params.append(Parameter(name, rng.uniform(-bound, bound, size=shape)))
     return Model(spec, seed, params)
 
 
@@ -292,20 +289,15 @@ def load_checkpoint(path, spec: ArchitectureSpec | None = None) -> Model:
         raise CheckpointError(f"architecture: checkpoint has {name!r}, expected {spec.name!r}")
 
     try:
-        model = build_model(spec, int(seed))
+        layout = _layout(spec)
     except ValueError as e:
         raise CheckpointError(f"architecture: cannot build {name!r}: {e}") from None
-    if model.num_params != count:
-        raise CheckpointError(
-            f"params: count {count} does not match architecture ({model.num_params})"
-        )
+    sizes = [math.prod(shape) for _, shape, _ in layout]
+    if sum(sizes) != count:
+        raise CheckpointError(f"params: count {count} does not match architecture ({sum(sizes)})")
     payload = pull(8 * count, "params")
     if off != len(raw):
         raise CheckpointError(f"params: {len(raw) - off} trailing bytes")
-    flat = np.frombuffer(payload, dtype="<f8")
-    pos = 0
-    for p in model.params:
-        n = p.data.size
-        p.data = flat[pos : pos + n].reshape(p.data.shape).copy()
-        pos += n
-    return model
+    chunks = np.split(np.frombuffer(payload, dtype="<f8"), np.cumsum(sizes)[:-1])
+    params = [Parameter(n, a.reshape(shape).copy()) for (n, shape, _), a in zip(layout, chunks)]
+    return Model(spec, int(seed), params)

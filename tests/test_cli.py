@@ -179,6 +179,31 @@ class TestConfigValidation:
         assert f"{empty}: no records" in capsys.readouterr().err
         assert not (tmp_path / "out" / "model.ckpt").exists()
 
+    def test_cifar_path_a_directory_exit_2_naming_the_key(self, tmp_path, capsys):
+        path, _ = tiny_config(tmp_path)
+        doc = json.loads(path.read_text())
+        folder = tmp_path / "batches"
+        folder.mkdir()
+        test_file = cifar10_file(tmp_path / "test.bin", [0, 1], 1)
+        doc["dataset"] = {"kind": "cifar10", "path": str(folder), "test_path": test_file}
+        path.write_text(json.dumps(doc))
+        assert main(["train", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset.path: ") and str(folder) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_output_dir_a_file_exit_2_naming_the_key(self, tmp_path, capsys):
+        path, _ = tiny_config(tmp_path)
+        doc = json.loads(path.read_text())
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        doc["output"]["dir"] = str(taken)
+        path.write_text(json.dumps(doc))
+        assert main(["train", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output.dir: ") and str(taken) in err
+        assert taken.read_text() == "keep"
+
     def test_readme_config_example_is_valid(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         (example,) = re.findall(r"```json\n(.*?)```", readme, re.S)
@@ -214,8 +239,14 @@ class TestNoOutputOnError:
             ("saliency", None, None, None, "--ids"),
             ("train", "model", "widths", [0, 6], "block1:"),
             ("eval", "saliency", "layer", "block9", "saliency.layer"),
+            # synthetic data reads no file and computes its own mean and std
+            ("train", "dataset", "path", "train.bin", "dataset.path: synthetic data does not"),
+            ("eval", "dataset", "test_path", "test.bin", "dataset.test_path: synthetic data"),
+            ("train", "dataset", "mean", [9, 9, 9], "dataset.mean: synthetic data does not"),
+            ("train", "dataset", "std", [0.001, 1, 1], "dataset.std: synthetic data does not"),
         ],
-        ids=["n_test", "hw", "blur_sigma", "ids", "widths", "layer"],
+        ids=["n_test", "hw", "blur_sigma", "ids", "widths", "layer", "synthetic-path",
+             "synthetic-test_path", "synthetic-mean", "synthetic-std"],
     )
     def test_exit_2_before_the_output_directory(
         self, tmp_path, capsys, command, section, key, value, named
@@ -258,6 +289,23 @@ class TestBuildDatasets:
         doc["dataset"]["augment"] = False
         train_set, _ = build_datasets(validate_config(doc))
         assert not train_set.augment
+
+    def test_test_split_alone_matches_the_pair(self, tmp_path):
+        synthetic = {"kind": "synthetic", "n_train": 12, "n_test": 8, "hw": 8}
+        cifar = {
+            "kind": "cifar10",
+            "path": cifar10_file(tmp_path / "train.bin", [0, 1, 2], 0),
+            "test_path": cifar10_file(tmp_path / "test.bin", [7, 9], 1),
+            "std": [0.5, 0.25, 0.125],
+        }
+        for ds in (synthetic, cifar):
+            cfg = validate_config(
+                {"dataset": ds, "model": {"architecture": "tinycnn"}, "train": {"epochs": 1}}
+            )
+            alone, (_, paired) = config.build_test_split(cfg), build_datasets(cfg)
+            for field in ("pixels", "labels", "mean", "std"):
+                np.testing.assert_array_equal(getattr(alone, field), getattr(paired, field))
+            assert alone.num_classes == paired.num_classes and not alone.augment
 
     def test_miniresnet_spec_takes_the_width(self):
         doc = {"dataset": {"kind": "synthetic", "n_train": 8, "n_test": 4, "hw": 8},
@@ -303,6 +351,30 @@ class TestCifarEndToEnd:
             "img00000_scorecam.ppm",
         ]
         assert (out / "img00000_gradcam.ppm").read_bytes().startswith(b"P6\n32 32\n255\n")
+
+
+    def test_eval_and_saliency_parse_only_the_test_file(self, tmp_path, monkeypatch):
+        path, _ = tiny_config(tmp_path, epochs=1, batch_size=4)
+        doc = json.loads(path.read_text())
+        test_file = cifar10_file(tmp_path / "test.bin", [3, 8, 9], 1)
+        doc["dataset"] = {
+            "kind": "cifar10",
+            "path": cifar10_file(tmp_path / "train.bin", [0, 1, 2, 3, 4, 5, 6, 7], 0),
+            "test_path": test_file,
+        }
+        path.write_text(json.dumps(doc))
+        ckpt = str(tmp_path / "out" / "model.ckpt")
+        assert main(["train", str(path)]) == 0
+
+        parsed = []
+        parse = data.parse_cifar
+        monkeypatch.setattr(
+            data, "parse_cifar", lambda p, *a, **k: parsed.append(p) or parse(p, *a, **k)
+        )
+        assert main(["eval", str(path), ckpt]) == 0
+        assert parsed == [test_file]
+        assert main(["saliency", str(path), ckpt, "--ids", "0"]) == 0
+        assert parsed == [test_file, test_file]
 
 
 class TestCmdTrain:
@@ -372,13 +444,14 @@ class TestCmdEval:
         assert "accuracy" in capsys.readouterr().out
 
     def test_builds_only_the_checkpoint_model(self, trained, monkeypatch):
-        # the spec comes from the config without initialising a model
+        # the spec comes from the config, and the checkpoint's parameters are
+        # read, not drawn: no model is initialised
         path, ckpt, _ = trained
         built = []
         build = nn.build_model
         monkeypatch.setattr(nn, "build_model", lambda *a: built.append(a) or build(*a))
         assert main(["eval", str(path), str(ckpt)]) == 0
-        assert len(built) == 1
+        assert built == []
 
     def test_class_policy_echoed(self, trained):
         path, ckpt, tmp_path = trained

@@ -1,5 +1,8 @@
 """Model construction, forward contracts, and checkpoint persistence."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -249,3 +252,143 @@ class TestCorruptCheckpoint:
         assert _corrupt_load(tmp_path / "m.ckpt", good) is not None
         for n in range(len(good)):
             assert _corrupt_load(tmp_path / "m.ckpt", good[:n]) is None
+
+
+def _header(name: bytes, count: int) -> bytes:
+    """A checkpoint header for `name` at seed 0 that announces `count` parameters."""
+    return (
+        nn.CHECKPOINT_MAGIC + struct.pack("<II", nn.CHECKPOINT_VERSION, len(name)) + name
+        + struct.pack("<QQ", 0, count)
+    )
+
+
+class TestLoadWithoutInit:
+    """Loading reads the parameters' layout from the spec and draws nothing."""
+
+    def test_count_checked_before_any_allocation(self, tmp_path):
+        # the architecture this name spells holds 20,299,504 parameters (155 MiB)
+        path = tmp_path / "crafted.ckpt"
+        path.write_bytes(_header(b"tinycnn-3x16x16-c4-w1500.1500", 10) + bytes(80))
+        assert path.stat().st_size == 137
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError) as err:
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "params: count 10 does not match architecture (20299504)"
+        assert peak < 2**20
+
+    def test_load_draws_no_random_numbers(self, spec16, tmp_path, monkeypatch):
+        m = build_model(spec16, seed=9)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(m, path)
+
+        def no_draws(*args):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded = load_checkpoint(path)
+        assert [p.name for p in loaded.params] == [p.name for p in m.params]
+        for a, b in zip(m.params, loaded.params):
+            np.testing.assert_array_equal(a.data, b.data)
+            assert b.data.flags.writeable and b.data.flags.c_contiguous
+
+
+class TestErrorMessages:
+    """Each model and checkpoint error message, word for word."""
+
+    SPEC = tinycnn((3, 16, 16), 4, (8, 16))
+    HEADER = 4 + 4 + 4 + len(SPEC.name) + 8 + 8
+
+    @pytest.fixture(scope="class")
+    def good(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("ckpt") / "good.ckpt"
+        save_checkpoint(build_model(self.SPEC, seed=0), path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda raw, h: b"NOPE" + raw[4:], "magic: not an IGRD checkpoint"),
+            (lambda raw, h: raw[:4] + struct.pack("<I", 2) + raw[8:], "version: unsupported 2"),
+            (lambda raw, h: raw[:20], "architecture: truncated checkpoint"),
+            (
+                lambda raw, h: raw.replace(b"tinycnn", b"tiny\xffnn"),
+                "architecture: name is not UTF-8 ('utf-8' codec can't decode byte 0xff in "
+                "position 4: invalid start byte)",
+            ),
+            (lambda raw, h: raw[: h - 10], "seed: truncated checkpoint"),
+            (
+                lambda raw, h: raw.replace(b"tinycnn", b"tinyCNN"),
+                "architecture: cannot rebuild spec from name 'tinyCNN-3x16x16-c4-w8.16'",
+            ),
+            (
+                lambda raw, h: raw.replace(b"w8.16", b"w0.16"),
+                "architecture: cannot build 'tinycnn-3x16x16-c4-w0.16': "
+                "block1: 0 output channels, need at least 1",
+            ),
+            (
+                lambda raw, h: raw.replace(b"3x16x16", b"0x16x16"),
+                "architecture: cannot build 'tinycnn-0x16x16-c4-w8.16': tinycnn-0x16x16-c4-w8.16: "
+                "input (0, 16, 16), 4 classes and 2 blocks must all be at least 1",
+            ),
+            (
+                lambda raw, h: raw[: h - 8] + struct.pack("<Q", 1461) + raw[h:],
+                "params: count 1461 does not match architecture (1460)",
+            ),
+            (lambda raw, h: raw[:-8], "params: truncated checkpoint"),
+            (lambda raw, h: raw + bytes(8), "params: 8 trailing bytes"),
+        ],
+        ids=[
+            "magic", "version", "name-truncated", "name-not-utf8", "seed-truncated", "bad-name",
+            "zero-width", "zero-channels", "count", "payload-truncated", "trailing",
+        ],
+    )
+    def test_damaged_checkpoint(self, good, tmp_path, damage, message):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(damage(good, self.HEADER))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == message
+
+    def test_other_architecture(self, good, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(good)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path, tinycnn((3, 16, 16), 4, (4, 8)))
+        assert str(err.value) == (
+            "architecture: checkpoint has 'tinycnn-3x16x16-c4-w8.16', "
+            "expected 'tinycnn-3x16x16-c4-w4.8'"
+        )
+
+    RESIDUAL = ArchitectureSpec("x", (3, 16, 16), 4, (ConvBlock(8, residual=True),))
+    POOLED = ArchitectureSpec("y", (3, 8, 8), 4, tuple(ConvBlock(4, pool=True) for _ in range(4)))
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (RESIDUAL, "block1: residual needs matching channels (3 -> 8)"),
+            (POOLED, "block4: pool 2 larger than map 1x1"),
+        ],
+        ids=["residual-channels", "pool-larger-than-map"],
+    )
+    def test_bad_spec(self, tmp_path, spec, message):
+        with pytest.raises(ValueError) as err:
+            build_model(spec, 0)
+        assert str(err.value) == message
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(_header(spec.name.encode(), 0))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path, spec)
+        assert str(err.value) == f"architecture: cannot build {spec.name!r}: {message}"
+
+    def test_pool_larger_than_map_from_the_name(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(_header(b"tinycnn-3x2x2-c4-w1.1", 0))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (
+            "architecture: cannot build 'tinycnn-3x2x2-c4-w1.1': block2: pool 2 larger than map 1x1"
+        )
