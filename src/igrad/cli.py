@@ -76,7 +76,8 @@ def cmd_eval(args) -> int:
     for name in cfg["saliency"]["methods"]:
         method = saliency.make_method(name)
         rep = metrics.faithfulness_report(
-            model, test_set, method, layer=layer, class_policy=policy, curve_cfg=curve_cfg
+            model, test_set, method, layer=layer, class_policy=policy, curve_cfg=curve_cfg,
+            keep_per_image=True,
         )
         reports.append(rep)
         print(
@@ -86,6 +87,9 @@ def cmd_eval(args) -> int:
     csv_path = os.path.join(out, "metrics.csv")
     metrics.write_reports_csv(csv_path, reports)
     print(f"report: {csv_path}")
+    jsonl_path = os.path.join(out, "per_image.jsonl")
+    metrics.write_per_image_jsonl(jsonl_path, test_set.labels, reports)
+    print(f"per-image records: {jsonl_path}")
     return EXIT_OK
 
 

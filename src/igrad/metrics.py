@@ -10,6 +10,7 @@ for the whole chunk.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +98,9 @@ def causal_curves(model, x_raw, sal, cfg: CurveConfig, cs, prep, p_orig):
     step's score is the probability ratio against p_orig; AUC is the
     trapezoid over the revealed fraction in [0,1]. A curve takes
     ceil(H*W / pixels_per_step) steps; one forward per curve kind runs all
-    N * (steps + 1) states, image by image.
+    N * (steps + 1) states, image by image. The states are composed from the
+    prepped image, blurred copy and black image: as prep acts pixel by pixel,
+    that equals prepping each state.
     """
     n, c_img, h, w = x_raw.shape
     total = h * w
@@ -114,13 +117,13 @@ def causal_curves(model, x_raw, sal, cfg: CurveConfig, cs, prep, p_orig):
     def run(start_img: np.ndarray, source: np.ndarray) -> np.ndarray:
         flat = (n, 1, c_img, total)
         states = np.where(revealed, source.reshape(flat), start_img.reshape(flat))
-        probs = model.forward(prep(states.reshape(-1, c_img, h, w))).probs.data
+        probs = model.forward(states.reshape(-1, c_img, h, w)).probs.data
         ratios = pick_classes(probs, cs) / p_orig
         return np.trapezoid(ratios, fractions, axis=1) * 100.0
 
-    blurred = gaussian_blur(x_raw, cfg.blur_kernel, cfg.blur_sigma)
-    insertion = run(blurred, x_raw)
-    deletion = run(x_raw, np.zeros_like(x_raw))
+    x = prep(x_raw)
+    insertion = run(prep(gaussian_blur(x_raw, cfg.blur_kernel, cfg.blur_sigma)), x)
+    deletion = run(x, prep(np.zeros_like(x_raw)))
     return insertion, deletion
 
 
@@ -203,3 +206,16 @@ def write_reports_csv(path, reports):
                     "" if r.deletion is None else repr(r.deletion),
                 ]
             )
+
+
+def write_per_image_jsonl(path, labels, reports):
+    """One JSON line per image of the split the reports scored, each kept per
+    image: its index, label and class, and per method its p_original,
+    p_masked, insertion and deletion."""
+    keys = ("p_original", "p_masked", "insertion", "deletion")
+    with open(path, "w") as f:
+        for recs in zip(*(r.per_image for r in reports)):
+            i, c = recs[0].index, recs[0].target
+            methods = {r.method: {k: getattr(rec, k) for k in keys} for r, rec in zip(reports, recs)}
+            row = {"index": i, "label": int(labels[i]), "class": c, "methods": methods}
+            f.write(json.dumps(row) + "\n")

@@ -260,13 +260,13 @@ def load_checkpoint(path, spec: ArchitectureSpec | None = None) -> Model:
             raw = f.read()
     except OSError as e:  # its message names the path
         raise CheckpointError(f"cannot read checkpoint: {e}") from None
-    off = 0
+    view, off = memoryview(raw), 0  # a slice of the view copies nothing
 
     def pull(n, field):
         nonlocal off
         if off + n > len(raw):
             raise CheckpointError(f"{field}: truncated checkpoint")
-        chunk = raw[off : off + n]
+        chunk = view[off : off + n]
         off += n
         return chunk
 
@@ -277,7 +277,7 @@ def load_checkpoint(path, spec: ArchitectureSpec | None = None) -> Model:
         raise CheckpointError(f"version: unsupported {version}")
     (name_len,) = struct.unpack("<I", pull(4, "architecture"))
     try:
-        name = pull(name_len, "architecture").decode("utf-8")
+        name = str(pull(name_len, "architecture"), "utf-8")
     except UnicodeDecodeError as e:
         raise CheckpointError(f"architecture: name is not UTF-8 ({e})") from None
     (seed,) = struct.unpack("<Q", pull(8, "seed"))

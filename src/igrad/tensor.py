@@ -220,10 +220,16 @@ def relu(a):
     return _apply("relu", np.maximum(a.data, 0.0), [a])
 
 
+def _relu_gate(x):
+    """The 0/1 derivative of relu at x, a constant under differentiation."""
+    return Tensor((x.data > 0).astype(np.float64))
+
+
 @_rule("relu")
 def _relu_bwd(node, g):
-    gate = Tensor((node.inputs[0].data > 0).astype(np.float64))
-    return [lambda: mul(g, gate)]
+    # built once per node, so every backward sweep through it shares the gate
+    node.attrs = node.attrs or {"gate": _relu_gate(node.inputs[0])}
+    return [lambda: mul(g, node.attrs["gate"])]
 
 
 def absolute(a):
@@ -499,9 +505,8 @@ def _conv2d_kernel_grad_bwd(node, g):
 
 
 # ---- pooling (non-overlapping POOL x POOL windows). On a recording tape the
-# forward gathers at argmax indices, which its backward rules hold as
-# constants under differentiation; off a tape no backward reads them, so the
-# forward takes each window's maximum directly and records no node ----
+# forward gathers at argmax positions in the flattened input, constants to its
+# backward rules; off one the forward takes each window's maximum directly ----
 
 POOL = 2
 
@@ -514,22 +519,37 @@ def _pool_slices(x):
     ho, wo = hh // POOL, ww // POOL
     if ho < 1 or wo < 1:
         raise ValueError(f"maxpool2d: pool {POOL} larger than input {(hh, ww)}")
-    return {
-        (i, j): x[:, :, i : POOL * ho : POOL, j : POOL * wo : POOL]
-        for i in range(POOL)
-        for j in range(POOL)
-    }
+    return [x[:, :, i : POOL * ho : POOL, j : POOL * wo : POOL] for i in range(POOL) for j in range(POOL)]
+
+
+def _pool_max(slices):
+    """The elementwise maximum of the window slices, NaN where any is NaN."""
+    first, *rest = slices
+    out = first.copy()
+    for s in rest:
+        # np.maximum returns its second operand on ties: an earlier value stays
+        np.maximum(s, out, out=out)
+    return out
 
 
 def _pool_argmax(x):
-    """Flat h*w index of each window's maximum, shaped like the pooled map."""
+    """Position, in the flattened (n, c, H, W) array x, of each window's
+    first maximum, or first NaN as np.argmax picks, shaped like the pooled map."""
+    n, c, hh, ww = x.shape
     slices = _pool_slices(x)
-    # the first maximum, the lowest linear index, wins a tie
-    pick = np.argmax(np.stack(list(slices.values()), axis=-1), axis=-1)
-    ho, wo, ww = pick.shape[2], pick.shape[3], x.shape[3]
-    offsets = np.array([i * ww + j for i, j in slices])
-    base = np.arange(ho)[:, None] * POOL * ww + np.arange(wo)[None, :] * POOL
-    return base + offsets[pick]
+    top = _pool_max(slices)
+    nan, (ho, wo) = np.isnan(top).any(), top.shape[2:]
+    # each position steps on from its window's first slice while every slice so
+    # far misses the maximum; in a NaN window all miss, and a NaN stops it
+    corner = np.arange(ho)[:, None] * (POOL * ww) + np.arange(wo) * POOL
+    pos = np.add.outer(np.arange(n * c) * (hh * ww), corner).reshape(top.shape)
+    miss = np.ones(top.shape, dtype=bool)
+    for s, step in zip(slices, np.diff([i * ww + j for i in range(POOL) for j in range(POOL)])):
+        miss &= s != top
+        if nan:
+            miss &= s == s
+        pos += miss * step
+    return pos
 
 
 def maxpool2d(x):
@@ -541,20 +561,11 @@ def maxpool2d(x):
     NaN, but a window holding both +nan and -nan may keep either sign."""
     if _tape_of([x]) is not None:
         return pool_gather(x, _pool_argmax(x.data))
-    first, *rest = _pool_slices(x.data).values()
-    out = first.copy()
-    for s in rest:
-        # the running maximum is the second operand: np.maximum returns its
-        # second operand on ties, so an earlier window value is kept
-        np.maximum(s, out, out=out)
-    return Tensor(out)
+    return Tensor(_pool_max(_pool_slices(x.data)))
 
 
 def pool_gather(x, indices):
-    n, c, hh, ww = x.shape
-    flat = x.data.reshape(n, c, hh * ww)
-    picked = np.take_along_axis(flat, indices.reshape(n, c, -1), axis=2)
-    return _apply("pool_gather", picked.reshape(indices.shape), [x], {"indices": indices})
+    return _apply("pool_gather", np.take(x.data, indices), [x], {"indices": indices})
 
 
 @_rule("pool_gather")
@@ -563,12 +574,11 @@ def _pool_gather_bwd(node, g):
 
 
 def pool_scatter(g, indices, in_hw):
-    """Adjoint of pool_gather: g at the flat indices of an in_hw map, zeros elsewhere."""
-    hh, ww = in_hw
-    n, c = g.shape[0], g.shape[1]
-    out = np.zeros((n, c, hh * ww))
-    np.put_along_axis(out, indices.reshape(n, c, -1), g.data.reshape(n, c, -1), axis=2)
-    return _apply("pool_scatter", out.reshape(n, c, hh, ww), [g], {"indices": indices})
+    """Adjoint of pool_gather: g at flat positions of an (n, c, *in_hw) array, 0 elsewhere."""
+    n, c = g.shape[:2]
+    out = np.zeros((n, c, *in_hw))
+    out.reshape(-1)[indices] = g.data
+    return _apply("pool_scatter", out, [g], {"indices": indices})
 
 
 @_rule("pool_scatter")

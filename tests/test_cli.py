@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from igrad import config, data, nn
+from igrad import config, data, metrics, nn, saliency
 from igrad.cli import main
 from igrad.config import ConfigError, build_datasets, load_config, model_spec, validate_config
 from igrad.gradcheck import corrupted_backward
@@ -442,6 +442,36 @@ class TestCmdEval:
         assert [r["method"] for r in rows] == ["gradcam", "scorecam"]
         assert all(r["class_policy"] == "predicted" for r in rows)
         assert "accuracy" in capsys.readouterr().out
+
+    def test_per_image_records_match_the_reports(self, trained):
+        # one line per image, holding what each method's report keeps per
+        # image; each curve's mean is the metrics.csv cell
+        path, ckpt, tmp_path = trained
+        assert main(["eval", str(path), str(ckpt)]) == 0
+        lines = (tmp_path / "out" / "per_image.jsonl").read_text().splitlines()
+        rows = read_csv(tmp_path / "out" / "metrics.csv")
+        cfg = load_config(path)
+        test_set = config.build_test_split(cfg)
+        model = nn.load_checkpoint(ckpt)
+        assert len(lines) == len(test_set) == 16
+        records = [json.loads(line) for line in lines]
+        for name, row in zip(["gradcam", "scorecam"], rows):
+            rep = metrics.faithfulness_report(
+                model, test_set, saliency.make_method(name),
+                curve_cfg=config.curve_config(cfg, test_set.pixels.shape[2]), keep_per_image=True,
+            )
+            for got, want in zip(records, rep.per_image, strict=True):
+                assert (got["index"], got["label"], got["class"]) == (
+                    want.index, int(test_set.labels[want.index]), want.target
+                )
+                assert got["methods"][name] == {
+                    "p_original": want.p_original, "p_masked": want.p_masked,
+                    "insertion": want.insertion, "deletion": want.deletion,
+                }
+            for key in ("insertion", "deletion"):
+                mean = float(np.mean([r["methods"][name][key] for r in records]))
+                assert repr(mean) == row[key]
+        assert [r["index"] for r in records] == list(range(16))
 
     def test_builds_only_the_checkpoint_model(self, trained, monkeypatch):
         # the spec comes from the config, and the checkpoint's parameters are

@@ -295,6 +295,23 @@ class TestLoadWithoutInit:
             np.testing.assert_array_equal(a.data, b.data)
             assert b.data.flags.writeable and b.data.flags.c_contiguous
 
+    def test_payload_read_without_a_copy(self, tmp_path):
+        # the file's bytes and the parameters' arrays, each 2.29 MiB, but no
+        # third copy of the payload between them (a 6.87 MiB peak with one)
+        m = build_model(tinycnn((3, 32, 32), 4, (128, 256)), seed=0)
+        path = tmp_path / "wide.ckpt"
+        save_checkpoint(m, path)
+        assert 2.28 * 2**20 < path.stat().st_size < 2.30 * 2**20
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        for a, b in zip(m.params, loaded.params):
+            np.testing.assert_array_equal(a.data, b.data)
+
 
 class TestErrorMessages:
     """Each model and checkpoint error message, word for word."""

@@ -17,6 +17,14 @@ def watched(tape, arr):
     return tape.watch(Tensor(arr))
 
 
+# values that tie or order oddly in a max pool's windows
+POOL_PALETTES = {
+    "zeros": [0.0, -0.0, 1.0],
+    "infs": [np.inf, -np.inf, 0.0, -0.0],
+    "nans": [np.nan, -np.nan, np.inf, -0.0, 0.0],
+}
+
+
 class TestForwardPrimitives:
     def test_relu_definition(self):
         out = T.relu(Tensor([1.0, -2.0, 0.0, 3.0]))
@@ -389,6 +397,22 @@ class TestOpSemantics:
         train.train_step(model, x, t, cfg, 0.01, velocity)
         assert len(calls) == 2  # tinycnn has two pooling layers
 
+    def test_relu_gate_once_per_relu_per_train_step(self, monkeypatch):
+        # the create_graph, guided and parameter backward sweeps of a lambda-1
+        # step share one gate per ReLU node
+        from igrad import data, losses, nn, train
+
+        calls = []
+        gate = T._relu_gate
+        monkeypatch.setattr(T, "_relu_gate", lambda x: calls.append(1) or gate(x))
+        split = data.synthetic_shapes(8, hw=8, seed=3)
+        x, t = split.batch(np.arange(len(split)))
+        model = nn.build_model(nn.tinycnn((3, 8, 8), split.num_classes, (4, 6)), 0)
+        velocity = [np.zeros_like(p.data) for p in model.params]
+        cfg = train.TrainConfig(lam=1.0, error_kind=losses.ErrorFnKind.COSINE)
+        train.train_step(model, x, t, cfg, 0.01, velocity)
+        assert len(calls) == 2  # tinycnn has two ReLUs
+
     def test_untaped_maxpool_records_no_node_and_takes_no_argmax(self, monkeypatch):
         def no_argmax(x):
             raise AssertionError("untaped maxpool2d took an argmax")
@@ -428,14 +452,9 @@ class TestOpSemantics:
         # numpy's vectorized loops run; odd H and W crop the last row/column.
         rng = np.random.default_rng(seed)
         n = -(-1000 // (c * hh * ww)) + int(rng.integers(0, 3))
-        palette = {
-            "zeros": [0.0, -0.0, 1.0],
-            "infs": [np.inf, -np.inf, 0.0, -0.0],
-            "nans": [np.nan, -np.nan, np.inf, -0.0, 0.0],
-        }[special]
         x = rng.normal(size=(n, c, hh, ww))
         tied = rng.random(x.shape) < tie_frac
-        x[tied] = rng.choice(palette, size=int(tied.sum()))
+        x[tied] = rng.choice(POOL_PALETTES[special], size=int(tied.sum()))
         untaped = T.maxpool2d(Tensor(x)).data
         taped = T.maxpool2d(Tape().watch(Tensor(x))).data
         assert untaped.shape == taped.shape == (n, c, hh // 2, ww // 2)
@@ -446,6 +465,37 @@ class TestOpSemantics:
         if special != "nans":
             assert not nan.any()
         assert untaped[~nan].tobytes() == taped[~nan].tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.integers(1, 4),
+        hh=st.integers(2, 11),
+        ww=st.integers(2, 11),
+        special=st.sampled_from(sorted(POOL_PALETTES)),
+        tie_frac=st.sampled_from([0.0, 0.5, 0.9]),
+        channel_major=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pool_argmax_matches_numpy_argmax(self, c, hh, ww, special, tie_frac, channel_major, seed):
+        # each window's position in the flattened input is the one np.argmax
+        # picks over its stacked values, in the row-major order of the window
+        # offsets: the first maximum, or the first NaN. C-ordered and
+        # channel-major (a convolution's output) inputs alike; odd H and W
+        # crop the last row or column; at least 1,000 elements, as above
+        rng = np.random.default_rng(seed)
+        n = -(-1000 // (c * hh * ww)) + int(rng.integers(0, 3))
+        x = rng.normal(size=(n, c, hh, ww))
+        tied = rng.random(x.shape) < tie_frac
+        x[tied] = rng.choice(POOL_PALETTES[special], size=int(tied.sum()))
+        if channel_major:
+            x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        ho, wo = hh // 2, ww // 2
+        windows = [x[:, :, i : 2 * ho : 2, j : 2 * wo : 2] for i in (0, 1) for j in (0, 1)]
+        pick = np.argmax(np.stack(windows, axis=-1), axis=-1)
+        rows = np.arange(ho)[:, None] * 2 + pick // 2
+        cols = np.arange(wo) * 2 + pick % 2
+        maps = np.arange(n * c).reshape(n, c, 1, 1)
+        np.testing.assert_array_equal(T._pool_argmax(x), (maps * hh + rows) * ww + cols)
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=20))
     def test_relu_matches_definition(self, vals):
