@@ -98,9 +98,11 @@ def _check_type(value, field: Field, path: str):
     # json.load reads NaN, Infinity and ints of any size; NaN fails the comparison
     if item == "float" and not all(abs(v) <= sys.float_info.max for v in items):
         raise ConfigError(f"{path}: expected finite numbers, got {value!r}")
-    for v in items:
-        if field.choices and v not in field.choices:
+    for i, v in enumerate(items if field.choices else ()):
+        if v not in field.choices:
             raise ConfigError(f"{path}: {v!r} not one of {field.choices}")
+        if v in items[:i]:  # a list field with choices names each item once
+            raise ConfigError(f"{path}: {v!r} named twice")
     if kind != item:  # a copy, so that the resolved config does not share the document's list
         return list(value)
     return float(value) if kind == "float" else value

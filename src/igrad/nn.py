@@ -70,9 +70,13 @@ def spec_from_name(name: str) -> ArchitectureSpec:
         num_classes = int(classes.removeprefix("c"))
         wlist = [int(v) for v in widths.removeprefix("w").split(".")]
         if family == "tinycnn":
-            return tinycnn((c, h, w), num_classes, tuple(wlist))
-        if family == "miniresnet":
-            return miniresnet((c, h, w), num_classes, wlist[0])
+            spec = tinycnn((c, h, w), num_classes, tuple(wlist))
+        else:
+            spec = miniresnet((c, h, w), num_classes, wlist[0])
+        # only a canonical name rebuilds its spec: int() also reads "04" and
+        # "+8", miniresnet keeps one width, and any other family misnames it
+        if spec.name == name:
+            return spec
     except (ValueError, IndexError):
         pass
     raise CheckpointError(f"architecture: cannot rebuild spec from name {name!r}")

@@ -504,9 +504,9 @@ def _conv2d_kernel_grad_bwd(node, g):
     return [lambda: conv2d_input_grad(gout, g, p), lambda: conv2d(x, g, padding=p)]
 
 
-# ---- pooling (non-overlapping POOL x POOL windows). On a recording tape the
-# forward gathers at argmax positions in the flattened input, constants to its
-# backward rules; off one the forward takes each window's maximum directly ----
+# ---- pooling (non-overlapping POOL x POOL windows). The forward takes each
+# window's maximum; on a recording tape it records them as a pool_gather at
+# argmax positions in the flattened input, constants to its backward rules ----
 
 POOL = 2
 
@@ -532,12 +532,10 @@ def _pool_max(slices):
     return out
 
 
-def _pool_argmax(x):
-    """Position, in the flattened (n, c, H, W) array x, of each window's
-    first maximum, or first NaN as np.argmax picks, shaped like the pooled map."""
+def _pool_argmax(x, slices, top):
+    """Position, in the flattened (n, c, H, W) array x, of each window's first
+    maximum in top, or first NaN as np.argmax picks; slices are x's windows."""
     n, c, hh, ww = x.shape
-    slices = _pool_slices(x)
-    top = _pool_max(slices)
     nan, (ho, wo) = np.isnan(top).any(), top.shape[2:]
     # each position steps on from its window's first slice while every slice so
     # far misses the maximum; in a NaN window all miss, and a NaN stops it
@@ -553,15 +551,15 @@ def _pool_argmax(x):
 
 
 def maxpool2d(x):
-    """Maxima of non-overlapping POOL x POOL windows. On a recording tape, a
-    pool_gather at argmax indices taken once, here; off one, the elementwise
-    maximum of the window slices, with no node and no indices. Both keep the
-    first of tied values (so -0.0 vs +0.0 resolve alike), which makes their
-    outputs bit-identical on NaN-free input; with NaNs, the same outputs are
-    NaN, but a window holding both +nan and -nan may keep either sign."""
-    if _tape_of([x]) is not None:
-        return pool_gather(x, _pool_argmax(x.data))
-    return Tensor(_pool_max(_pool_slices(x.data)))
+    """Maxima of non-overlapping POOL x POOL windows: the elementwise maximum of
+    the window slices, which keeps the first of tied values (so -0.0 vs +0.0
+    resolve alike). On a recording tape the same array is the output of a
+    pool_gather node at argmax indices taken once, here; off one, no node."""
+    slices = _pool_slices(x.data)
+    top = _pool_max(slices)
+    if _tape_of([x]) is None:
+        return Tensor(top)
+    return _apply("pool_gather", top, [x], {"indices": _pool_argmax(x.data, slices, top)})
 
 
 def pool_gather(x, indices):

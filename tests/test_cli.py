@@ -126,6 +126,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="saliency.methods: 'gradcm' not one of"):
             validate_config(doc)
 
+    def test_method_named_twice_exit_2_before_any_output(self, tmp_path, capsys):
+        path, _ = tiny_config(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["saliency"]["methods"] = ["gradcam", "scorecam", "gradcam"]
+        path.write_text(json.dumps(doc))
+        ckpt = tmp_path / "m.ckpt"
+        nn.save_checkpoint(nn.build_model(nn.tinycnn((3, 8, 8), 4, (4, 6)), 1), ckpt)
+        assert main(["eval", str(path), str(ckpt)]) == 2
+        assert "error: saliency.methods: 'gradcam' named twice" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_resolved_lists_are_copies_of_the_defaults(self):
         doc = {"dataset": {"kind": "synthetic"}, "model": {"architecture": "tinycnn"},
                "train": {"epochs": 1}}

@@ -370,6 +370,20 @@ class TestErrorMessages:
             load_checkpoint(path)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "name",
+        ["miniresnet-3x16x16-c4-w8.16", "tinycnn-3x16x16-c04-w8", "tinycnn-3x16x16-c4-w+8.16"],
+        ids=["dropped-width", "zero-padded", "plus-sign"],
+    )
+    def test_non_canonical_name(self, tmp_path, name):
+        # each parses, but to a spec under another name: the first would load
+        # as a "-w8" model, dropping a width
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(_header(name.encode(), 0))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"architecture: cannot rebuild spec from name {name!r}"
+
     def test_other_architecture(self, good, tmp_path):
         path = tmp_path / "m.ckpt"
         path.write_bytes(good)

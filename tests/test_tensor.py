@@ -25,6 +25,23 @@ POOL_PALETTES = {
 }
 
 
+def _calls_in_train_step(monkeypatch, name):
+    """Calls of the engine function `name` in one lambda-1 train_step of a
+    tinycnn(4, 6) on eight 8x8 images."""
+    from igrad import data, losses, nn, train
+
+    calls = []
+    fn = getattr(T, name)
+    monkeypatch.setattr(T, name, lambda *a: calls.append(1) or fn(*a))
+    split = data.synthetic_shapes(8, hw=8, seed=3)
+    x, t = split.batch(np.arange(len(split)))
+    model = nn.build_model(nn.tinycnn((3, 8, 8), split.num_classes, (4, 6)), 0)
+    velocity = [np.zeros_like(p.data) for p in model.params]
+    cfg = train.TrainConfig(lam=1.0, error_kind=losses.ErrorFnKind.COSINE)
+    train.train_step(model, x, t, cfg, 0.01, velocity)
+    return len(calls)
+
+
 class TestForwardPrimitives:
     def test_relu_definition(self):
         out = T.relu(Tensor([1.0, -2.0, 0.0, 3.0]))
@@ -384,37 +401,24 @@ class TestOpSemantics:
     def test_pool_argmax_once_per_pool_per_train_step(self, monkeypatch):
         # the indices are taken at forward time and reused by every backward,
         # including the create_graph and guided passes of a lambda-1 step
-        from igrad import data, losses, nn, train
+        calls = _calls_in_train_step(monkeypatch, "_pool_argmax")
+        assert calls == 2  # tinycnn has two pooling layers
 
-        calls = []
-        argmax = T._pool_argmax
-        monkeypatch.setattr(T, "_pool_argmax", lambda *a: calls.append(1) or argmax(*a))
-        split = data.synthetic_shapes(8, hw=8, seed=3)
-        x, t = split.batch(np.arange(len(split)))
-        model = nn.build_model(nn.tinycnn((3, 8, 8), split.num_classes, (4, 6)), 0)
-        velocity = [np.zeros_like(p.data) for p in model.params]
-        cfg = train.TrainConfig(lam=1.0, error_kind=losses.ErrorFnKind.COSINE)
-        train.train_step(model, x, t, cfg, 0.01, velocity)
-        assert len(calls) == 2  # tinycnn has two pooling layers
+    def test_pool_gather_only_in_double_backward_per_train_step(self, monkeypatch):
+        # a taped pool records its maxima without calling the public
+        # pool_gather; only pool_scatter's backward, in the parameter sweep
+        # through the create_graph pass, gathers: once per pool
+        calls = _calls_in_train_step(monkeypatch, "pool_gather")
+        assert calls == 2  # tinycnn has two pooling layers
 
     def test_relu_gate_once_per_relu_per_train_step(self, monkeypatch):
         # the create_graph, guided and parameter backward sweeps of a lambda-1
         # step share one gate per ReLU node
-        from igrad import data, losses, nn, train
-
-        calls = []
-        gate = T._relu_gate
-        monkeypatch.setattr(T, "_relu_gate", lambda x: calls.append(1) or gate(x))
-        split = data.synthetic_shapes(8, hw=8, seed=3)
-        x, t = split.batch(np.arange(len(split)))
-        model = nn.build_model(nn.tinycnn((3, 8, 8), split.num_classes, (4, 6)), 0)
-        velocity = [np.zeros_like(p.data) for p in model.params]
-        cfg = train.TrainConfig(lam=1.0, error_kind=losses.ErrorFnKind.COSINE)
-        train.train_step(model, x, t, cfg, 0.01, velocity)
-        assert len(calls) == 2  # tinycnn has two ReLUs
+        calls = _calls_in_train_step(monkeypatch, "_relu_gate")
+        assert calls == 2  # tinycnn has two ReLUs
 
     def test_untaped_maxpool_records_no_node_and_takes_no_argmax(self, monkeypatch):
-        def no_argmax(x):
+        def no_argmax(*a):
             raise AssertionError("untaped maxpool2d took an argmax")
 
         monkeypatch.setattr(T, "_pool_argmax", no_argmax)
@@ -446,10 +450,13 @@ class TestOpSemantics:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_untaped_maxpool_matches_taped(self, c, hh, ww, special, tie_frac, seed):
-        # the elementwise maximum off the tape and the gather at the argmax on
-        # it agree bit for bit: exact ties, -0.0 against +0.0 and infinities
-        # resolve to the first window value. At least 1,000 elements, so
-        # numpy's vectorized loops run; odd H and W crop the last row/column.
+        # the taped pool records the maxima the untaped one returns, so the two
+        # agree bit for bit: exact ties, -0.0 against +0.0 and infinities
+        # resolve to the first window value, and a window holding both +nan
+        # and -nan keeps the same NaN. At least 1,000 elements, so numpy's
+        # vectorized loops run; odd H and W crop the last row/column.
+        nans = np.array(POOL_PALETTES["nans"])
+        assert (np.isnan(nans) & np.signbit(nans)).any()  # a -nan to hold against +nan
         rng = np.random.default_rng(seed)
         n = -(-1000 // (c * hh * ww)) + int(rng.integers(0, 3))
         x = rng.normal(size=(n, c, hh, ww))
@@ -458,13 +465,9 @@ class TestOpSemantics:
         untaped = T.maxpool2d(Tensor(x)).data
         taped = T.maxpool2d(Tape().watch(Tensor(x))).data
         assert untaped.shape == taped.shape == (n, c, hh // 2, ww // 2)
-        nan = np.isnan(taped)
-        np.testing.assert_array_equal(np.isnan(untaped), nan)
-        # NaN-free: every byte. With NaNs: every non-NaN byte (a window that
-        # holds both +nan and -nan may keep either sign)
         if special != "nans":
-            assert not nan.any()
-        assert untaped[~nan].tobytes() == taped[~nan].tobytes()
+            assert not np.isnan(taped).any()
+        assert untaped.tobytes() == taped.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -495,7 +498,8 @@ class TestOpSemantics:
         rows = np.arange(ho)[:, None] * 2 + pick // 2
         cols = np.arange(wo) * 2 + pick % 2
         maps = np.arange(n * c).reshape(n, c, 1, 1)
-        np.testing.assert_array_equal(T._pool_argmax(x), (maps * hh + rows) * ww + cols)
+        indices = T.maxpool2d(Tape().watch(Tensor(x))).attrs["indices"]
+        np.testing.assert_array_equal(indices, (maps * hh + rows) * ww + cols)
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=20))
     def test_relu_matches_definition(self, vals):
@@ -847,7 +851,7 @@ class TestAdjointIdentities:
     def test_pool_pair(self, n, c, hh, ww, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, c, hh, ww))
-        indices = T._pool_argmax(x)
+        indices = T.maxpool2d(Tape().watch(Tensor(x))).attrs["indices"]
         y = T.pool_gather(Tensor(x), indices).data
         g = rng.normal(size=y.shape)
         _assert_adjoint((y, g), (x, T.pool_scatter(Tensor(g), indices, (hh, ww)).data))
