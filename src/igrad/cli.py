@@ -141,6 +141,17 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
+def _count(text) -> int:
+    """An argparse type: an integer of at least 1, so a suite checks something."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="igrad", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -161,8 +172,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_saliency)
 
     gp = sub.add_parser("gradcheck", help="run the engine verification suites")
-    gp.add_argument("--seeds", type=int, default=50)
-    gp.add_argument("--nets", type=int, default=100)
+    gp.add_argument("--seeds", type=_count, default=50)
+    gp.add_argument("--nets", type=_count, default=100)
     gp.set_defaults(fn=cmd_gradcheck)
     return p
 

@@ -138,6 +138,11 @@ def validate_config(doc: dict) -> dict:
         for key in ("path", "test_path", "mean", "std"):
             if ds[key] is not None:
                 raise ConfigError(f"dataset.{key}: synthetic data does not read it")
+    for key in ("mean", "std"):  # CIFAR images have 3 channels
+        if ds[key] is not None and len(ds[key]) != 3:
+            raise ConfigError(f"dataset.{key}: expected 3 entries, one per channel, got {len(ds[key])}")
+    if ds["std"] is not None and min(ds["std"]) <= 0:
+        raise ConfigError(f"dataset.std: entries must be positive, got {ds['std']!r}")
     return resolved
 
 

@@ -171,8 +171,12 @@ _CASES = {
     "conv2d": _normal(
         lambda x, w, b: T.conv2d(x, w, b, padding=1), (2, 2, 5, 5), (3, 2, 3, 3), (3,)
     ),
+    # both geometries at every draw, summed as their outputs share a shape: a
+    # 2x2 kernel at padding 0 takes g's columns, and a 3x3 at padding 1, as
+    # every model builds, the col2im form
     "conv2d_input_grad": _normal(
-        lambda g, w: T.conv2d_input_grad(g, w, padding=0), (2, 3, 4, 4), (3, 2, 2, 2)
+        lambda g0, w0, g1, w1: T.add(T.conv2d_input_grad(g0, w0, 0), T.conv2d_input_grad(g1, w1, 1)),
+        (2, 3, 4, 4), (3, 2, 2, 2), (2, 3, 5, 5), (3, 2, 3, 3),
     ),
     "conv2d_kernel_grad": _normal(
         lambda x, g: T.conv2d_kernel_grad(x, g, padding=0), (2, 2, 5, 5), (2, 3, 4, 4)

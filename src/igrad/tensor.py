@@ -345,17 +345,28 @@ def _linear_bwd(node, g):
     ]
 
 
-# ---- convolution family (a mutually adjoint triple). Each op builds the
-# zero-padded columns of its operand one block of images at a time, all
-# blocks cut from one buffer per call: conv2d and conv2d_input_grad contract
-# each block into its images of the output, conv2d_kernel_grad sums the
-# blocks' contractions with the cotangent. Every matmul operand is
-# C-contiguous, so the bytes do not depend on the memory layout of the
-# inputs ----
+# ---- convolution family (a mutually adjoint triple). Each op works one
+# block of images at a time, all blocks cut from one buffer per call.
+# conv2d and conv2d_kernel_grad build the zero-padded columns of their input
+# (im2col): conv2d contracts each block into its images of the output,
+# conv2d_kernel_grad sums the blocks' contractions with the cotangent.
+# conv2d_input_grad at every conv the models build contracts the kernel with
+# each block of g first and adds each kernel offset's slab of the product
+# into the output (col2im); other geometries take g's columns. Every matmul
+# operand is C-contiguous, so the bytes do not depend on the memory layout
+# of the inputs ----
 
 # bytes of columns per block: half of a 2 MiB per-core L2 cache, so each
 # block's matmul reads its columns from cache, not memory
 COL_BUDGET = 1 << 20
+
+
+def _block_images(n, image):
+    """Images per block of n, image floats each: the ceil(n / m) blocks,
+    where m images fit in COL_BUDGET bytes, hold equal counts but a shorter
+    last."""
+    blocks = max(1, -(-n // max(1, COL_BUDGET // (8 * image))))
+    return max(1, -(-n // blocks))
 
 
 def _span(size, out, pad, i):
@@ -383,15 +394,13 @@ def _fill_columns(cols, a, ph, pw):
 
 def _blocks(a, kh, kw, ph, pw, ho, wo):
     """Yield (s, e, cols) over an (n, c, H, W) stack padded by (ph, pw): cols
-    is the C-contiguous (c, kh, kw, e - s, ho, wo) im2col of images [s, e).
-    The ceil(n / m) blocks, where m images' columns fit in COL_BUDGET bytes,
-    hold equal counts but a shorter last. All are cut from one zero-filled
-    buffer; a shorter last block zeroes its prefix again, because its
-    padding lies elsewhere in the smaller shape."""
+    is the C-contiguous (c, kh, kw, e - s, ho, wo) im2col of images [s, e),
+    in blocks of _block_images. All are cut from one zero-filled buffer; a
+    shorter last block zeroes its prefix again, because its padding lies
+    elsewhere in the smaller shape."""
     n, c = a.shape[:2]
     image = c * kh * kw * ho * wo
-    blocks = max(1, -(-n // max(1, COL_BUDGET // (8 * image))))
-    m = max(1, -(-n // blocks))
+    m = _block_images(n, image)
     flat = np.zeros(image * m)
     for s in range(0, n, m):
         e = min(n, s + m)
@@ -455,16 +464,62 @@ def _conv2d_bwd(node, g):
     ]
 
 
+def _col2im(g, w, p):
+    """The input adjoint of a (2p+1) x (2p+1) conv at padding p, which keeps
+    the (H, W) size. Per block of images, one matmul takes the slabs
+    Y[i, j] = sum over o of w[o, :, i, j] g[:, o], and slab (i, j) adds at
+    the targets (y + i - p, x + j - p). Its rows and columns whose target
+    lies outside the image are zeroed, so it adds into the centre slab as
+    one flat shift of the whole (c, images, H, W) stack by (i - p) W + (j - p):
+    whatever the shift carries into another row, image or channel is zero.
+    Each block's sum fills its images of one (c, n, H, W) output."""
+    n, o, hh, ww = g.shape
+    c, k = w.shape[1], w.shape[2]
+    hw = hh * ww
+    # rows ordered (i, j, c), so each slab is one C-contiguous stack
+    wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(-1, o)
+    out = np.empty((c, n * hw))
+    m = _block_images(n, c * k * k * hw)
+    flat = np.empty(c * k * k * hw * m)
+    for s in range(0, n, m):
+        e = min(n, s + m)
+        size = c * (e - s) * hw
+        y = flat[: k * k * size].reshape(k, k, c, e - s, hh, ww)
+        g_blk = np.ascontiguousarray(g[s:e].transpose(1, 0, 2, 3)).reshape(o, -1)
+        np.matmul(wt, g_blk, out=y.reshape(k * k * c, -1))
+        acc = y[p, p].reshape(-1)
+        for i in range(k):
+            y0, y1 = _span(hh, hh, p, i)
+            for j in range(k):
+                d = (i - p) * ww + (j - p)
+                # past the stack's length every target lies outside the image
+                if (i, j) == (p, p) or abs(d) >= size:
+                    continue
+                x0, x1 = _span(ww, ww, p, j)
+                slab = y[i, j]
+                slab[:, :, :y0], slab[:, :, y1:] = 0.0, 0.0
+                slab[..., :x0], slab[..., x1:] = 0.0, 0.0
+                acc[max(0, d) : size + min(0, d)] += slab.reshape(-1)[max(0, -d) : size - max(0, d)]
+        out[:, s * hw : e * hw] = acc.reshape(c, -1)
+    return out.reshape(c, n, hh, ww).transpose(1, 0, 2, 3)
+
+
 def conv2d_input_grad(g, w, padding):
     """Adjoint of conv2d in x: the gradient of sum(conv2d(x, w) * g) w.r.t. x,
-    the full correlation of g with the flipped, channel-swapped kernel."""
+    the full correlation of g with the flipped, channel-swapped kernel. A
+    (2p+1) x (2p+1) kernel at padding p, every conv the models build, takes
+    the col2im form (_col2im), whose contraction has c kh kw rows, not the
+    o kh kw of g's columns."""
     if len(w.shape) != 4:
         raise _shape_err("conv2d_input_grad", g.shape, w.shape)
     kh, kw = w.shape[2:]
     flipped = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     ph, pw = kh - 1 - padding, kw - 1 - padding
     _check_conv("conv2d_input_grad", g.data, flipped, ph, pw)
-    gx = _correlate(g.data, flipped, ph, pw)
+    if kh == kw == 2 * padding + 1:
+        gx = _col2im(g.data, w.data, padding)
+    else:
+        gx = _correlate(g.data, flipped, ph, pw)
     return _apply("conv2d_input_grad", gx, [g, w], {"padding": padding})
 
 

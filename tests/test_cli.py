@@ -203,6 +203,35 @@ class TestConfigValidation:
         assert err.startswith("error: dataset.path: ") and str(folder) in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("std", [0.0, 0.2, 0.2], "dataset.std: entries must be positive"),
+            ("mean", [0.5, 0.5], "dataset.mean: expected 3 entries, one per channel, got 2"),
+            ("std", [0.2, 0.2, 0.2, 0.2], "dataset.std: expected 3 entries, one per channel, got 4"),
+        ],
+    )
+    def test_cifar_stats_exit_2_naming_the_key_before_reading(
+        self, tmp_path, capsys, monkeypatch, key, value, message
+    ):
+        path, _ = tiny_config(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["dataset"] = {
+            "kind": "cifar10",
+            "path": cifar10_file(tmp_path / "train.bin", [0, 1], 0),
+            "test_path": cifar10_file(tmp_path / "test.bin", [0, 1], 1),
+            key: value,
+        }
+        path.write_text(json.dumps(doc))
+
+        def no_read(*a, **k):
+            raise AssertionError("a CIFAR file was read")
+
+        monkeypatch.setattr(data, "parse_cifar", no_read)
+        assert main(["train", str(path)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_output_dir_a_file_exit_2_naming_the_key(self, tmp_path, capsys):
         path, _ = tiny_config(tmp_path)
         doc = json.loads(path.read_text())
@@ -675,6 +704,18 @@ class TestCmdGradcheck:
     def test_fresh_build_passes(self, capsys):
         assert main(["gradcheck", "--seeds", "2", "--nets", "3"]) == 0
         assert "all gradient checks passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [(["--seeds", "0", "--nets", "0"], "--seeds"), (["--seeds", "-3"], "--seeds"), (["--nets", "0"], "--nets")],
+    )
+    def test_nothing_to_check_exit_2(self, capsys, argv, named):
+        # zero seeds or nets would check nothing and still report a pass
+        with pytest.raises(SystemExit) as e:
+            main(["gradcheck", *argv])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {named}: expected an integer of at least 1" in err
 
     def test_corrupted_relu_fails_naming_it(self, capsys):
         with corrupted_backward("relu"):

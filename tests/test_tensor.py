@@ -681,6 +681,61 @@ class TestConvBlocks:
             assert peak < out.data.nbytes + 2 * 2**20
 
 
+class TestCol2im:
+    """conv2d_input_grad at a (2p+1) x (2p+1) kernel and padding p, every
+    conv the models build, contracts the kernel with each block of g first
+    and adds each offset's slab into the output by one flat shift of the
+    block's stack; it builds no columns of g."""
+
+    @staticmethod
+    def _check(monkeypatch, g, w, p):
+        def no_columns(*a):
+            raise AssertionError("the col2im form built columns")
+
+        monkeypatch.setattr(T, "_fill_columns", no_columns)
+        flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        want = _full_column_correlate(np.ascontiguousarray(g), flipped, p, p)
+        np.testing.assert_allclose(T.conv2d_input_grad(Tensor(g), Tensor(w), p).data, want,
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("blocks", [[1] * 7, [3, 3, 1]])
+    @pytest.mark.parametrize("channel_major", [False, True])
+    def test_blocks_match_full_columns(self, monkeypatch, blocks, channel_major):
+        # 7 images in blocks of one, or of 3, 3 and a shorter last 1, with g
+        # C-ordered or channel-major, as a conv output's adjoint arrives
+        rng = np.random.default_rng(8)
+        g, w = rng.normal(size=(7, 3, 5, 6)), rng.normal(size=(3, 2, 3, 3))
+        if channel_major:
+            g = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        sizes = []
+        block_images = T._block_images
+
+        def recorded(n, image):
+            sizes.append(block_images(n, image))
+            return sizes[-1]
+
+        monkeypatch.setattr(T, "_block_images", recorded)
+        monkeypatch.setattr(T, "COL_BUDGET", 8 * 2 * 3 * 3 * 5 * 6 * blocks[0])
+        self._check(monkeypatch, g, w, 1)
+        assert [min(sizes[0], 7 - s) for s in range(0, 7, sizes[0])] == blocks
+
+    @pytest.mark.parametrize("hw", [(1, 1), (1, 5), (2, 2)])
+    @pytest.mark.parametrize("n, per_block", [(1, 1), (3, 1), (3, 3)])
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_maps_smaller_than_the_kernel_reach(self, monkeypatch, hw, n, per_block, c):
+        # 3x3 kernels at padding 1 on maps where some offsets reach no pixel:
+        # on a 1x1 map of one image a shift runs past the whole stack
+        rng = np.random.default_rng(sum(hw) + 10 * n + 100 * c)
+        g, w = rng.normal(size=(n, 3, *hw)), rng.normal(size=(3, c, 3, 3))
+        monkeypatch.setattr(T, "COL_BUDGET", 8 * c * 9 * hw[0] * hw[1] * per_block)
+        self._check(monkeypatch, g, w, 1)
+
+    def test_wider_size_keeping_kernel(self, monkeypatch):
+        # 5x5 at padding 2 keeps the map's size, so it takes the same form
+        rng = np.random.default_rng(9)
+        self._check(monkeypatch, rng.normal(size=(4, 3, 6, 5)), rng.normal(size=(3, 2, 5, 5)), 2)
+
+
 LD = np.longdouble
 
 
