@@ -7,6 +7,7 @@ Subcommands: train, eval, saliency, gradcheck. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -22,15 +23,19 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
-def _open_output(cfg, command):
-    """Make the output directory and write `<command>.resolved.json` in it;
-    called once the command's last check has passed."""
+def _open_output(cfg, command, results=()):
+    """Make the output directory, remove the command's `results` files left
+    by an earlier run, so that a failed run leaves none behind, and write
+    `<command>.resolved.json`; called once the command's last check has passed."""
     out = cfg["output"]["dir"]
     try:
         os.makedirs(out, exist_ok=True)
+        for name in results:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(os.path.join(out, name))
+        cfgmod.write_resolved(cfg, os.path.join(out, f"{command}.resolved.json"))
     except OSError as e:  # its message names the path
         raise ConfigError(f"output.dir: {e}") from None
-    cfgmod.write_resolved(cfg, os.path.join(out, f"{command}.resolved.json"))
     return out
 
 
@@ -64,10 +69,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = cfgmod.load_config(args.config)
+    if not cfg["saliency"]["methods"]:  # a report and a line per image need a method
+        raise ConfigError("saliency.methods: igrad eval needs at least one method")
     test_set = cfgmod.build_test_split(cfg)
     curve_cfg = cfgmod.curve_config(cfg, test_set.pixels.shape[2])
     model = _load_model(cfg, args.checkpoint, test_set)
-    out = _open_output(cfg, "eval")
+    out = _open_output(cfg, "eval", results=("metrics.csv", "per_image.jsonl"))
     acc = evaluate_accuracy(model, test_set)
     print(f"accuracy: {acc:.4f} ({len(test_set)} images)")
     layer = cfg["saliency"]["layer"]

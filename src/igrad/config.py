@@ -171,7 +171,7 @@ def _check_paths(cfg: dict):
 
 
 def write_resolved(cfg: dict, path):
-    with open(path, "w") as f:
+    with data.open_new(path) as f:
         json.dump(cfg, f, indent=2, sort_keys=True)
         f.write("\n")
 

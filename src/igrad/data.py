@@ -3,6 +3,7 @@ shape dataset for desk-scale runs, normalization, and PGM/PPM export."""
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,9 +217,22 @@ def colormap(v: np.ndarray) -> np.ndarray:
     return np.stack([r, g, b], axis=-1)
 
 
+def open_new(path, mode="w", **kwargs):
+    """Open a new file at path for writing; any file already there is
+    unlinked, not truncated. On ext4 truncating a file whose data is not yet
+    written back waits for that write-back (about 50 ms on some hosts), while
+    unlinking it does not. A symlink at path is replaced, not written through,
+    and a read-only file there is replaced too."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, mode.replace("w", "x"), **kwargs)
+
+
 def _write_netpbm(path, magic: str, values: np.ndarray) -> None:
     """A binary netpbm file of (H,W) or (H,W,3) values in [0,1]."""
-    with open(path, "wb") as f:
+    with open_new(path, "wb") as f:
         f.write(f"{magic}\n{values.shape[1]} {values.shape[0]}\n255\n".encode())
         f.write(_quantize(values).tobytes())
 

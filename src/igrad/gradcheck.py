@@ -237,19 +237,21 @@ def run_op_suite(seeds=50) -> dict[str, float]:
 # --------------------------------------------------------------------------
 
 def _tiny_net_params(rng):
-    w1 = rng.normal(size=(2, 1, 2, 2)) * 0.7
+    w1 = rng.normal(size=(2, 1, 3, 3)) * 0.7
     b1 = rng.normal(size=(2,)) * 0.1
-    w2 = rng.normal(size=(3, 2 * 4)) * 0.7
+    w2 = rng.normal(size=(3, 2 * 9)) * 0.7
     b2 = rng.normal(size=(3,)) * 0.1
     return [w1, b1, w2, b2]
 
 
 def _tiny_net_loss(x, params, targets):
-    """conv-relu-pool-linear cross-entropy on a 1x1x6x6 input batch."""
+    """conv-relu-pool-linear cross-entropy on an (n,1,6,6) input batch; the
+    3x3 conv at padding 1 is the models' geometry, so its input adjoint takes
+    the col2im form."""
     w1, b1, w2, b2 = params
-    h = T.relu(T.conv2d(x, w1, b1))
-    h = T.maxpool2d(h)  # (n,2,2,2)
-    h = T.reshape(h, (x.shape[0], 2 * 4))
+    h = T.relu(T.conv2d(x, w1, b1, padding=1))
+    h = T.maxpool2d(h)  # (n,2,3,3)
+    h = T.reshape(h, (x.shape[0], 2 * 9))
     logits = T.linear(h, w2, b2)
     return T.mean(T.cross_entropy_logits(logits, targets))
 
@@ -307,15 +309,15 @@ def run_guided_suite(nets=100) -> tuple[float, bool]:
 
     # all-positive path: positive weights, positive input, loss = sum of logits
     rng = np.random.default_rng(99)
-    w1 = Tensor(rng.uniform(0.1, 1.0, size=(2, 1, 2, 2)))
-    w2 = Tensor(rng.uniform(0.1, 1.0, size=(3, 8)))
+    w1 = Tensor(rng.uniform(0.1, 1.0, size=(2, 1, 3, 3)))
+    w2 = Tensor(rng.uniform(0.1, 1.0, size=(3, 18)))
     x0 = rng.uniform(0.1, 1.0, size=(1, 1, 6, 6))
 
     def positive_loss(tape):
         x = tape.watch(Tensor(x0))
-        h = T.relu(T.conv2d(x, tape.watch(w1)))
+        h = T.relu(T.conv2d(x, tape.watch(w1), padding=1))
         h = T.maxpool2d(h)
-        logits = T.linear(T.reshape(h, (1, 8)), tape.watch(w2))
+        logits = T.linear(T.reshape(h, (1, 18)), tape.watch(w2))
         return T.reduce_sum(logits), x
 
     t1 = Tape()

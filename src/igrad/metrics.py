@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import open_new
 from .saliency import compose_saliency, pick_classes
 
 # Images per chunk. A forward's fixed cost dominates at a few images, and
@@ -190,7 +191,7 @@ def faithfulness_report(
 
 
 def write_reports_csv(path, reports):
-    with open(path, "w", newline="") as f:
+    with open_new(path, newline="") as f:
         w = csv.writer(f)
         w.writerow(["method", "class_policy", "n", "ad", "ag", "ai", "insertion", "deletion"])
         for r in reports:
@@ -213,7 +214,7 @@ def write_per_image_jsonl(path, labels, reports):
     image: its index, label and class, and per method its p_original,
     p_masked, insertion and deletion."""
     keys = ("p_original", "p_masked", "insertion", "deletion")
-    with open(path, "w") as f:
+    with open_new(path) as f:
         for recs in zip(*(r.per_image for r in reports)):
             i, c = recs[0].index, recs[0].target
             methods = {r.method: {k: getattr(rec, k) for k in keys} for r, rec in zip(reports, recs)}

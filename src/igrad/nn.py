@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .data import open_new
 from .tensor import Tape, Tensor
 
 CHECKPOINT_MAGIC = b"IGRD"
@@ -236,12 +237,12 @@ def build_model(spec: ArchitectureSpec, seed: int) -> Model:
 
 
 def save_checkpoint(model: Model, path):
-    """Write to a temp file in the same directory, then rename it over path,
+    """Write a new temp file in the same directory, then rename it over path,
     so a failed write leaves any previous checkpoint intact."""
     name = model.spec.name.encode("utf-8")
     count = model.num_params
     tmp = os.fspath(path) + ".tmp"
-    f = open(tmp, "wb")
+    f = open_new(tmp, "wb")
     try:
         with f:
             f.write(CHECKPOINT_MAGIC)

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
+from .data import open_new
 from .losses import ErrorFnKind, LossBreakdown, interpretable_loss
 from .tensor import backward
 
@@ -90,7 +91,7 @@ class TrainLog:
     records: list[EpochRecord] = field(default_factory=list)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as f:
+        with open_new(path, newline="") as f:
             w = csv.writer(f)
             w.writerow(
                 ["epoch", "lr", "loss_c", "loss_r", "loss_total",

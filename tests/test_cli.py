@@ -34,6 +34,26 @@ def read_csv(path):
         return list(csv.DictReader(f))
 
 
+def hold(out, names, held):
+    """Hard-link each output file into `held`, so its inode and bytes outlive
+    a rerun; returns {name: (inode, bytes)}."""
+    held.mkdir(exist_ok=True)
+    kept = {}
+    for name in names:
+        (held / name).hardlink_to(out / name)
+        kept[name] = ((out / name).stat().st_ino, (out / name).read_bytes())
+    return kept
+
+
+def assert_rewritten_as_new_files(out, kept, held):
+    """Each output is a new file holding the earlier run's bytes, and the
+    earlier file, held by its hard link, was not written through."""
+    for name, (inode, raw) in kept.items():
+        assert (out / name).stat().st_ino != inode, name
+        assert (out / name).read_bytes() == raw, name
+        assert (held / name).read_bytes() == raw, name
+
+
 def cifar10_file(path, labels, seed):
     """A CIFAR-10 batch file of random images, one per label."""
     rng = np.random.default_rng(seed)
@@ -556,6 +576,54 @@ class TestCmdEval:
         assert main(["eval", str(path), str(ckpt)]) == 2
         assert f"image {first}:" in capsys.readouterr().err
 
+    def test_failed_rerun_leaves_no_earlier_results(self, trained, capsys):
+        # the rerun fails after its config checks: the earlier run's report and
+        # records, scored under another policy, are gone beside its new config
+        path, ckpt, tmp_path = trained
+        out = tmp_path / "out"
+        assert main(["eval", str(path), str(ckpt)]) == 0
+        assert read_csv(out / "metrics.csv")[0]["class_policy"] == "predicted"
+        self.test_zero_probability_fails_naming_the_image(trained, capsys)
+        assert not (out / "metrics.csv").exists()
+        assert not (out / "per_image.jsonl").exists()
+        resolved = json.loads((out / "eval.resolved.json").read_text())
+        assert resolved["saliency"]["class_policy"] == "ground_truth"
+
+    def test_no_methods_exit_2_before_any_output(self, trained, capsys):
+        # no method gives no report row and no per-image line
+        path, ckpt, tmp_path = trained
+        doc = json.loads(path.read_text())
+        doc["saliency"]["methods"] = []
+        doc["output"]["dir"] = str(tmp_path / "fresh")
+        path.write_text(json.dumps(doc))
+        assert main(["eval", str(path), str(ckpt)]) == 2
+        out, err = capsys.readouterr()
+        assert "saliency.methods" in err
+        assert "accuracy:" not in out
+        assert not (tmp_path / "fresh").exists()
+
+    def test_rerun_writes_new_files_with_the_same_bytes(self, trained):
+        # a rerun into the same directory unlinks each output and creates it
+        # anew, rather than truncating it, and writes the first run's bytes
+        path, ckpt, tmp_path = trained
+        out = tmp_path / "out"
+        assert main(["eval", str(path), str(ckpt)]) == 0
+        names = ["eval.resolved.json", "metrics.csv", "per_image.jsonl"]
+        kept = hold(out, names, tmp_path / "held")
+        assert main(["eval", str(path), str(ckpt)]) == 0
+        assert_rewritten_as_new_files(out, kept, tmp_path / "held")
+
+    @pytest.mark.parametrize("name", ["metrics.csv", "per_image.jsonl", "eval.resolved.json"])
+    def test_symlink_at_an_output_is_replaced(self, trained, name):
+        path, ckpt, tmp_path = trained
+        target = tmp_path / "target.txt"
+        target.write_text("keep\n")
+        (tmp_path / "out" / name).symlink_to(target)
+        assert main(["eval", str(path), str(ckpt)]) == 0
+        assert not (tmp_path / "out" / name).is_symlink()
+        assert (tmp_path / "out" / name).stat().st_size > 0
+        assert target.read_text() == "keep\n"
+
     @pytest.mark.parametrize("key, value", [("blur_sigma", 0.0), ("blur_kernel", -1)])
     def test_bad_blur_exit_2(self, trained, capsys, key, value):
         path, ckpt, tmp_path = trained
@@ -652,6 +720,34 @@ class TestCmdSaliency:
             quant = np.clip(np.round(want * 255), 0, 255).astype(np.uint8)
             raw = (tmp_path / "out" / f"img00000_grad_{tag}.pgm").read_bytes()
             assert raw.split(b"\n", 3)[3] == quant.tobytes()
+
+    def test_no_methods_writes_only_the_gradient_maps(self, tmp_path):
+        path, cfg = tiny_config(tmp_path)
+        main(["train", str(path)])
+        ckpt = tmp_path / "out" / "model.ckpt"
+        doc = json.loads(path.read_text())
+        doc["saliency"]["methods"] = []
+        path.write_text(json.dumps(doc))
+        assert main(["saliency", str(path), str(ckpt), "--ids", "0"]) == 0
+        assert sorted(p.name for p in (tmp_path / "out").glob("img*")) == [
+            "img00000_grad_guided.pgm",
+            "img00000_grad_standard.pgm",
+        ]
+
+    def test_rerun_writes_new_files_with_the_same_bytes(self, tmp_path):
+        path, cfg = tiny_config(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["saliency"]["methods"] = ["gradcam", "ablationcam"]
+        path.write_text(json.dumps(doc))
+        main(["train", str(path)])
+        out = tmp_path / "out"
+        argv = ["saliency", str(path), str(out / "model.ckpt"), "--ids", "0,3"]
+        assert main(argv) == 0
+        names = ["saliency.resolved.json"] + sorted(p.name for p in out.glob("img*"))
+        assert len(names) == 1 + 2 * 4
+        kept = hold(out, names, tmp_path / "held")
+        assert main(argv) == 0
+        assert_rewritten_as_new_files(out, kept, tmp_path / "held")
 
     def test_id_out_of_range_exit_2(self, tmp_path, capsys):
         path, cfg = tiny_config(tmp_path)

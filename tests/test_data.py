@@ -10,6 +10,7 @@ from igrad.data import (
     DatasetSplit,
     SHAPE_CLASSES,
     colormap,
+    open_new,
     parse_cifar,
     serialize_cifar_record,
     synthetic_shapes,
@@ -282,3 +283,39 @@ class TestWriteImage:
             write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 3)))
         with pytest.raises(ValueError, match="overlay shapes differ"):
             write_overlay(tmp_path / "x.ppm", np.zeros((3, 4, 4)), np.zeros((4, 5)))
+
+
+class TestOpenNew:
+    def test_creates_a_missing_file(self, tmp_path):
+        with open_new(tmp_path / "a.txt") as f:
+            f.write("new\n")
+        assert (tmp_path / "a.txt").read_text() == "new\n"
+
+    def test_existing_file_replaced_not_truncated(self, tmp_path):
+        # a hard link keeps the earlier file: it still holds its bytes
+        path, held = tmp_path / "a.pgm", tmp_path / "held.pgm"
+        path.write_bytes(b"old")
+        held.hardlink_to(path)
+        with open_new(path, "wb") as f:
+            f.write(b"new")
+        assert path.read_bytes() == b"new"
+        assert held.read_bytes() == b"old"
+        assert path.stat().st_ino != held.stat().st_ino
+
+    def test_symlink_replaced_target_untouched(self, tmp_path):
+        target, path = tmp_path / "target.txt", tmp_path / "a.csv"
+        target.write_text("keep\n")
+        path.symlink_to(target)
+        with open_new(path, newline="") as f:
+            f.write("new\r\n")
+        assert not path.is_symlink()
+        assert path.read_bytes() == b"new\r\n"
+        assert target.read_text() == "keep\n"
+
+    def test_read_only_file_replaced(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text("old\n")
+        path.chmod(0o444)
+        with open_new(path) as f:
+            f.write("new\n")
+        assert path.read_text() == "new\n"

@@ -167,6 +167,33 @@ class TestCheckpoint:
         assert load_checkpoint(path).seed == 9
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
+    def test_stale_temp_file_does_not_break_the_save(self, spec16, tmp_path, monkeypatch):
+        # a temp file left by a killed save, here a read-only symlink, is
+        # replaced, and the checkpoint is renamed over in one step: just
+        # before the rename the path still holds the previous checkpoint
+        path, target = tmp_path / "m.ckpt", tmp_path / "target"
+        save_checkpoint(build_model(spec16, seed=9), path)
+        before = path.read_bytes()
+        target.write_bytes(b"keep")
+        tmp = tmp_path / "m.ckpt.tmp"
+        tmp.symlink_to(target)
+        target.chmod(0o444)
+        renames = []
+        replace = nn.os.replace
+
+        def checked_replace(src, dst):
+            renames.append((src, dst, path.read_bytes() == before))
+            replace(src, dst)
+
+        monkeypatch.setattr(nn.os, "replace", checked_replace)
+        m = build_model(spec16, seed=10)
+        save_checkpoint(m, path)
+        assert renames == [(str(tmp), path, True)]
+        assert target.read_bytes() == b"keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt", "target"]
+        for a, b in zip(m.params, load_checkpoint(path).params):
+            np.testing.assert_array_equal(a.data, b.data)
+
     def test_truncated_payload_names_params(self, spec16, tmp_path):
         m = build_model(spec16, 0)
         path = tmp_path / "t.ckpt"
