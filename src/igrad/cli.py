@@ -7,7 +7,6 @@ Subcommands: train, eval, saliency, gradcheck. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 
@@ -24,15 +23,15 @@ EXIT_DIVERGED = 3
 
 
 def _open_output(cfg, command, results=()):
-    """Make the output directory, remove the command's `results` files left
-    by an earlier run, so that a failed run leaves none behind, and write
-    `<command>.resolved.json`; called once the command's last check has passed."""
+    """Make the output directory, remove the `results` files an earlier run
+    left there, so that a failed run leaves none behind (only eval passes
+    any), and write `<command>.resolved.json`; called once the command's last
+    check has passed."""
     out = cfg["output"]["dir"]
     try:
         os.makedirs(out, exist_ok=True)
         for name in results:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(os.path.join(out, name))
+            data.remove_output(os.path.join(out, name))
         cfgmod.write_resolved(cfg, os.path.join(out, f"{command}.resolved.json"))
     except OSError as e:  # its message names the path
         raise ConfigError(f"output.dir: {e}") from None

@@ -3,7 +3,9 @@ shape dataset for desk-scale runs, normalization, and PGM/PPM export."""
 
 from __future__ import annotations
 
+import errno
 import os
+import stat
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,16 +219,26 @@ def colormap(v: np.ndarray) -> np.ndarray:
     return np.stack([r, g, b], axis=-1)
 
 
+def remove_output(path) -> None:
+    """Unlink the file at path ahead of a new write of it; a missing file is
+    fine. A write-protected file (not a symlink) raises PermissionError, as
+    a truncating open of it would."""
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        return
+    if not stat.S_ISLNK(st.st_mode) and not os.access(path, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+    os.unlink(path)
+
+
 def open_new(path, mode="w", **kwargs):
     """Open a new file at path for writing; any file already there is
-    unlinked, not truncated. On ext4 truncating a file whose data is not yet
-    written back waits for that write-back (about 50 ms on some hosts), while
-    unlinking it does not. A symlink at path is replaced, not written through,
-    and a read-only file there is replaced too."""
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
+    unlinked (`remove_output`), not truncated. On ext4 truncating a file
+    whose data is not yet written back waits for that write-back (about
+    50 ms on some hosts), while unlinking it does not. A symlink at path is
+    replaced, not written through."""
+    remove_output(path)
     return open(path, mode.replace("w", "x"), **kwargs)
 
 

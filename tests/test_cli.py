@@ -624,6 +624,22 @@ class TestCmdEval:
         assert (tmp_path / "out" / name).stat().st_size > 0
         assert target.read_text() == "keep\n"
 
+    def test_write_protected_result_exit_2_and_kept(self, trained, capsys, monkeypatch):
+        # an earlier metrics.csv the process may not write stops the run as a
+        # truncating open would, before the accuracy pass, and is left as it was
+        path, ckpt, tmp_path = trained
+        out = tmp_path / "out"
+        assert main(["eval", str(path), str(ckpt)]) == 0
+        before = (out / "metrics.csv").read_bytes()
+        capsys.readouterr()
+        access = data.os.access
+        monkeypatch.setattr(data.os, "access", lambda p, mode: not str(p).endswith("metrics.csv") and access(p, mode))
+        assert main(["eval", str(path), str(ckpt)]) == 2
+        stdout, err = capsys.readouterr()
+        assert "output.dir:" in err and "metrics.csv" in err
+        assert "accuracy:" not in stdout
+        assert (out / "metrics.csv").read_bytes() == before
+
     @pytest.mark.parametrize("key, value", [("blur_sigma", 0.0), ("blur_kernel", -1)])
     def test_bad_blur_exit_2(self, trained, capsys, key, value):
         path, ckpt, tmp_path = trained

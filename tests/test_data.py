@@ -1,5 +1,6 @@
 """Dataset parsing, synthetic generation, normalization, and image export."""
 
+import os
 import re
 from dataclasses import FrozenInstanceError
 
@@ -312,10 +313,30 @@ class TestOpenNew:
         assert path.read_bytes() == b"new\r\n"
         assert target.read_text() == "keep\n"
 
-    def test_read_only_file_replaced(self, tmp_path):
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root may write a read-only file")
+    def test_write_protected_file_fails_and_is_kept(self, tmp_path):
         path = tmp_path / "a.txt"
         path.write_text("old\n")
         path.chmod(0o444)
+        with pytest.raises(PermissionError, match="a.txt"):
+            open_new(path)
+        assert path.read_text() == "old\n"
+
+    def test_file_the_process_may_not_write_fails_and_is_kept(self, tmp_path, monkeypatch):
+        # the check asks os.access, so it holds for root too when access says no
+        path = tmp_path / "a.txt"
+        path.write_text("old\n")
+        monkeypatch.setattr(os, "access", lambda p, mode: False)
+        with pytest.raises(PermissionError, match="a.txt"):
+            open_new(path)
+        assert path.read_text() == "old\n"
+
+    def test_symlink_to_a_write_protected_file_replaced(self, tmp_path, monkeypatch):
+        target, path = tmp_path / "target.txt", tmp_path / "a.txt"
+        target.write_text("keep\n")
+        path.symlink_to(target)
+        monkeypatch.setattr(os, "access", lambda p, mode: False)
         with open_new(path) as f:
             f.write("new\n")
         assert path.read_text() == "new\n"
+        assert target.read_text() == "keep\n"
