@@ -24,9 +24,9 @@ EXIT_DIVERGED = 3
 
 def _open_output(cfg, command, results=()):
     """Make the output directory, remove the `results` files an earlier run
-    left there, so that a failed run leaves none behind (only eval passes
-    any), and write `<command>.resolved.json`; called once the command's last
-    check has passed."""
+    left there, so that a failed run leaves none behind (train and eval pass
+    theirs), and write `<command>.resolved.json`; called once the command's
+    last check has passed."""
     out = cfg["output"]["dir"]
     try:
         os.makedirs(out, exist_ok=True)
@@ -54,7 +54,8 @@ def cmd_train(args) -> int:
     tc = cfgmod.train_config(cfg, checkpoint_path=os.path.join(cfg["output"]["dir"], "model.ckpt"))
     train_set, test_set = cfgmod.build_datasets(cfg)
     model = nn.build_model(cfgmod.model_spec(cfg, train_set), cfg["model"]["seed"])
-    out = _open_output(cfg, "train")
+    # model.ckpt stays: a diverged rerun keeps the last good checkpoint
+    out = _open_output(cfg, "train", results=("train_log.csv",))
     log = fit(model, train_set, test_set, tc)
     log.write_csv(os.path.join(out, "train_log.csv"))
     last = log.records[-1]

@@ -168,19 +168,14 @@ _CASES = {
     "global_avg_pool": _normal(T.global_avg_pool, (2, 3, 4, 4)),
     "transpose": _normal(T.transpose, (3, 4)),
     "linear": _normal(T.linear, (3, 5), (2, 5), (2,)),
-    "conv2d": _normal(
-        lambda x, w, b: T.conv2d(x, w, b, padding=1), (2, 2, 5, 5), (3, 2, 3, 3), (3,)
-    ),
-    # both geometries at every draw, summed as their outputs share a shape: a
-    # 2x2 kernel at padding 0 takes g's columns, and a 3x3 at padding 1, as
-    # every model builds, the col2im form
+    "conv2d": _normal(T.conv2d, (2, 2, 5, 5), (3, 2, 3, 3), (3,)),
+    # a 1x1 and a 3x3 kernel at every draw, summed as their outputs share a
+    # shape: the col2im form at its smallest and at the models' size
     "conv2d_input_grad": _normal(
-        lambda g0, w0, g1, w1: T.add(T.conv2d_input_grad(g0, w0, 0), T.conv2d_input_grad(g1, w1, 1)),
-        (2, 3, 4, 4), (3, 2, 2, 2), (2, 3, 5, 5), (3, 2, 3, 3),
+        lambda g0, w0, g1, w1: T.add(T.conv2d_input_grad(g0, w0), T.conv2d_input_grad(g1, w1)),
+        (2, 3, 5, 5), (3, 2, 1, 1), (2, 3, 5, 5), (3, 2, 3, 3),
     ),
-    "conv2d_kernel_grad": _normal(
-        lambda x, g: T.conv2d_kernel_grad(x, g, padding=0), (2, 2, 5, 5), (2, 3, 4, 4)
-    ),
+    "conv2d_kernel_grad": _normal(lambda x, g: T.conv2d_kernel_grad(x, g, 3), (2, 2, 5, 5), (2, 3, 5, 5)),
     "maxpool2d": _maxpool2d,
     "pool_scatter": _pool_scatter,
     "pool_gather": _pool_gather,
@@ -245,11 +240,10 @@ def _tiny_net_params(rng):
 
 
 def _tiny_net_loss(x, params, targets):
-    """conv-relu-pool-linear cross-entropy on an (n,1,6,6) input batch; the
-    3x3 conv at padding 1 is the models' geometry, so its input adjoint takes
-    the col2im form."""
+    """conv-relu-pool-linear cross-entropy on an (n,1,6,6) input batch, its
+    conv 3x3 as in the models."""
     w1, b1, w2, b2 = params
-    h = T.relu(T.conv2d(x, w1, b1, padding=1))
+    h = T.relu(T.conv2d(x, w1, b1))
     h = T.maxpool2d(h)  # (n,2,3,3)
     h = T.reshape(h, (x.shape[0], 2 * 9))
     logits = T.linear(h, w2, b2)
@@ -315,7 +309,7 @@ def run_guided_suite(nets=100) -> tuple[float, bool]:
 
     def positive_loss(tape):
         x = tape.watch(Tensor(x0))
-        h = T.relu(T.conv2d(x, tape.watch(w1), padding=1))
+        h = T.relu(T.conv2d(x, tape.watch(w1)))
         h = T.maxpool2d(h)
         logits = T.linear(T.reshape(h, (1, 18)), tape.watch(w2))
         return T.reduce_sum(logits), x

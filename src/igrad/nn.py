@@ -205,11 +205,11 @@ class Model:
         h = x
         for i, blk in enumerate(self.spec.blocks, start=1):
             if blk.residual:
-                r = T.relu(T.conv2d(h, take(), take(), padding=1))
-                r = T.conv2d(r, take(), take(), padding=1)
+                r = T.relu(T.conv2d(h, take(), take()))
+                r = T.conv2d(r, take(), take())
                 h = T.relu(T.add(r, h))
             else:
-                h = T.relu(T.conv2d(h, take(), take(), padding=1))
+                h = T.relu(T.conv2d(h, take(), take()))
             h = expose(f"block{i}", h)
             if blk.pool:
                 h = expose(f"block{i}_pool", T.maxpool2d(h))

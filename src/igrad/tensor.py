@@ -345,16 +345,14 @@ def _linear_bwd(node, g):
     ]
 
 
-# ---- convolution family (a mutually adjoint triple). Each op works one
-# block of images at a time, all blocks cut from one buffer per call.
-# conv2d and conv2d_kernel_grad build the zero-padded columns of their input
-# (im2col): conv2d contracts each block into its images of the output,
-# conv2d_kernel_grad sums the blocks' contractions with the cotangent.
-# conv2d_input_grad at every conv the models build contracts the kernel with
-# each block of g first and adds each kernel offset's slab of the product
-# into the output (col2im); other geometries take g's columns. Every matmul
-# operand is C-contiguous, so the bytes do not depend on the memory layout
-# of the inputs ----
+# ---- convolution family (a mutually adjoint triple). Every kernel is odd
+# and square, k = 2p + 1, at padding p, so each output map keeps its input's
+# (H, W). Each op works one block of images at a time, all blocks cut from
+# one buffer per call. conv2d and conv2d_kernel_grad build the zero-padded
+# columns of their input (im2col); conv2d_input_grad contracts the kernel
+# with each block of g first and adds each kernel offset's slab of the
+# product into the output (col2im). Every matmul operand is C-contiguous, so
+# the bytes do not depend on the memory layout of the inputs ----
 
 # bytes of columns per block: half of a 2 MiB per-core L2 cache, so each
 # block's matmul reads its columns from cache, not memory
@@ -369,115 +367,107 @@ def _block_images(n, image):
     return max(1, -(-n // blocks))
 
 
-def _span(size, out, pad, i):
-    """The output positions [lo, hi) whose input position o + i - pad lies in
-    [0, size): the rows or columns that kernel offset i reads from the input."""
-    lo = max(0, pad - i)
-    return lo, max(lo, min(out, size + pad - i))
+def _span(size, p, i):
+    """The positions [lo, hi) on an axis of `size` whose input position
+    o + i - p lies in [0, size): the rows or columns kernel offset i reads."""
+    lo = max(0, p - i)
+    return lo, max(lo, min(size, size + p - i))
 
 
-def _fill_columns(cols, a, ph, pw):
-    """Write the im2col of an (n, c, H, W) stack, padded by (ph, pw), into
-    cols, a C-contiguous (c, kh, kw, n, ho, wo) buffer: its [:, i, j] slab is
-    the input shifted by (i - ph, j - pw). Only positions inside the input
+def _fill_columns(cols, a, p):
+    """Write the im2col of an (n, c, H, W) stack, padded by p, into cols, a
+    C-contiguous (c, k, k, n, H, W) buffer, k = 2p + 1: its [:, i, j] slab
+    is the input shifted by (i - p, j - p). Only positions inside the input
     are written, so a zero-filled buffer keeps its zero border, the padding."""
     hh, ww = a.shape[2:]
-    _, kh, kw, _, ho, wo = cols.shape
+    k = cols.shape[1]
     src = a.transpose(1, 0, 2, 3)
-    for i in range(kh):
-        y0, y1 = _span(hh, ho, ph, i)
-        for j in range(kw):
-            x0, x1 = _span(ww, wo, pw, j)
-            cols[:, i, j, :, y0:y1, x0:x1] = src[:, :, y0 + i - ph : y1 + i - ph, x0 + j - pw : x1 + j - pw]
+    for i in range(k):
+        y0, y1 = _span(hh, p, i)
+        for j in range(k):
+            x0, x1 = _span(ww, p, j)
+            cols[:, i, j, :, y0:y1, x0:x1] = src[:, :, y0 + i - p : y1 + i - p, x0 + j - p : x1 + j - p]
     return cols
 
 
-def _blocks(a, kh, kw, ph, pw, ho, wo):
-    """Yield (s, e, cols) over an (n, c, H, W) stack padded by (ph, pw): cols
-    is the C-contiguous (c, kh, kw, e - s, ho, wo) im2col of images [s, e),
+def _blocks(a, p):
+    """Yield (s, e, cols) over an (n, c, H, W) stack padded by p: cols is the
+    C-contiguous (c, k, k, e - s, H, W) im2col of images [s, e), k = 2p + 1,
     in blocks of _block_images. All are cut from one zero-filled buffer; a
     shorter last block zeroes its prefix again, because its padding lies
     elsewhere in the smaller shape."""
-    n, c = a.shape[:2]
-    image = c * kh * kw * ho * wo
+    n, c, hh, ww = a.shape
+    k = 2 * p + 1
+    image = c * k * k * hh * ww
     m = _block_images(n, image)
     flat = np.zeros(image * m)
     for s in range(0, n, m):
         e = min(n, s + m)
-        cols = flat[: image * (e - s)].reshape(c, kh, kw, e - s, ho, wo)
+        cols = flat[: image * (e - s)].reshape(c, k, k, e - s, hh, ww)
         if e - s < m:
             cols.fill(0.0)
-        yield s, e, _fill_columns(cols, a[s:e], ph, pw)
+        yield s, e, _fill_columns(cols, a[s:e], p)
 
 
-def _correlate(a, k, ph, pw):
-    """Cross-correlation of an (n, c, H, W) stack, zero-padded by (ph, pw),
-    with an (o, c, kh, kw) bank: out[n, o, y, x] = sum over c, i, j of
-    a[n, c, y + i - ph, x + j - pw] k[o, c, i, j]. Each block's matmul writes
-    its own images of one (o, n, ho, wo) output."""
-    o, c, kh, kw = k.shape
-    n, _, hh, ww = a.shape
-    ho, wo = hh + 2 * ph - kh + 1, ww + 2 * pw - kw + 1
-    km = np.ascontiguousarray(k).reshape(o, -1)
-    out = np.empty((o, n * ho * wo))
-    for s, e, cols in _blocks(a, kh, kw, ph, pw, ho, wo):
-        np.matmul(km, cols.reshape(c * kh * kw, -1), out=out[:, s * ho * wo : e * ho * wo])
-    return out.reshape(o, n, ho, wo).transpose(1, 0, 2, 3)
+def _check_conv(kind, a, w, axis):
+    """p of the (o, c, k, k) bank w, k = 2p + 1, whose axis `axis` meets the
+    channels of the (n, ch, H, W) stack a, H and W at least 1; otherwise
+    raise, naming the op."""
+    if len(a.shape) != 4 or len(w.shape) != 4 or a.shape[1] != w.shape[axis] or 0 in a.shape[2:]:
+        raise _shape_err(kind, a.shape, w.shape)
+    k = w.shape[2]
+    if w.shape[3] != k or k % 2 == 0:
+        raise ValueError(f"{kind}: kernel {k}x{w.shape[3]} is not odd and square")
+    return k // 2
 
 
-def _check_conv(kind, a, k, ph, pw):
-    """Raise, naming the op, unless the (n, c, H, W) stack a meets the
-    (o, c, kh, kw) bank k in its channels and covers the kernel once padded."""
-    if a.ndim != 4 or a.shape[1] != k.shape[1]:
-        raise _shape_err(kind, a.shape, k.shape)
-    if a.shape[2] + 2 * ph < k.shape[2] or a.shape[3] + 2 * pw < k.shape[3]:
-        raise ValueError(f"{kind}: kernel {k.shape[2:]} larger than padded input "
-                         f"{(a.shape[2] + 2 * ph, a.shape[3] + 2 * pw)}")
-
-
-def conv2d(x, w, b=None, padding=0):
-    padding = int(padding)
-    if len(w.shape) != 4:
-        raise _shape_err("conv2d", x.shape, w.shape)
-    co, _, kh, kw = w.shape
-    # the input adjoint pads g by k - 1 - padding, which must not be negative
-    if not 0 <= padding < min(kh, kw):
-        raise ValueError(f"conv2d: padding {padding} outside 0..{min(kh, kw) - 1}")
-    _check_conv("conv2d", x.data, w.data, padding, padding)
-    out = _correlate(x.data, w.data, padding, padding)
+def conv2d(x, w, b=None):
+    """Cross-correlation of an (n, c, H, W) stack, zero-padded by p, with an
+    (o, c, k, k) bank, k = 2p + 1: out[n, o, y, x] = sum over c, i, j of
+    x[n, c, y + i - p, x + j - p] w[o, c, i, j], plus b[o]. Each block's
+    matmul writes its own images of one (o, n, H, W) output."""
+    p = _check_conv("conv2d", x, w, 1)
+    (n, _, hh, ww), (o, c, k, _) = x.shape, w.shape
+    if b is not None and b.shape != (o,):
+        raise _shape_err("conv2d bias", b.shape, (o,))
+    hw = hh * ww
+    wm = np.ascontiguousarray(w.data).reshape(o, -1)
+    out = np.empty((o, n * hw))
+    for s, e, cols in _blocks(x.data, p):
+        np.matmul(wm, cols.reshape(c * k * k, -1), out=out[:, s * hw : e * hw])
+    out = out.reshape(o, n, hh, ww).transpose(1, 0, 2, 3)
     if b is None:
-        return _apply("conv2d", out, [x, w], {"padding": padding})
-    if b.shape != (co,):
-        raise _shape_err("conv2d bias", b.shape, (co,))
+        return _apply("conv2d", out, [x, w])
     out += b.data[None, :, None, None]
-    return _apply("conv2d", out, [x, w, b], {"padding": padding})
+    return _apply("conv2d", out, [x, w, b])
 
 
 @_rule("conv2d")
 def _conv2d_bwd(node, g):
     x, w = node.inputs[:2]
-    p = node.attrs["padding"]
     return [
-        lambda: conv2d_input_grad(g, w, p),
-        lambda: conv2d_kernel_grad(x, g, p),
+        lambda: conv2d_input_grad(g, w),
+        lambda: conv2d_kernel_grad(x, g, w.shape[2]),
         lambda: reduce_sum(g, axis=(0, 2, 3)),
     ]
 
 
-def _col2im(g, w, p):
-    """The input adjoint of a (2p+1) x (2p+1) conv at padding p, which keeps
-    the (H, W) size. Per block of images, one matmul takes the slabs
-    Y[i, j] = sum over o of w[o, :, i, j] g[:, o], and slab (i, j) adds at
-    the targets (y + i - p, x + j - p). Its rows and columns whose target
+def conv2d_input_grad(g, w):
+    """Adjoint of conv2d in x: the gradient of sum(conv2d(x, w) * g) w.r.t. x
+    for an odd square (o, c, k, k) bank, k = 2p + 1, so it has g's (H, W).
+    It takes one form, col2im: per block of images, one matmul takes the
+    slabs Y[i, j] = sum over o of w[o, :, i, j] g[:, o], c k k rows rather
+    than the o k k of g's columns, and slab (i, j) adds at the targets
+    (y + i - p, x + j - p). Its rows and columns whose target
     lies outside the image are zeroed, so it adds into the centre slab as
     one flat shift of the whole (c, images, H, W) stack by (i - p) W + (j - p):
     whatever the shift carries into another row, image or channel is zero.
     Each block's sum fills its images of one (c, n, H, W) output."""
-    n, o, hh, ww = g.shape
-    c, k = w.shape[1], w.shape[2]
+    p = _check_conv("conv2d_input_grad", g, w, 0)
+    (n, o, hh, ww), (_, c, k, _) = g.shape, w.shape
     hw = hh * ww
     # rows ordered (i, j, c), so each slab is one C-contiguous stack
-    wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0)).reshape(-1, o)
+    wt = np.ascontiguousarray(w.data.transpose(2, 3, 1, 0)).reshape(-1, o)
     out = np.empty((c, n * hw))
     m = _block_images(n, c * k * k * hw)
     flat = np.empty(c * k * k * hw * m)
@@ -485,78 +475,57 @@ def _col2im(g, w, p):
         e = min(n, s + m)
         size = c * (e - s) * hw
         y = flat[: k * k * size].reshape(k, k, c, e - s, hh, ww)
-        g_blk = np.ascontiguousarray(g[s:e].transpose(1, 0, 2, 3)).reshape(o, -1)
+        g_blk = np.ascontiguousarray(g.data[s:e].transpose(1, 0, 2, 3)).reshape(o, -1)
         np.matmul(wt, g_blk, out=y.reshape(k * k * c, -1))
         acc = y[p, p].reshape(-1)
         for i in range(k):
-            y0, y1 = _span(hh, hh, p, i)
+            y0, y1 = _span(hh, p, i)
             for j in range(k):
                 d = (i - p) * ww + (j - p)
                 # past the stack's length every target lies outside the image
                 if (i, j) == (p, p) or abs(d) >= size:
                     continue
-                x0, x1 = _span(ww, ww, p, j)
+                x0, x1 = _span(ww, p, j)
                 slab = y[i, j]
                 slab[:, :, :y0], slab[:, :, y1:] = 0.0, 0.0
                 slab[..., :x0], slab[..., x1:] = 0.0, 0.0
                 acc[max(0, d) : size + min(0, d)] += slab.reshape(-1)[max(0, -d) : size - max(0, d)]
         out[:, s * hw : e * hw] = acc.reshape(c, -1)
-    return out.reshape(c, n, hh, ww).transpose(1, 0, 2, 3)
-
-
-def conv2d_input_grad(g, w, padding):
-    """Adjoint of conv2d in x: the gradient of sum(conv2d(x, w) * g) w.r.t. x,
-    the full correlation of g with the flipped, channel-swapped kernel. A
-    (2p+1) x (2p+1) kernel at padding p, every conv the models build, takes
-    the col2im form (_col2im), whose contraction has c kh kw rows, not the
-    o kh kw of g's columns."""
-    if len(w.shape) != 4:
-        raise _shape_err("conv2d_input_grad", g.shape, w.shape)
-    kh, kw = w.shape[2:]
-    flipped = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    ph, pw = kh - 1 - padding, kw - 1 - padding
-    _check_conv("conv2d_input_grad", g.data, flipped, ph, pw)
-    if kh == kw == 2 * padding + 1:
-        gx = _col2im(g.data, w.data, padding)
-    else:
-        gx = _correlate(g.data, flipped, ph, pw)
-    return _apply("conv2d_input_grad", gx, [g, w], {"padding": padding})
+    return _apply("conv2d_input_grad", out.reshape(c, n, hh, ww).transpose(1, 0, 2, 3), [g, w])
 
 
 @_rule("conv2d_input_grad")
 def _conv2d_input_grad_bwd(node, g):
     # bilinear in (gout, w): adjoints swap back through conv2d / kernel-corr
     gout, w = node.inputs
-    p = node.attrs["padding"]
-    return [lambda: conv2d(g, w, padding=p), lambda: conv2d_kernel_grad(g, gout, p)]
+    return [lambda: conv2d(g, w), lambda: conv2d_kernel_grad(g, gout, w.shape[2])]
 
 
-def conv2d_kernel_grad(x, g, padding):
-    """Adjoint of conv2d in w: the gradient of sum(conv2d(x, w) * g) w.r.t. w,
-    the correlation of the padded input with g over the batch: the sum of
-    each block of images' contraction."""
+def conv2d_kernel_grad(x, g, k):
+    """Adjoint of conv2d in w for a k x k kernel, k = 2p + 1: the gradient of
+    sum(conv2d(x, w) * g) w.r.t. w, the correlation of the padded input with
+    g over the batch: the sum of each block of images' contraction."""
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"conv2d_kernel_grad: kernel side {k} is not odd")
     xd, gd = x.data, g.data
-    if xd.ndim != 4 or gd.ndim != 4 or xd.shape[0] != gd.shape[0]:
-        raise _shape_err("conv2d_kernel_grad", xd.shape, gd.shape)
-    kh, kw = xd.shape[2] + 2 * padding - gd.shape[2] + 1, xd.shape[3] + 2 * padding - gd.shape[3] + 1
-    if kh < 1 or kw < 1:
+    # the same batch and map size, which conv2d keeps; no empty map
+    if xd.ndim != 4 or 0 in xd.shape[2:] or xd.shape[:1] + xd.shape[2:] != gd.shape[:1] + gd.shape[2:]:
         raise _shape_err("conv2d_kernel_grad", xd.shape, gd.shape)
     c, o = xd.shape[1], gd.shape[1]
-    acc = np.zeros((c * kh * kw, o))
-    for s, e, cols in _blocks(xd, kh, kw, padding, padding, *gd.shape[2:]):
+    acc = np.zeros((c * k * k, o))
+    for s, e, cols in _blocks(xd, k // 2):
         # the block's C-ordered cotangent is a temporary of this statement,
         # so one block's is alive at a time
         g_blk = gd[s:e].transpose(0, 2, 3, 1)
-        acc += cols.reshape(c * kh * kw, -1) @ np.ascontiguousarray(g_blk).reshape(-1, o)
-    gw = acc.reshape(c, kh, kw, o).transpose(3, 0, 1, 2)
-    return _apply("conv2d_kernel_grad", gw, [x, g], {"padding": padding})
+        acc += cols.reshape(c * k * k, -1) @ np.ascontiguousarray(g_blk).reshape(-1, o)
+    gw = acc.reshape(c, k, k, o).transpose(3, 0, 1, 2)
+    return _apply("conv2d_kernel_grad", gw, [x, g])
 
 
 @_rule("conv2d_kernel_grad")
 def _conv2d_kernel_grad_bwd(node, g):
     x, gout = node.inputs
-    p = node.attrs["padding"]
-    return [lambda: conv2d_input_grad(gout, g, p), lambda: conv2d(x, g, padding=p)]
+    return [lambda: conv2d_input_grad(gout, g), lambda: conv2d(x, g)]
 
 
 # ---- pooling (non-overlapping POOL x POOL windows). The forward takes each

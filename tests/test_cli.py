@@ -478,6 +478,19 @@ class TestCmdTrain:
         err = capsys.readouterr().err
         assert "non-finite parameter" in err and "(epoch 1, step 0)" in err
 
+    def test_diverged_rerun_leaves_no_earlier_log(self, tmp_path, capsys):
+        # the rerun diverges after its config checks: the earlier run's log,
+        # of another base_lr, is gone beside the new config; its checkpoint stays
+        path, _ = tiny_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["train", str(path)]) == 0
+        ckpt = (out / "model.ckpt").read_bytes()
+        self.test_divergence_exit_3_names_the_parameter(tmp_path, capsys)
+        assert not (out / "train_log.csv").exists()
+        assert (out / "model.ckpt").read_bytes() == ckpt
+        resolved = json.loads((out / "train.resolved.json").read_text())
+        assert resolved["train"]["base_lr"] == float(np.finfo(np.float64).max)
+
     def test_config_not_mutated(self, tmp_path):
         path, _ = tiny_config(tmp_path)
         before = path.read_bytes()

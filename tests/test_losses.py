@@ -263,8 +263,8 @@ class TestInterpretableLoss:
         def input_grad(mode):
             tape = T.Tape()
             x = tape.watch(Tensor(x0))
-            h = T.relu(T.conv2d(x, tape.watch(w1), padding=1))
-            h = T.relu(T.conv2d(h, tape.watch(w2), padding=1))
+            h = T.relu(T.conv2d(x, tape.watch(w1)))
+            h = T.relu(T.conv2d(h, tape.watch(w2)))
             (g,) = backward(T.reduce_sum(h), [x], mode=mode)
             return g
 

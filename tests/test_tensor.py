@@ -48,32 +48,33 @@ class TestForwardPrimitives:
         np.testing.assert_array_equal(out.data, [1.0, 0.0, 0.0, 3.0])
 
     def test_conv2d_all_ones(self):
-        # 2x2 ones kernel over 3x3 ones: every window sums to 4
-        out = T.conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 2, 2))))
-        assert out.shape == (1, 1, 2, 2)
-        np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
+        # 3x3 ones kernel over 3x3 ones at padding 1: each output counts the
+        # pixels of its window that lie inside the map
+        out = T.conv2d(Tensor(np.ones((1, 1, 3, 3))), Tensor(np.ones((1, 1, 3, 3))))
+        assert out.shape == (1, 1, 3, 3)
+        np.testing.assert_array_equal(out.data, [[[[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]]]])
 
     def test_conv2d_matches_offset_loop(self):
-        # the definitions, one kernel offset at a time, on a non-square kernel:
-        # the forward and both of its adjoints
+        # the definitions, one kernel offset at a time, at k = 1, 3 and 5 on a
+        # non-square map: the forward and both of its adjoints
         rng = np.random.default_rng(2)
-        x, w, b = rng.normal(size=(3, 2, 5, 6)), rng.normal(size=(4, 2, 3, 2)), rng.normal(size=4)
-        for padding in (0, 1):
-            xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-            ho, wo = xp.shape[2] - 2, xp.shape[3] - 1
-            g = rng.normal(size=(3, 4, ho, wo))
-            want = np.zeros((3, 4, ho, wo)) + b[None, :, None, None]
+        x, b = rng.normal(size=(3, 2, 5, 6)), rng.normal(size=4)
+        for k in (1, 3, 5):
+            p = k // 2
+            w, g = rng.normal(size=(4, 2, k, k)), rng.normal(size=(3, 4, 5, 6))
+            xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+            want = np.zeros((3, 4, 5, 6)) + b[None, :, None, None]
             want_gxp, want_gw = np.zeros_like(xp), np.zeros_like(w)
-            for i in range(3):
-                for j in range(2):
-                    patch = xp[:, :, i : i + ho, j : j + wo]
+            for i in range(k):
+                for j in range(k):
+                    patch = xp[:, :, i : i + 5, j : j + 6]
                     want += np.einsum("ncyx,oc->noyx", patch, w[:, :, i, j])
-                    want_gxp[:, :, i : i + ho, j : j + wo] += np.einsum("noyx,oc->ncyx", g, w[:, :, i, j])
+                    want_gxp[:, :, i : i + 5, j : j + 6] += np.einsum("noyx,oc->ncyx", g, w[:, :, i, j])
                     want_gw[:, :, i, j] = np.einsum("noyx,ncyx->oc", g, patch)
-            want_gx = want_gxp[:, :, padding : padding + 5, padding : padding + 6]
-            got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data
-            got_gx = T.conv2d_input_grad(Tensor(g), Tensor(w), padding).data
-            got_gw = T.conv2d_kernel_grad(Tensor(x), Tensor(g), padding).data
+            want_gx = want_gxp[:, :, p : p + 5, p : p + 6]
+            got = T.conv2d(Tensor(x), Tensor(w), Tensor(b)).data
+            got_gx = T.conv2d_input_grad(Tensor(g), Tensor(w)).data
+            got_gw = T.conv2d_kernel_grad(Tensor(x), Tensor(g), k).data
             for have, expect in ((got, want), (got_gx, want_gx), (got_gw, want_gw)):
                 np.testing.assert_allclose(have, expect, rtol=1e-12, atol=1e-12)
 
@@ -90,10 +91,6 @@ class TestForwardPrimitives:
         with pytest.raises(ValueError, match="softmax"):
             T.softmax(Tensor(np.zeros((2, 3, 4))))
 
-    def test_conv_kernel_too_large(self):
-        with pytest.raises(ValueError, match="conv2d"):
-            T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 4, 4))))
-
     def test_conv_bad_operands_name_the_op(self):
         def ones(*shape):
             return Tensor(np.ones(shape))
@@ -105,20 +102,32 @@ class TestForwardPrimitives:
         # g has 5 channels, w 4 output channels; a 3-D g
         for g in (ones(1, 5, 3, 3), ones(4, 3, 3)):
             with pytest.raises(ValueError, match="^conv2d_input_grad:"):
-                T.conv2d_input_grad(g, w, 0)
-        # batches of 2 and 3; a cotangent larger than the padded input; a 3-D g
-        for x, g in ((ones(2, 2, 5, 5), ones(3, 4, 3, 3)),
-                     (ones(1, 2, 3, 3), ones(1, 4, 6, 6)),
-                     (ones(1, 2, 5, 5), ones(4, 3, 3))):
+                T.conv2d_input_grad(g, w)
+        # batches of 2 and 3; a 3-D g
+        for x, g in ((ones(2, 2, 5, 5), ones(3, 4, 5, 5)), (ones(1, 2, 5, 5), ones(4, 3, 3))):
             with pytest.raises(ValueError, match="^conv2d_kernel_grad:"):
-                T.conv2d_kernel_grad(x, g, 0)
+                T.conv2d_kernel_grad(x, g, 3)
 
-    def test_conv_padding_outside_kernel_rejected(self):
-        # the input adjoint pads g by k - 1 - padding, so padding runs 0..k-1
-        x, w = Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 3, 3)))
-        for padding in (-1, 3, 4):
-            with pytest.raises(ValueError, match="conv2d"):
-                T.conv2d(x, w, padding=padding)
+    def test_conv_kernel_not_size_keeping_rejected(self):
+        # every conv keeps the map's size, so its kernel is odd and square
+        x, g = Tensor(np.ones((1, 2, 5, 5))), Tensor(np.ones((1, 4, 5, 5)))
+        for shape in ((4, 2, 2, 2), (4, 2, 3, 1)):
+            with pytest.raises(ValueError, match="^conv2d: kernel"):
+                T.conv2d(x, Tensor(np.ones(shape)))
+            with pytest.raises(ValueError, match="^conv2d_input_grad: kernel"):
+                T.conv2d_input_grad(g, Tensor(np.ones(shape)))
+        # an even side; a cotangent of 4x4 or 5x4 maps for 5x5 inputs
+        for k, g in ((2, g), (3, Tensor(np.ones((1, 4, 4, 4)))), (3, Tensor(np.ones((1, 4, 5, 4))))):
+            with pytest.raises(ValueError, match="^conv2d_kernel_grad:"):
+                T.conv2d_kernel_grad(x, g, k)
+        # an empty map, which no kernel reads
+        x, g, w = Tensor(np.ones((1, 2, 0, 5))), Tensor(np.ones((1, 4, 0, 5))), Tensor(np.ones((4, 2, 3, 3)))
+        with pytest.raises(ValueError, match="^conv2d:"):
+            T.conv2d(x, w)
+        with pytest.raises(ValueError, match="^conv2d_input_grad:"):
+            T.conv2d_input_grad(g, w)
+        with pytest.raises(ValueError, match="^conv2d_kernel_grad:"):
+            T.conv2d_kernel_grad(x, g, 3)
 
     def test_records_only_with_node(self):
         tape = Tape()
@@ -519,18 +528,15 @@ class TestOpSemantics:
         n=st.integers(1, 17),
         ci=st.integers(1, 4),
         co=st.integers(1, 4),
-        kh=st.sampled_from([2, 3]),
-        kw=st.sampled_from([2, 3]),
-        padding=st.integers(0, 1),
+        k=st.sampled_from([1, 3, 5]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_conv_triple_ignores_memory_layout(self, n, ci, co, kh, kw, padding, seed):
+    def test_conv_triple_ignores_memory_layout(self, n, ci, co, k, seed):
         # the same values held C-ordered, channel-major, with reversed strides
         # and with axis 0 innermost (the layout conv2d_kernel_grad returns)
         # give the same bytes from each op
         rng = np.random.default_rng(seed)
-        x, w = rng.normal(size=(n, ci, 6, 7)), rng.normal(size=(co, ci, kh, kw))
-        g = rng.normal(size=T.conv2d(Tensor(x), Tensor(w), padding=padding).shape)
+        x, w, g = rng.normal(size=(n, ci, 6, 7)), rng.normal(size=(co, ci, k, k)), rng.normal(size=(n, co, 6, 7))
         layouts = (
             lambda a: a,
             lambda a: np.ascontiguousarray(a.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3),
@@ -538,9 +544,9 @@ class TestOpSemantics:
             lambda a: np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2),
         )
         ops = (
-            lambda x, w, g: T.conv2d(x, w, padding=padding),
-            lambda x, w, g: T.conv2d_input_grad(g, w, padding),
-            lambda x, w, g: T.conv2d_kernel_grad(x, g, padding),
+            lambda x, w, g: T.conv2d(x, w),
+            lambda x, w, g: T.conv2d_input_grad(g, w),
+            lambda x, w, g: T.conv2d_kernel_grad(x, g, k),
         )
         for op in ops:
             outs = {op(*(Tensor(lay(a)) for a in (x, w, g))).data.tobytes() for lay in layouts}
@@ -564,22 +570,22 @@ class TestOpSemantics:
         assert len({T.reduce_sum(Tensor(lay), axis=axis).data.tobytes() for lay in layouts}) == 1
 
 
-def _full_column_correlate(a, k, ph, pw):
-    """The correlation T._correlate computes, as one matmul over the columns
-    of every image at once."""
+def _full_column_correlate(a, k, p):
+    """The correlation of a, zero-padded by p, with the bank k, as one matmul
+    over the columns of every image at once."""
     o, c, kh, kw = k.shape
-    ap = np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    ap = np.pad(a, ((0, 0), (0, 0), (p, p), (p, p)))
     ho, wo = ap.shape[2] - kh + 1, ap.shape[3] - kw + 1
     cols = np.stack([ap[:, :, i : i + ho, j : j + wo] for i in range(kh) for j in range(kw)], axis=2)
     out = k.reshape(o, -1) @ cols.transpose(1, 2, 0, 3, 4).reshape(c * kh * kw, -1)
     return out.reshape(o, len(a), ho, wo).transpose(1, 0, 2, 3)
 
 
-def _full_column_kernel_grad(x, g, padding):
+def _full_column_kernel_grad(x, g, p):
     """The kernel adjoint T.conv2d_kernel_grad computes, as one matmul over
     the columns of every image at once."""
     (n, c), (o, ho, wo) = x.shape[:2], g.shape[1:]
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
     kh, kw = xp.shape[2] - ho + 1, xp.shape[3] - wo + 1
     cols = np.stack([xp[:, :, i : i + ho, j : j + wo] for i in range(kh) for j in range(kw)], axis=2)
     out = cols.transpose(1, 2, 0, 3, 4).reshape(c * kh * kw, -1) @ g.transpose(0, 2, 3, 1).reshape(-1, o)
@@ -587,19 +593,19 @@ def _full_column_kernel_grad(x, g, padding):
 
 
 class TestConvBlocks:
-    """Each op of the conv triple builds its columns one block of images at a
-    time, at most T.COL_BUDGET bytes of columns per block unless one image's
-    columns are larger, every block cut from one buffer per call."""
+    """conv2d and conv2d_kernel_grad build their columns one block of images
+    at a time, at most T.COL_BUDGET bytes of columns per block unless one
+    image's columns are larger, every block cut from one buffer per call
+    (TestCol2im checks conv2d_input_grad's blocks)."""
 
     @pytest.mark.parametrize("blocks", [[1] * 7, [3, 3, 1]])
-    @pytest.mark.parametrize("padding", [0, 1])
-    def test_blocks_match_full_columns(self, monkeypatch, blocks, padding):
-        # 7 images in blocks of one, or of 3, 3 and a shorter last 1
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_blocks_match_full_columns(self, monkeypatch, blocks, p):
+        # 7 images in blocks of one, or of 3, 3 and a shorter last 1, at
+        # k = 2p + 1
+        k = 2 * p + 1
         rng = np.random.default_rng(5)
-        x, w = rng.normal(size=(7, 2, 5, 6)), rng.normal(size=(3, 2, 3, 2))
-        ho, wo = 5 + 2 * padding - 2, 6 + 2 * padding - 1
-        g = rng.normal(size=(7, 3, ho, wo))
-        flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        x, w, g = rng.normal(size=(7, 2, 5, 6)), rng.normal(size=(3, 2, k, k)), rng.normal(size=(7, 3, 5, 6))
         filled = []
         fill = T._fill_columns
 
@@ -608,17 +614,13 @@ class TestConvBlocks:
             return fill(cols, *rest)
 
         monkeypatch.setattr(T, "_fill_columns", counted_fill)
-        # each op with the reference and the bytes of one image's columns
+        # each op with the reference; both take the bytes of one image's columns
         cases = (
-            (lambda: T.conv2d(Tensor(x), Tensor(w), padding=padding),
-             _full_column_correlate(x, w, padding, padding), 8 * 2 * 3 * 2 * ho * wo),
-            (lambda: T.conv2d_input_grad(Tensor(g), Tensor(w), padding),
-             _full_column_correlate(g, flipped, 2 - padding, 1 - padding), 8 * 3 * 3 * 2 * 5 * 6),
-            (lambda: T.conv2d_kernel_grad(Tensor(x), Tensor(g), padding),
-             _full_column_kernel_grad(x, g, padding), 8 * 2 * 3 * 2 * ho * wo),
+            (lambda: T.conv2d(Tensor(x), Tensor(w)), _full_column_correlate(x, w, p)),
+            (lambda: T.conv2d_kernel_grad(Tensor(x), Tensor(g), k), _full_column_kernel_grad(x, g, p)),
         )
-        for op, want, image_bytes in cases:
-            monkeypatch.setattr(T, "COL_BUDGET", image_bytes * blocks[0])
+        for op, want in cases:
+            monkeypatch.setattr(T, "COL_BUDGET", 8 * 2 * k * k * 5 * 6 * blocks[0])
             filled.clear()
             np.testing.assert_allclose(op().data, want, rtol=1e-12, atol=1e-12)
             assert filled == blocks
@@ -628,7 +630,7 @@ class TestConvBlocks:
         # re-zeroed prefix of the call's one buffer (the test above checks its
         # values), not a fresh buffer
         rng = np.random.default_rng(6)
-        x, w, g = rng.normal(size=(7, 2, 5, 6)), rng.normal(size=(3, 2, 3, 2)), rng.normal(size=(7, 3, 5, 7))
+        x, w, g = rng.normal(size=(7, 2, 5, 6)), rng.normal(size=(3, 2, 3, 3)), rng.normal(size=(7, 3, 5, 6))
         starts = []
         fill = T._fill_columns
 
@@ -637,13 +639,8 @@ class TestConvBlocks:
             return fill(cols, *rest)
 
         monkeypatch.setattr(T, "_fill_columns", recorded_fill)
-        cases = (
-            (lambda: T.conv2d(Tensor(x), Tensor(w), padding=1), 8 * 2 * 3 * 2 * 5 * 7),
-            (lambda: T.conv2d_input_grad(Tensor(g), Tensor(w), 1), 8 * 3 * 3 * 2 * 5 * 6),
-            (lambda: T.conv2d_kernel_grad(Tensor(x), Tensor(g), 1), 8 * 2 * 3 * 2 * 5 * 7),
-        )
-        for op, image_bytes in cases:
-            monkeypatch.setattr(T, "COL_BUDGET", 3 * image_bytes)
+        monkeypatch.setattr(T, "COL_BUDGET", 3 * 8 * 2 * 3 * 3 * 5 * 6)
+        for op in (lambda: T.conv2d(Tensor(x), Tensor(w)), lambda: T.conv2d_kernel_grad(Tensor(x), Tensor(g), 3)):
             starts.clear()
             op()
             assert [m for _, m in starts] == [3, 3, 1]
@@ -658,7 +655,7 @@ class TestConvBlocks:
         per_block = T.COL_BUDGET // (8 * 3 * 3 * 3 * 16 * 16)
         tracemalloc.start()
         try:
-            out = T.conv2d_kernel_grad(x, g, 1)
+            out = T.conv2d_kernel_grad(x, g, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -671,7 +668,7 @@ class TestConvBlocks:
         rng = np.random.default_rng(0)
         w = Tensor(rng.normal(size=(8, 3, 3, 3)))
         x, g = Tensor(rng.normal(size=(256, 3, 16, 16))), Tensor(rng.normal(size=(64, 8, 16, 16)))
-        for op in (lambda: T.conv2d(x, w, padding=1), lambda: T.conv2d_input_grad(g, w, 1)):
+        for op in (lambda: T.conv2d(x, w), lambda: T.conv2d_input_grad(g, w)):
             tracemalloc.start()
             try:
                 out = op()
@@ -682,20 +679,20 @@ class TestConvBlocks:
 
 
 class TestCol2im:
-    """conv2d_input_grad at a (2p+1) x (2p+1) kernel and padding p, every
-    conv the models build, contracts the kernel with each block of g first
-    and adds each offset's slab into the output by one flat shift of the
-    block's stack; it builds no columns of g."""
+    """conv2d_input_grad contracts the kernel with each block of g first and
+    adds each offset's slab into the output by one flat shift of the block's
+    stack; it builds no columns of g. Its reference correlates g's columns,
+    padded by k - 1 - p = p, with the flipped, channel-swapped kernel."""
 
     @staticmethod
-    def _check(monkeypatch, g, w, p):
+    def _check(monkeypatch, g, w):
         def no_columns(*a):
             raise AssertionError("the col2im form built columns")
 
         monkeypatch.setattr(T, "_fill_columns", no_columns)
         flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        want = _full_column_correlate(np.ascontiguousarray(g), flipped, p, p)
-        np.testing.assert_allclose(T.conv2d_input_grad(Tensor(g), Tensor(w), p).data, want,
+        want = _full_column_correlate(np.ascontiguousarray(g), flipped, w.shape[2] // 2)
+        np.testing.assert_allclose(T.conv2d_input_grad(Tensor(g), Tensor(w)).data, want,
                                    rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("blocks", [[1] * 7, [3, 3, 1]])
@@ -716,7 +713,7 @@ class TestCol2im:
 
         monkeypatch.setattr(T, "_block_images", recorded)
         monkeypatch.setattr(T, "COL_BUDGET", 8 * 2 * 3 * 3 * 5 * 6 * blocks[0])
-        self._check(monkeypatch, g, w, 1)
+        self._check(monkeypatch, g, w)
         assert [min(sizes[0], 7 - s) for s in range(0, 7, sizes[0])] == blocks
 
     @pytest.mark.parametrize("hw", [(1, 1), (1, 5), (2, 2)])
@@ -728,12 +725,13 @@ class TestCol2im:
         rng = np.random.default_rng(sum(hw) + 10 * n + 100 * c)
         g, w = rng.normal(size=(n, 3, *hw)), rng.normal(size=(3, c, 3, 3))
         monkeypatch.setattr(T, "COL_BUDGET", 8 * c * 9 * hw[0] * hw[1] * per_block)
-        self._check(monkeypatch, g, w, 1)
+        self._check(monkeypatch, g, w)
 
     def test_wider_size_keeping_kernel(self, monkeypatch):
-        # 5x5 at padding 2 keeps the map's size, so it takes the same form
+        # 5x5 at padding 2, and 1x1, whose only slab is the centre
         rng = np.random.default_rng(9)
-        self._check(monkeypatch, rng.normal(size=(4, 3, 6, 5)), rng.normal(size=(3, 2, 5, 5)), 2)
+        for k in (5, 1):
+            self._check(monkeypatch, rng.normal(size=(4, 3, 6, 5)), rng.normal(size=(3, 2, k, k)))
 
 
 LD = np.longdouble
@@ -755,31 +753,32 @@ def _assert_within_dot_bound(got, ref, absref, k):
     assert (err <= bound).all(), float(np.max(err / np.where(bound > 0, bound, 1)))
 
 
-def _ld_columns(a, kh, kw, ph, pw, ho, wo):
-    """The (c * kh * kw, n * ho * wo) im2col of a, padded, in longdouble."""
-    n, c = a.shape[:2]
-    return T._fill_columns(np.zeros((c, kh, kw, n, ho, wo), dtype=LD), a, ph, pw).reshape(c * kh * kw, -1)
+def _ld_columns(a, k, p):
+    """The (c * k * k, n * H * W) im2col of a, padded by p, in longdouble."""
+    n, c, hh, ww = a.shape
+    return T._fill_columns(np.zeros((c, k, k, n, hh, ww), dtype=LD), a, p).reshape(c * k * k, -1)
 
 
-def _check_conv_triple_bound(x, w, b, g, padding):
+def _check_conv_triple_bound(x, w, b, g):
     """Each op of the conv triple against its longdouble reference: conv2d
-    (with its bias, one more rounding) over K = c kh kw, conv2d_input_grad
-    over K = o kh kw and conv2d_kernel_grad over K = n ho wo."""
-    (n, c, hh, ww), (o, _, kh, kw) = x.shape, w.shape
-    ho, wo = g.shape[2:]
-    cols, wm = _ld_columns(x, kh, kw, padding, padding, ho, wo), w.astype(LD).reshape(o, -1)
+    (with its bias, one more rounding) over K = c k k, conv2d_input_grad
+    over K = o k k and conv2d_kernel_grad over K = n H W. The input adjoint
+    pads g by k - 1 - p, which is p."""
+    (n, c, hh, ww), (o, _, k, _) = x.shape, w.shape
+    p = k // 2
+    cols, wm = _ld_columns(x, k, p), w.astype(LD).reshape(o, -1)
     ref, absref = wm @ cols + b.astype(LD)[:, None], np.abs(wm) @ np.abs(cols) + np.abs(b).astype(LD)[:, None]
-    got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), padding=padding).data.transpose(1, 0, 2, 3).reshape(o, -1)
-    _assert_within_dot_bound(got, ref, absref, c * kh * kw + 1)
+    got = T.conv2d(Tensor(x), Tensor(w), Tensor(b)).data.transpose(1, 0, 2, 3).reshape(o, -1)
+    _assert_within_dot_bound(got, ref, absref, c * k * k + 1)
 
     flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).astype(LD).reshape(c, -1)
-    gcols = _ld_columns(g, kh, kw, kh - 1 - padding, kw - 1 - padding, hh, ww)
-    got = T.conv2d_input_grad(Tensor(g), Tensor(w), padding).data.transpose(1, 0, 2, 3).reshape(c, -1)
-    _assert_within_dot_bound(got, flipped @ gcols, np.abs(flipped) @ np.abs(gcols), o * kh * kw)
+    gcols = _ld_columns(g, k, p)
+    got = T.conv2d_input_grad(Tensor(g), Tensor(w)).data.transpose(1, 0, 2, 3).reshape(c, -1)
+    _assert_within_dot_bound(got, flipped @ gcols, np.abs(flipped) @ np.abs(gcols), o * k * k)
 
     gm = g.transpose(0, 2, 3, 1).astype(LD).reshape(-1, o)
-    got = T.conv2d_kernel_grad(Tensor(x), Tensor(g), padding).data.transpose(1, 2, 3, 0).reshape(-1, o)
-    _assert_within_dot_bound(got, cols @ gm, np.abs(cols) @ np.abs(gm), n * ho * wo)
+    got = T.conv2d_kernel_grad(Tensor(x), Tensor(g), k).data.transpose(1, 2, 3, 0).reshape(-1, o)
+    _assert_within_dot_bound(got, cols @ gm, np.abs(cols) @ np.abs(gm), n * hh * ww)
 
 
 @pytest.mark.skipif(np.finfo(LD).nmant < 63, reason="the reference needs an extended-precision long double")
@@ -795,28 +794,25 @@ class TestConvRoundingBound:
         n=st.integers(1, 24),
         c=st.integers(1, 5),
         o=st.integers(1, 5),
-        kh=st.integers(1, 3),
-        kw=st.integers(1, 3),
+        k=st.sampled_from([1, 3, 5]),
         data=st.data(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_conv_triple_within_dot_bound(self, n, c, o, kh, kw, data, seed):
-        padding = data.draw(st.integers(0, min(kh, kw) - 1), label="padding")
-        hh = data.draw(st.integers(max(1, kh - 2 * padding), 10), label="hh")
-        ww = data.draw(st.integers(max(1, kw - 2 * padding), 10), label="ww")
+    def test_conv_triple_within_dot_bound(self, n, c, o, k, data, seed):
+        hh = data.draw(st.integers(1, 10), label="hh")
+        ww = data.draw(st.integers(1, 10), label="ww")
         # the forward's and the kernel adjoint's columns in blocks of about m
         # images (the input adjoint's follow from the same budget), so most
         # draws run several blocks and many a shorter last one
         m = data.draw(st.integers(1, n), label="m")
-        ho, wo = hh + 2 * padding - kh + 1, ww + 2 * padding - kw + 1
         rng = np.random.default_rng(seed)
         # entries over six decades, so the terms of a sum differ in size
         x = rng.normal(size=(n, c, hh, ww)) * 10.0 ** rng.uniform(-3, 3, size=(n, c, hh, ww))
-        w, b = rng.normal(size=(o, c, kh, kw)), rng.normal(size=o)
-        g = rng.normal(size=(n, o, ho, wo))
+        w, b = rng.normal(size=(o, c, k, k)), rng.normal(size=o)
+        g = rng.normal(size=(n, o, hh, ww))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(T, "COL_BUDGET", 8 * c * kh * kw * ho * wo * m)
-            _check_conv_triple_bound(x, w, b, g, padding)
+            mp.setattr(T, "COL_BUDGET", 8 * c * k * k * hh * ww * m)
+            _check_conv_triple_bound(x, w, b, g)
 
     @pytest.mark.parametrize("n", [1, 8, 16, 44, 64, 80, 128, 136])
     @pytest.mark.parametrize("c, o, hw", [(3, 8, 16), (8, 16, 8)])
@@ -827,7 +823,7 @@ class TestConvRoundingBound:
         # and eval's forwards of 8 to 136 images
         rng = np.random.default_rng(n * 100 + c)
         x, w, b = rng.normal(size=(n, c, hw, hw)), rng.normal(size=(o, c, 3, 3)), rng.normal(size=o)
-        _check_conv_triple_bound(x, w, b, rng.normal(size=(n, o, hw, hw)), 1)
+        _check_conv_triple_bound(x, w, b, rng.normal(size=(n, o, hw, hw)))
 
 
 def _assert_adjoint(lhs_pair, rhs_pair):
@@ -846,21 +842,19 @@ class TestAdjointIdentities:
         n=st.integers(1, 64),
         ci=st.integers(1, 4),
         co=st.integers(1, 4),
-        kh=st.sampled_from([2, 3]),
-        kw=st.sampled_from([2, 3]),
+        k=st.sampled_from([1, 3, 5]),
         data=st.data(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_conv_triple(self, n, ci, co, kh, kw, data, seed):
-        padding = data.draw(st.integers(0, min(kh, kw) - 1), label="padding")
-        hh = data.draw(st.integers(max(1, kh - 2 * padding), 9), label="hh")
-        ww = data.draw(st.integers(max(1, kw - 2 * padding), 9), label="ww")
+    def test_conv_triple(self, n, ci, co, k, data, seed):
+        hh = data.draw(st.integers(1, 9), label="hh")
+        ww = data.draw(st.integers(1, 9), label="ww")
         rng = np.random.default_rng(seed)
-        x, w = rng.normal(size=(n, ci, hh, ww)), rng.normal(size=(co, ci, kh, kw))
-        y = T.conv2d(Tensor(x), Tensor(w), padding=padding).data
+        x, w = rng.normal(size=(n, ci, hh, ww)), rng.normal(size=(co, ci, k, k))
+        y = T.conv2d(Tensor(x), Tensor(w)).data
         g = rng.normal(size=y.shape)
-        gx = T.conv2d_input_grad(Tensor(g), Tensor(w), padding).data
-        gw = T.conv2d_kernel_grad(Tensor(x), Tensor(g), padding).data
+        gx = T.conv2d_input_grad(Tensor(g), Tensor(w)).data
+        gw = T.conv2d_kernel_grad(Tensor(x), Tensor(g), k).data
         assert gx.shape == x.shape and gw.shape == w.shape
         _assert_adjoint((y, g), (x, gx))
         _assert_adjoint((y, g), (w, gw))
@@ -870,28 +864,25 @@ class TestAdjointIdentities:
         n=st.integers(1, 64),
         ci=st.integers(1, 4),
         co=st.integers(1, 4),
-        kh=st.sampled_from([2, 3]),
-        kw=st.sampled_from([2, 3]),
+        k=st.sampled_from([1, 3, 5]),
         data=st.data(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_conv_triple_in_small_blocks(self, n, ci, co, kh, kw, data, seed):
+    def test_conv_triple_in_small_blocks(self, n, ci, co, k, data, seed):
         # the identities above with the forward's columns in blocks of m
         # images (the input adjoint's blocks follow from the same budget), so
         # most draws run several blocks and many a shorter last one
-        padding = data.draw(st.integers(0, min(kh, kw) - 1), label="padding")
-        hh = data.draw(st.integers(max(1, kh - 2 * padding), 9), label="hh")
-        ww = data.draw(st.integers(max(1, kw - 2 * padding), 9), label="ww")
+        hh = data.draw(st.integers(1, 9), label="hh")
+        ww = data.draw(st.integers(1, 9), label="ww")
         m = data.draw(st.integers(1, n), label="m")
         rng = np.random.default_rng(seed)
-        x, w = rng.normal(size=(n, ci, hh, ww)), rng.normal(size=(co, ci, kh, kw))
-        ho, wo = hh + 2 * padding - kh + 1, ww + 2 * padding - kw + 1
-        g = rng.normal(size=(n, co, ho, wo))
+        x, w = rng.normal(size=(n, ci, hh, ww)), rng.normal(size=(co, ci, k, k))
+        g = rng.normal(size=(n, co, hh, ww))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(T, "COL_BUDGET", 8 * ci * kh * kw * ho * wo * m)
-            y = T.conv2d(Tensor(x), Tensor(w), padding=padding).data
-            gx = T.conv2d_input_grad(Tensor(g), Tensor(w), padding).data
-        gw = T.conv2d_kernel_grad(Tensor(x), Tensor(g), padding).data
+            mp.setattr(T, "COL_BUDGET", 8 * ci * k * k * hh * ww * m)
+            y = T.conv2d(Tensor(x), Tensor(w)).data
+            gx = T.conv2d_input_grad(Tensor(g), Tensor(w)).data
+        gw = T.conv2d_kernel_grad(Tensor(x), Tensor(g), k).data
         _assert_adjoint((y, g), (x, gx))
         _assert_adjoint((y, g), (w, gw))
 
@@ -954,7 +945,7 @@ class TestGuidedLocality:
     def test_identical_when_signals_positive(self):
         # positive weights and inputs, sum-of-logits loss: no negative signal
         rng = np.random.default_rng(3)
-        w = Tensor(rng.uniform(0.1, 1.0, size=(4, 2, 2, 2)))
+        w = Tensor(rng.uniform(0.1, 1.0, size=(4, 2, 3, 3)))
 
         def run(mode):
             tape = Tape()
@@ -974,7 +965,7 @@ class TestGuidedLocality:
         tape = Tape()
         x = watched(tape, rng.normal(size=(2, 3, 6, 6)))
         w = watched(tape, rng.normal(size=(4, 3, 3, 3)))
-        h = T.relu(T.conv2d(x, w, padding=1))
+        h = T.relu(T.conv2d(x, w))
         h2 = T.relu(T.conv2d(h, watched(tape, rng.normal(size=(2, 4, 3, 3)))))
         loss = T.reduce_sum(T.mul(h2, Tensor(rng.normal(size=h2.shape))))
         with recorded_relu_emissions() as emitted:
