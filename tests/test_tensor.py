@@ -91,6 +91,14 @@ class TestForwardPrimitives:
         with pytest.raises(ValueError, match="softmax"):
             T.softmax(Tensor(np.zeros((2, 3, 4))))
 
+    def test_conv_kernel_too_large(self):
+        # an even kernel is refused whatever the map; an odd one wider than the
+        # map fits, as its padding p = k // 2 covers every tap
+        with pytest.raises(ValueError, match="conv2d"):
+            T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 4, 4))))
+        out = T.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 5, 5))))
+        np.testing.assert_array_equal(out.data, np.full((1, 1, 2, 2), 4.0))
+
     def test_conv_bad_operands_name_the_op(self):
         def ones(*shape):
             return Tensor(np.ones(shape))
@@ -128,6 +136,14 @@ class TestForwardPrimitives:
             T.conv2d_input_grad(g, w)
         with pytest.raises(ValueError, match="^conv2d_kernel_grad:"):
             T.conv2d_kernel_grad(x, g, 3)
+
+    def test_conv_padding_outside_kernel_rejected(self):
+        # the padding is read from the kernel side, k = 2p + 1; a side with no
+        # whole padding in 0..k-1 is refused
+        x, g = Tensor(np.ones((1, 1, 4, 4))), Tensor(np.ones((1, 1, 4, 4)))
+        for k in (-1, 0, 2, 4):
+            with pytest.raises(ValueError, match="^conv2d_kernel_grad: kernel side"):
+                T.conv2d_kernel_grad(x, g, k)
 
     def test_records_only_with_node(self):
         tape = Tape()
